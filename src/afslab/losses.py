@@ -1,15 +1,20 @@
 """Loss kernels with exact logit gradients.
 
-Every loss returns its scalar value together with the closed-form gradient
-with respect to the logits, so training never depends on autodiff and the
-arithmetic can be pinned against finite differences in tests. All functions
-operate on a single sample; batch reductions are plain means taken by the
-caller.
+Every loss returns its value together with the closed-form gradient with
+respect to the logits, so training never depends on autodiff and the
+arithmetic can be pinned against finite differences in tests. Two kernels
+do the work on [n, C] logits, one row per sample: `weighted_ce`, the
+cross-entropy -w(p_t) log p_t with a weight w(p_t) that is 1, the focal
+weight or the revised focal Gaussian bump, and `distill`, a
+temperature-softened cross-entropy against a per-label teacher table.
+`make_objective` is the one place they are combined, as cls + beta * reg.
+The 1-d functions (`ce_loss`, `focal_loss`, `rfl_loss`, `vkd_loss`,
+`lsr_loss`, `afs_loss`) take a single sample and are batch-of-one calls of
+the same kernels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,9 @@ ASI = "ASI"  # ambiguous: [0.3, 0.6]
 ESI = "ESI"  # easy:      (0.6, 1.0]
 
 DIFFICULTY_INTERVALS = (HSI, ASI, ESI)
+
+CLS_KINDS = ("ce", "fl", "rfl")
+REG_KINDS = ("none", "lsr", "vkd")
 
 
 @dataclass(frozen=True)
@@ -69,22 +77,36 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Value, exact logit gradient, and the target probability that drove it."""
+    """Value, exact logit gradient, and the target probability that drove it.
 
-    value: float
+    The kernels return one entry per row: value and p_target are [n] arrays
+    and grad_logits is [n, C]. The 1-d losses return floats and a [C]
+    gradient. `distill` leaves p_target as None, since its value does not
+    depend on p_t.
+    """
+
+    value: float | np.ndarray
     grad_logits: np.ndarray
-    p_target: float
+    p_target: float | np.ndarray | None
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Softmax with the max logit subtracted first; rejects non-finite input."""
+    """Softmax over the last axis of a 1-d vector or [n, C] rows.
+
+    The row max is subtracted first; non-finite input is rejected, naming
+    the first offending row.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise InvalidInputError("logits must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("logits must be finite")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if z.ndim not in (1, 2) or z.size == 0:
+        raise InvalidInputError("logits must be a non-empty 1-d vector or [n, C] rows")
+    finite = np.isfinite(z)
+    if not finite.all():
+        if z.ndim == 1:
+            raise InvalidInputError("logits must be finite")
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise InvalidInputError(f"logits must be finite (row {row})")
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def classify_difficulty(p_t: float) -> str:
@@ -102,100 +124,88 @@ def classify_difficulty(p_t: float) -> str:
     return ESI
 
 
-def rfl_weight(p_t: float, alpha: float, mu: float, sigma: float) -> float:
+def rfl_weight(p_t, alpha: float, mu: float, sigma: float):
     """Gaussian re-weighting term alpha * exp(-(p_t - mu)^2 / sigma).
 
     Peaks at p_t = mu and decays symmetrically, so ambiguous samples carry
-    the largest weight while confident and hopeless ones are damped.
+    the largest weight while confident and hopeless ones are damped. p_t may
+    be a float or an array of them.
     """
     if sigma <= 0:
         raise InvalidConfigError(f"sigma must be positive, got {sigma}")
-    return alpha * math.exp(-((p_t - mu) ** 2) / sigma)
+    return alpha * np.exp(-((p_t - mu) ** 2) / sigma)
 
 
-def _check_target(logits: np.ndarray, target: int) -> None:
-    if not isinstance(target, (int, np.integer)):
-        raise InvalidInputError(f"target must be an integer, got {target!r}")
-    if not 0 <= target < len(logits):
+def _check_labels(labels, shape: tuple[int, int]) -> np.ndarray:
+    """One integer label in [0, C) per row of an [n, C] batch."""
+    y = np.asarray(labels)
+    n, num_classes = shape
+    if y.shape != (n,):
+        raise InvalidInputError(f"need {n} labels, got shape {y.shape}")
+    if y.dtype.kind not in "iu":
+        raise InvalidInputError(f"targets must be integers, got dtype {y.dtype}")
+    bad = np.flatnonzero((y < 0) | (y >= num_classes))
+    if bad.size:
+        row = int(bad[0])
         raise InvalidInputError(
-            f"target {target} out of range for {len(logits)} classes"
+            f"target {y[row]} out of range for {num_classes} classes (row {row})"
         )
+    return y
 
 
-def ce_loss(logits: np.ndarray, target: int) -> LossOutput:
-    """Cross-entropy -log p_t with gradient p - onehot(target)."""
-    p = softmax_stable(logits)
-    _check_target(p, target)
-    p_t = float(p[target])
-    value = -math.log(max(p_t, P_FLOOR))
-    grad = p.copy()
-    grad[target] -= 1.0
-    return LossOutput(value=value, grad_logits=grad, p_target=p_t)
-
-
-def _weighted_ce_output(
-    p: np.ndarray, target: int, weight: float, dweight_dp: float
-) -> LossOutput:
-    """Assemble value and gradient for losses of the form -w(p_t) log p_t.
-
-    dweight_dp is dw/dp_t. The logit gradient follows from the softmax
-    Jacobian: d p_t / d z_k = p_t (delta_tk - p_k).
-    """
-    p_t = float(p[target])
-    p_safe = max(p_t, P_FLOOR)
-    log_pt = math.log(p_safe)
-    value = -weight * log_pt
-    # dL/dp_t = -(w'(p_t) log p_t + w(p_t)/p_t); multiply by p_t once so the
-    # non-target entries are a single product with -p_k.
-    g_common = -(dweight_dp * log_pt * p_t + weight * p_t / p_safe)
-    grad = -g_common * p
-    grad[target] = g_common * (1.0 - p_t)
-    return LossOutput(value=value, grad_logits=grad, p_target=p_t)
-
-
-def focal_loss(
-    logits: np.ndarray, target: int, alpha: float = 0.25, gamma: float = 2.0
-) -> LossOutput:
-    """Focal loss FL = -alpha * (1 - p_t)^gamma * log(p_t).
-
-    The target-logit gradient works out to
-    alpha * Q^gamma * (gamma * p_t * log p_t + p_t - 1) with Q = 1 - p_t.
-    """
-    if gamma < 0:
-        raise InvalidConfigError(f"gamma must be non-negative, got {gamma}")
-    p = softmax_stable(logits)
-    _check_target(p, target)
-    p_t = float(p[target])
-    q = 1.0 - p_t
-    weight = alpha * q**gamma
-    if gamma == 0.0 or (q == 0.0 and gamma < 1.0):
-        # w' vanishes at gamma = 0; for gamma < 1 the q^(gamma-1) blow-up at
-        # q = 0 is cancelled by log(p_t) = 0, so the limit is 0 as well
-        dweight = 0.0
-    else:
-        dweight = -alpha * gamma * q ** (gamma - 1.0)
-    return _weighted_ce_output(p, target, weight, dweight)
-
-
-def rfl_loss(
+def weighted_ce(
     logits: np.ndarray,
-    target: int,
+    labels,
+    kind: str = "ce",
     alpha: float = 0.25,
+    gamma: float = 2.0,
     mu: float = 0.3,
     sigma: float = 0.5,
 ) -> LossOutput:
-    """Revised focal loss RFL = -alpha * exp(-(p_t - mu)^2 / sigma) * log(p_t).
+    """Per-row -w(p_t) log p_t over [n, C] logits, with exact logit gradients.
 
-    Unlike the plain focal weight, the Gaussian bump concentrates gradient
-    on ambiguous samples (p_t near mu) and shrinks it on both hard and easy
-    ones. At p_t = mu the target-logit gradient reduces to -alpha * (1 - p_t).
+    kind picks the weight: "ce" is w = 1, "fl" the focal weight
+    alpha (1 - p_t)^gamma, "rfl" the revised focal bump `rfl_weight`. With
+    w' = dw/dp_t the softmax Jacobian d p_t / d z_k = p_t (delta_tk - p_k)
+    gives the gradient g (1 - p_t) on the target logit and -g p_k elsewhere,
+    with g = -(w' p_t log p_t + w p_t / p_t'), where p_t' is p_t clamped to
+    P_FLOOR. Cross-entropy takes p_t / p_t' as 1, so its gradient stays
+    p - onehot(target) even where the clamp flattens its value.
     """
     p = softmax_stable(logits)
-    _check_target(p, target)
-    p_t = float(p[target])
-    weight = rfl_weight(p_t, alpha, mu, sigma)
-    dweight = weight * (-2.0 * (p_t - mu) / sigma)
-    return _weighted_ce_output(p, target, weight, dweight)
+    if p.ndim != 2:
+        raise InvalidInputError(f"expected [n, C] logits, got shape {p.shape}")
+    y = _check_labels(labels, p.shape)
+    rows = np.arange(len(y))
+    p_t = p[rows, y]
+    p_safe = np.maximum(p_t, P_FLOOR)
+    log_pt = np.log(p_safe)
+    if kind == "ce":
+        weight, dweight = 1.0, 0.0
+    elif kind == "fl":
+        if gamma < 0:
+            raise InvalidConfigError(f"gamma must be non-negative, got {gamma}")
+        q = 1.0 - p_t
+        weight = alpha * q**gamma
+        if gamma == 0.0:
+            dweight = 0.0  # w' vanishes
+        else:
+            with np.errstate(divide="ignore"):
+                dweight = -alpha * gamma * q ** (gamma - 1.0)
+            if gamma < 1.0:
+                # the q^(gamma-1) blow-up at q = 0 is cancelled by
+                # log(p_t) = 0, so the limit is 0 as well
+                dweight[q == 0.0] = 0.0
+    elif kind == "rfl":
+        weight = rfl_weight(p_t, alpha, mu, sigma)
+        dweight = weight * (-2.0 * (p_t - mu) / sigma)
+    else:
+        raise InvalidConfigError(f"unknown classification loss {kind!r}")
+    ratio = 1.0 if kind == "ce" else p_t / p_safe
+    g = -(dweight * log_pt * p_t + weight * ratio)
+    grad = -g[:, None] * p
+    grad[rows, y] = g * (1.0 - p_t)
+    return LossOutput(value=-weight * log_pt, grad_logits=grad, p_target=p_t)
 
 
 def virtual_teacher(target: int, num_classes: int, epsilon: float) -> np.ndarray:
@@ -213,6 +223,140 @@ def virtual_teacher(target: int, num_classes: int, epsilon: float) -> np.ndarray
     return v
 
 
+def teacher_table(num_classes: int, epsilon: float, temperature: float) -> np.ndarray:
+    """[C, C] softened teachers: row c is softmax(virtual_teacher(c) / T).
+
+    The teacher depends on the label alone, so one table serves a whole run.
+    """
+    if temperature <= 0:
+        raise InvalidConfigError(f"temperature must be positive, got {temperature}")
+    v = np.stack([virtual_teacher(c, num_classes, epsilon) for c in range(num_classes)])
+    return softmax_stable(v / temperature)
+
+
+def distill(
+    logits: np.ndarray, labels, teacher: np.ndarray, temperature: float
+) -> LossOutput:
+    """Per-row distillation against the teacher row of each label.
+
+    With p = softmax(z / T) and q = teacher[label] the value is the scaled
+    cross-entropy -T^2 * sum_i q_i log p_i and the exact logit gradient is
+    T * (p - q); minimized over the logits exactly when p equals q.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    p_soft = softmax_stable(z / temperature)
+    if p_soft.ndim != 2 or teacher.shape != (p_soft.shape[1],) * 2:
+        raise InvalidInputError(
+            f"logits of shape {z.shape} do not match a teacher table of "
+            f"shape {teacher.shape}"
+        )
+    q = teacher[_check_labels(labels, p_soft.shape)]
+    value = -temperature**2 * np.sum(q * np.log(np.maximum(p_soft, P_FLOOR)), axis=1)
+    return LossOutput(
+        value=value, grad_logits=temperature * (p_soft - q), p_target=None
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Objective:
+    """cls + beta * reg over [n, C] logits; built by `make_objective`.
+
+    `teacher` is the [C, C] teacher table of the regulariser at
+    `temperature`, or None for the classification term alone. Calling the
+    objective with 1-d logits and an integer target scores one sample.
+    """
+
+    cls_kind: str
+    config: LossConfig
+    teacher: np.ndarray | None = None
+    temperature: float = 1.0
+
+    def rows(self, logits: np.ndarray, labels) -> LossOutput:
+        """Per-row values, [n, C] logit gradients and p_t of the combined loss."""
+        cfg = self.config
+        cls = weighted_ce(
+            logits, labels, self.cls_kind,
+            alpha=cfg.alpha, gamma=cfg.gamma, mu=cfg.mu, sigma=cfg.sigma,
+        )
+        if self.teacher is None:
+            return cls
+        reg = distill(logits, labels, self.teacher, self.temperature)
+        return LossOutput(
+            value=cls.value + cfg.beta * reg.value,
+            grad_logits=cls.grad_logits + cfg.beta * reg.grad_logits,
+            p_target=cls.p_target,
+        )
+
+    def __call__(self, logits: np.ndarray, target: int) -> LossOutput:
+        return _single(self.rows, logits, target)
+
+
+def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
+    """Compose an objective from a classification and a smoothing term.
+
+    "vkd" distils from the virtual teacher at cfg.temperature; "lsr" is the
+    same term at temperature 1 (label smoothing).
+    """
+    if cls_kind not in CLS_KINDS:
+        raise InvalidConfigError(f"unknown classification loss {cls_kind!r}")
+    if reg_kind not in REG_KINDS:
+        raise InvalidConfigError(f"unknown regularizer {reg_kind!r}")
+    if reg_kind == "none":
+        return Objective(cls_kind, cfg)
+    temperature = cfg.temperature if reg_kind == "vkd" else 1.0
+    return Objective(
+        cls_kind, cfg,
+        teacher=teacher_table(cfg.num_classes, cfg.epsilon, temperature),
+        temperature=temperature,
+    )
+
+
+def _one_row(logits: np.ndarray) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise InvalidInputError("logits must be a non-empty 1-d vector")
+    return z
+
+
+def _single(kernel, logits: np.ndarray, target: int, *args, **kwargs) -> LossOutput:
+    """Run a row kernel on one 1-d sample and unpack its only row."""
+    out = kernel(_one_row(logits)[None], [target], *args, **kwargs)
+    p_t = None if out.p_target is None else float(out.p_target[0])
+    return LossOutput(value=float(out.value[0]), grad_logits=out.grad_logits[0], p_target=p_t)
+
+
+def ce_loss(logits: np.ndarray, target: int) -> LossOutput:
+    """Cross-entropy -log p_t with gradient p - onehot(target)."""
+    return _single(weighted_ce, logits, target, "ce")
+
+
+def focal_loss(
+    logits: np.ndarray, target: int, alpha: float = 0.25, gamma: float = 2.0
+) -> LossOutput:
+    """Focal loss FL = -alpha * (1 - p_t)^gamma * log(p_t).
+
+    The target-logit gradient works out to
+    alpha * Q^gamma * (gamma * p_t * log p_t + p_t - 1) with Q = 1 - p_t.
+    """
+    return _single(weighted_ce, logits, target, "fl", alpha=alpha, gamma=gamma)
+
+
+def rfl_loss(
+    logits: np.ndarray,
+    target: int,
+    alpha: float = 0.25,
+    mu: float = 0.3,
+    sigma: float = 0.5,
+) -> LossOutput:
+    """Revised focal loss RFL = -alpha * exp(-(p_t - mu)^2 / sigma) * log(p_t).
+
+    Unlike the plain focal weight, the Gaussian bump concentrates gradient
+    on ambiguous samples (p_t near mu) and shrinks it on both hard and easy
+    ones. At p_t = mu the target-logit gradient reduces to -alpha * (1 - p_t).
+    """
+    return _single(weighted_ce, logits, target, "rfl", alpha=alpha, mu=mu, sigma=sigma)
+
+
 def vkd_loss(
     logits: np.ndarray,
     target: int,
@@ -226,18 +370,11 @@ def vkd_loss(
     cross-entropy -T^2 * sum_i q_i log p_i and the exact logit gradient is
     T * (p - q). Minimized over the logits exactly when p equals q.
     """
-    if temperature <= 0:
-        raise InvalidConfigError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64)
-    v = virtual_teacher(target, z.size, epsilon)
-    q = softmax_stable(v / temperature)
-    p_soft = softmax_stable(z / temperature)
-    value = -temperature**2 * float(
-        np.sum(q * np.log(np.maximum(p_soft, P_FLOOR)))
-    )
-    grad = temperature * (p_soft - q)
+    z = _one_row(logits)
+    teacher = teacher_table(z.size, epsilon, temperature)
+    out = _single(distill, z, target, teacher, temperature)
     p_t = float(softmax_stable(z)[target])
-    return LossOutput(value=value, grad_logits=grad, p_target=p_t)
+    return LossOutput(value=out.value, grad_logits=out.grad_logits, p_target=p_t)
 
 
 def lsr_loss(logits: np.ndarray, target: int, epsilon: float = 0.01) -> LossOutput:
@@ -247,15 +384,4 @@ def lsr_loss(logits: np.ndarray, target: int, epsilon: float = 0.01) -> LossOutp
 
 def afs_loss(logits: np.ndarray, target: int, config: LossConfig) -> LossOutput:
     """Combined objective: rfl_loss + beta * vkd_loss, gradients added likewise."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size != config.num_classes:
-        raise InvalidInputError(
-            f"expected {config.num_classes} logits, got shape {z.shape}"
-        )
-    cls = rfl_loss(z, target, alpha=config.alpha, mu=config.mu, sigma=config.sigma)
-    kd = vkd_loss(z, target, temperature=config.temperature, epsilon=config.epsilon)
-    return LossOutput(
-        value=cls.value + config.beta * kd.value,
-        grad_logits=cls.grad_logits + config.beta * kd.grad_logits,
-        p_target=cls.p_target,
-    )
+    return make_objective("rfl", "vkd", config)(logits, target)

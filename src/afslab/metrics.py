@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .losses import classify_difficulty, softmax_stable, DIFFICULTY_INTERVALS
-from .model import NetworkState, logits_batch
+from .losses import ASI, ESI, HSI, softmax_stable
+from .model import NetworkState, forward
 from .stream import Sample
 
 # Two-sided 95% Student-t quantiles (0.975 one-sided) for df 1..30; the
@@ -167,14 +167,17 @@ def bias_diagnostics(
         b = state.biases[-1][idx]
         return float(np.concatenate([w.reshape(-1), b]).mean())
 
-    feats = np.stack([s.features for s in samples])
-    logits = logits_batch(state, feats)
+    logits = forward(state, np.stack([s.features for s in samples])).logits
+    labels = np.array([s.label for s in samples])
 
-    counts = {name: 0 for name in DIFFICULTY_INTERVALS}
-    for row, s in zip(logits, samples):
-        if s.label in new_classes:
-            p_t = float(softmax_stable(row)[s.label])
-            counts[classify_difficulty(p_t)] += 1
+    # p_t of the new-class rows, bucketed as in losses.classify_difficulty
+    new_rows = np.flatnonzero(np.isin(labels, new_idx))
+    p_t = np.empty(0)
+    if new_rows.size:
+        p_t = softmax_stable(logits[new_rows])[np.arange(new_rows.size), labels[new_rows]]
+    hard = int(np.count_nonzero(p_t < 0.3))
+    easy = int(np.count_nonzero(p_t > 0.6))
+    counts = {HSI: hard, ASI: len(p_t) - hard - easy, ESI: easy}
 
     return DiagnosticsRecord(
         mean_weight_old=weight_mean(old_idx),

@@ -50,7 +50,11 @@ class NetworkState:
 
 @dataclass
 class ForwardTrace:
-    """Intermediate values kept for the backward pass."""
+    """Intermediate values kept for the backward pass.
+
+    Each array has one row per input row, [n, width], or is 1-d when a
+    single input vector went through.
+    """
 
     input: np.ndarray
     pre_activations: list[np.ndarray] = field(default_factory=list)
@@ -74,19 +78,6 @@ class Gradients:
             biases=[b * factor for b in self.biases],
         )
 
-    def add_(self, other: "Gradients") -> None:
-        for mine, theirs in zip(self.weights, other.weights):
-            mine += theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine += theirs
-
-
-def zero_gradients(state: NetworkState) -> Gradients:
-    return Gradients(
-        weights=[np.zeros_like(w) for w in state.weights],
-        biases=[np.zeros_like(b) for b in state.biases],
-    )
-
 
 def init_network(spec: NetworkSpec) -> NetworkState:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
@@ -100,17 +91,20 @@ def init_network(spec: NetworkSpec) -> NetworkState:
 
 
 def forward(state: NetworkState, x: np.ndarray) -> ForwardTrace:
-    """Run one input through the network, recording every layer's values."""
+    """Run a [n, fan_in] batch, or one fan_in vector, through the network.
+
+    Rows are independent; every layer's values are recorded for backward.
+    """
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != state.weights[0].shape[1]:
+    fan_in = state.weights[0].shape[1]
+    if a.ndim not in (1, 2) or a.shape[-1] != fan_in:
         raise InvalidInputError(
-            f"input of shape {a.shape} does not match fan-in "
-            f"{state.weights[0].shape[1]}"
+            f"input of shape {a.shape} does not match fan-in {fan_in}"
         )
     trace = ForwardTrace(input=a)
     last = len(state.weights) - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = w @ a + b
+        z = a @ w.T + b
         trace.pre_activations.append(z)
         if i < last:
             a = np.maximum(z, 0.0)
@@ -118,43 +112,35 @@ def forward(state: NetworkState, x: np.ndarray) -> ForwardTrace:
     return trace
 
 
-def logits_batch(state: NetworkState, inputs: np.ndarray) -> np.ndarray:
-    """Forward a [batch, fan_in] matrix; returns [batch, classes] logits."""
-    a = np.asarray(inputs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != state.weights[0].shape[1]:
-        raise InvalidInputError(f"bad batch shape {a.shape}")
-    last = len(state.weights) - 1
-    for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        a = a @ w.T + b
-        if i < last:
-            a = np.maximum(a, 0.0)
-    return a
-
-
 def backward(
     state: NetworkState, trace: ForwardTrace, grad_logits: np.ndarray
 ) -> Gradients:
-    """Exact backprop of a logit gradient through the stored trace."""
+    """Exact backprop of a logit gradient through the stored trace.
+
+    grad_logits has the shape of the trace's logits; for a batch the
+    returned gradients are summed over its rows.
+    """
     delta = np.asarray(grad_logits, dtype=np.float64)
-    if delta.shape != trace.pre_activations[-1].shape:
+    if delta.shape != trace.logits.shape:
         raise InvalidInputError(
             f"grad_logits shape {delta.shape} does not match logits "
-            f"{trace.pre_activations[-1].shape}"
+            f"{trace.logits.shape}"
         )
     if len(trace.pre_activations) != len(state.weights):
         raise InvalidInputError("trace does not match network depth")
-    grads = zero_gradients(state)
+    delta = np.atleast_2d(delta)
+    weights, biases = [], []
     for layer in range(len(state.weights) - 1, -1, -1):
         a_in = trace.activations[layer - 1] if layer > 0 else trace.input
-        if a_in.shape[0] != state.weights[layer].shape[1]:
+        if a_in.shape[-1] != state.weights[layer].shape[1]:
             raise InvalidInputError("stale trace: activation width mismatch")
-        grads.weights[layer] = np.outer(delta, a_in)
-        grads.biases[layer] = delta.copy()
+        weights.append(delta.T @ np.atleast_2d(a_in))
+        biases.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (state.weights[layer].T @ delta) * (
+            delta = (delta @ state.weights[layer]) * (
                 trace.pre_activations[layer - 1] > 0.0
             )
-    return grads
+    return Gradients(weights=weights[::-1], biases=biases[::-1])
 
 
 def sgd_step(

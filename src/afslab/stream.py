@@ -283,21 +283,28 @@ def augment(
     """
     if kind == "none":
         return list(batch)
+    if kind == "vector":
+        if not batch:
+            return []
+        # one draw for the whole batch; a Generator fills it in the same
+        # order as one draw per sample, so the stream of numbers is unchanged
+        feats = np.stack([s.features for s in batch])
+        feats = feats + rng.normal(0.0, jitter_sigma, size=feats.shape)
+        return [
+            Sample(features=f, label=s.label, uid=s.uid) for f, s in zip(feats, batch)
+        ]
+    if kind != "image":
+        raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
     out = []
     for s in batch:
-        if kind == "image":
-            side = math.isqrt(s.features.size)
-            if side * side != s.features.size:
-                raise InvalidConfigError(
-                    f"image augmentation needs square features, got {s.features.size}"
-                )
-            feats = s.features
-            if rng.random() < 0.5:
-                feats = flip_horizontal(feats, side)
-            feats = pad_crop(feats, side, rng)
-        elif kind == "vector":
-            feats = s.features + rng.normal(0.0, jitter_sigma, size=s.features.shape)
-        else:
-            raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
+        side = math.isqrt(s.features.size)
+        if side * side != s.features.size:
+            raise InvalidConfigError(
+                f"image augmentation needs square features, got {s.features.size}"
+            )
+        feats = s.features
+        if rng.random() < 0.5:
+            feats = flip_horizontal(feats, side)
+        feats = pad_crop(feats, side, rng)
         out.append(Sample(features=feats, label=s.label, uid=s.uid))
     return out

@@ -13,37 +13,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .losses import (
-    LossConfig,
-    LossOutput,
-    afs_loss,
-    ce_loss,
-    focal_loss,
-    lsr_loss,
-    rfl_loss,
-    vkd_loss,
-)
+from .losses import LossConfig, Objective, make_objective
 from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
-from .model import (
-    NetworkState,
-    backward,
-    forward,
-    logits_batch,
-    sgd_step,
-    zero_gradients,
-)
+from .model import NetworkState, backward, forward, sgd_step
 from .stream import Dataset, Sample, StreamBatch, augment
-
-CLS_KINDS = ("ce", "fl", "rfl")
-REG_KINDS = ("none", "lsr", "vkd")
-
-Objective = Callable[[np.ndarray, int], LossOutput]
 
 
 @dataclass
@@ -84,52 +62,21 @@ class RunRecord:
     final_state: NetworkState
 
 
-def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
-    """Compose a per-sample objective from a classification and a smoothing term."""
-    if cls_kind not in CLS_KINDS:
-        raise InvalidConfigError(f"unknown classification loss {cls_kind!r}")
-    if reg_kind not in REG_KINDS:
-        raise InvalidConfigError(f"unknown regularizer {reg_kind!r}")
-    if cls_kind == "rfl" and reg_kind == "vkd":
-        return lambda z, t: afs_loss(z, t, cfg)
-
-    def cls_part(z: np.ndarray, t: int) -> LossOutput:
-        if cls_kind == "ce":
-            return ce_loss(z, t)
-        if cls_kind == "fl":
-            return focal_loss(z, t, alpha=cfg.alpha, gamma=cfg.gamma)
-        return rfl_loss(z, t, alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
-
-    if reg_kind == "none":
-        return cls_part
-
-    def combined(z: np.ndarray, t: int) -> LossOutput:
-        base = cls_part(z, t)
-        if reg_kind == "vkd":
-            reg = vkd_loss(z, t, temperature=cfg.temperature, epsilon=cfg.epsilon)
-        else:
-            reg = lsr_loss(z, t, epsilon=cfg.epsilon)
-        return LossOutput(
-            value=base.value + cfg.beta * reg.value,
-            grad_logits=base.grad_logits + cfg.beta * reg.grad_logits,
-            p_target=base.p_target,
-        )
-
-    return combined
-
-
 def sgd_on_batch(
     state: NetworkState, samples: list[Sample], objective: Objective, lr: float
 ) -> NetworkState:
-    """One step on the mean per-sample gradient over the batch."""
+    """One step on the mean per-sample gradient over the batch.
+
+    The batch goes through as one [n, d] matrix: one forward pass, one
+    objective call on the [n, C] logits and one backward pass, which sums
+    the per-row gradients.
+    """
     if not samples:
         raise InvalidInputError("cannot step on an empty batch")
-    total = zero_gradients(state)
-    for s in samples:
-        trace = forward(state, s.features)
-        out = objective(trace.logits, s.label)
-        total.add_(backward(state, trace, out.grad_logits))
-    return sgd_step(state, total.scale(1.0 / len(samples)), lr)
+    trace = forward(state, np.stack([s.features for s in samples]))
+    out = objective.rows(trace.logits, [s.label for s in samples])
+    grads = backward(state, trace, out.grad_logits)
+    return sgd_step(state, grads.scale(1.0 / len(samples)), lr)
 
 
 def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> float:
@@ -137,7 +84,7 @@ def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> fl
     features, labels = test_set
     if len(features) == 0:
         raise InvalidInputError("test set is empty")
-    predictions = np.argmax(logits_batch(state, features), axis=1)
+    predictions = np.argmax(forward(state, features).logits, axis=1)
     return float(np.mean(predictions == labels))
 
 

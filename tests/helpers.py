@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from afslab.model import Gradients, backward, forward, sgd_step
+
 
 def central_difference(f, x, h=1e-5):
     """Gradient of scalar f at x by central differences, one coordinate at a time."""
@@ -17,3 +19,29 @@ def central_difference(f, x, h=1e-5):
 def two_class_logits(p_target):
     """Logits whose softmax puts p_target on class 0 in a two-class problem."""
     return np.array([np.log(p_target), np.log(1.0 - p_target)])
+
+
+def per_sample_step(state, samples, objective, lr):
+    """Reference for trainer.sgd_on_batch: one sample at a time.
+
+    Each sample takes its own 1-d forward pass, objective call and backward
+    pass; the gradients are summed, scaled by 1/n and applied once.
+    """
+    weights = [np.zeros_like(w) for w in state.weights]
+    biases = [np.zeros_like(b) for b in state.biases]
+    for s in samples:
+        trace = forward(state, s.features)
+        out = objective(trace.logits, s.label)
+        grads = backward(state, trace, out.grad_logits)
+        for total, g in zip(weights + biases, grads.weights + grads.biases):
+            total += g
+    mean = Gradients(weights=weights, biases=biases).scale(1.0 / len(samples))
+    return sgd_step(state, mean, lr)
+
+
+def max_param_diff(a, b):
+    """Largest absolute difference over every weight and bias of two states."""
+    return max(
+        float(np.max(np.abs(x - y)))
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )

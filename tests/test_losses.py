@@ -2,24 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import (
     ASI,
+    CLS_KINDS,
     ESI,
     HSI,
+    P_FLOOR,
+    REG_KINDS,
     LossConfig,
     afs_loss,
     ce_loss,
     classify_difficulty,
+    distill,
     focal_loss,
     lsr_loss,
+    make_objective,
     rfl_loss,
     rfl_weight,
     softmax_stable,
+    teacher_table,
     virtual_teacher,
     vkd_loss,
+    weighted_ce,
 )
 from helpers import central_difference, two_class_logits
 
@@ -419,3 +426,97 @@ def test_extreme_logits_stay_finite():
     ):
         assert math.isfinite(out.value)
         assert np.all(np.isfinite(out.grad_logits))
+
+
+class TestBatchedKernels:
+    """The [n, C] kernels row by row against the 1-d losses."""
+
+    def rows(self, n=40, num_classes=6, seed=22):
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-8, 8, size=(n, num_classes))
+        return z, rng.integers(0, num_classes, size=n)
+
+    @pytest.mark.parametrize("reg_kind", REG_KINDS)
+    @pytest.mark.parametrize("cls_kind", CLS_KINDS)
+    def test_objective_rows_match_single_calls(self, cls_kind, reg_kind):
+        z, y = self.rows()
+        objective = make_objective(cls_kind, reg_kind, LossConfig(num_classes=6))
+        batched = objective.rows(z, y)
+        for i in range(len(z)):
+            single = objective(z[i], int(y[i]))
+            assert batched.value[i] == single.value
+            assert batched.p_target[i] == single.p_target
+            assert_array_equal(batched.grad_logits[i], single.grad_logits)
+
+    def test_ce_keeps_p_minus_onehot_below_floor(self):
+        # p_t = e^-60 is below P_FLOOR: the value is clamped, the gradient
+        # is not; a w = 1 weighted form would scale it by p_t / P_FLOOR
+        z = np.array([0.0, 60.0, 0.0])
+        out = ce_loss(z, 0)
+        assert out.p_target < P_FLOOR
+        assert out.value == -math.log(P_FLOOR)
+        assert_array_equal(out.grad_logits, softmax_stable(z) - np.eye(3)[0])
+        assert_allclose(out.grad_logits, [-1.0, 1.0, 0.0], atol=1e-12)
+        batched = weighted_ce(np.stack([np.zeros(3), z]), [2, 0], "ce")
+        assert_array_equal(batched.grad_logits[1], out.grad_logits)
+
+    def test_focal_gamma_zero_is_scaled_ce_in_a_batch(self):
+        z, y = self.rows(seed=23)
+        fl = weighted_ce(z, y, "fl", alpha=0.25, gamma=0.0)
+        ce = weighted_ce(z, y, "ce")
+        assert_allclose(fl.value, 0.25 * ce.value, rtol=1e-15)
+        assert_allclose(fl.grad_logits, 0.25 * ce.grad_logits, rtol=1e-14, atol=1e-17)
+        for i in range(len(z)):
+            single = focal_loss(z[i], int(y[i]), alpha=0.25, gamma=0.0)
+            assert_array_equal(fl.grad_logits[i], single.grad_logits)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_focal_certain_target_row(self, gamma):
+        # p_t rounds to exactly 1, so q = 0; for gamma < 1 the q^(gamma-1)
+        # term is infinite and its limit contribution is 0
+        certain = np.array([800.0, -800.0, 0.0])
+        z = np.stack([np.array([0.5, -0.2, 0.1]), certain])
+        with np.errstate(divide="raise", invalid="raise"):
+            out = weighted_ce(z, [1, 0], "fl", alpha=0.25, gamma=gamma)
+        assert out.p_target[1] == 1.0
+        assert np.all(np.isfinite(out.grad_logits))
+        assert out.value[1] == 0.0
+        assert_allclose(out.grad_logits[1], 0.0, atol=0.0)
+        for i, t in enumerate([1, 0]):
+            single = focal_loss(z[i], t, alpha=0.25, gamma=gamma)
+            assert_array_equal(out.grad_logits[i], single.grad_logits)
+
+    @pytest.mark.parametrize("kernel", ["weighted_ce", "distill", "objective"])
+    def test_one_bad_row_or_label_rejects_the_batch(self, kernel):
+        calls = {
+            "weighted_ce": lambda z, y: weighted_ce(z, y, "rfl"),
+            "distill": lambda z, y: distill(z, y, teacher_table(6, 0.01, 20.0), 20.0),
+            "objective": make_objective("rfl", "vkd", LossConfig(num_classes=6)).rows,
+        }
+        call = calls[kernel]
+        z, y = self.rows(n=8)
+        call(z, y)
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = z.copy()
+            broken[5, 2] = bad
+            with pytest.raises(InvalidInputError, match="row 5"):
+                call(broken, y)
+        for labels in (
+            np.where(np.arange(8) == 3, 6, y),  # out of range
+            np.where(np.arange(8) == 3, -1, y),  # negative
+            y.astype(np.float64),  # not integers
+            y[:-1],  # one label short
+        ):
+            with pytest.raises(InvalidInputError):
+                call(z, labels)
+
+    def test_teacher_table_rows_are_softened_virtual_teachers(self):
+        table = teacher_table(7, 0.05, 3.0)
+        for c in range(7):
+            expected = softmax_stable(virtual_teacher(c, 7, 0.05) / 3.0)
+            assert_allclose(table[c], expected, rtol=1e-15)
+
+    def test_distill_rejects_mismatched_table(self):
+        z, y = self.rows(n=3)
+        with pytest.raises(InvalidInputError):
+            distill(z, y, teacher_table(5, 0.01, 20.0), 20.0)

@@ -13,6 +13,7 @@ from afslab.metrics import (
     bias_diagnostics,
     confidence_interval,
 )
+from afslab.losses import classify_difficulty, softmax_stable
 from afslab.model import NetworkState
 from afslab.stream import Sample
 
@@ -166,6 +167,24 @@ def linear_head_state(weights, biases):
                         biases=[np.asarray(biases, dtype=float)])
 
 
+def exact_p_logits(p, target, num_classes=4):
+    """Logits whose softmax_stable probability at `target` is exactly p.
+
+    Solves for the target logit, then steps it one ulp at a time; a small
+    shift of another logit moves the rounding when no step lands on p.
+    """
+    for k in range(200):
+        z = np.zeros(num_classes)
+        z[(target + 1) % num_classes] = 0.01 * k
+        rest = np.exp(np.delete(z, target)).sum()
+        a = math.log(p * rest / (1.0 - p))
+        for j in range(-64, 65):
+            z[target] = a + j * np.spacing(a)
+            if softmax_stable(z)[target] == p:
+                return z
+    raise AssertionError(f"no logits found for p = {p}")
+
+
 class TestBiasDiagnostics:
     def test_zero_network_all_hsi(self):
         state = linear_head_state(np.zeros((4, 3)), np.zeros(4))
@@ -204,6 +223,35 @@ class TestBiasDiagnostics:
         assert sum(rec.interval_counts.values()) == 2
         assert rec.interval_counts["ESI"] == 1
         assert rec.interval_counts["HSI"] == 1
+
+    def test_interval_counts_match_per_row_scan(self):
+        # identity head: each sample's features are its logits, so rows can
+        # sit exactly on the 0.3 and 0.6 boundaries (both ambiguous)
+        rng = np.random.default_rng(5)
+        state = linear_head_state(np.eye(4), np.zeros(4))
+        rows = list(rng.normal(0.0, 2.0, size=(300, 4)))
+        labels = [int(v) for v in rng.integers(0, 4, size=300)]
+        for p in (0.3, 0.6):
+            for t in (2, 3):
+                rows.append(exact_p_logits(p, t))
+                labels.append(t)
+        samples = [
+            Sample(features=z, label=lab, uid=i)
+            for i, (z, lab) in enumerate(zip(rows, labels))
+        ]
+        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        expected = {"HSI": 0, "ASI": 0, "ESI": 0}
+        for z, lab in zip(rows, labels):
+            if lab in (2, 3):
+                expected[classify_difficulty(float(softmax_stable(z)[lab]))] += 1
+        assert rec.interval_counts == expected
+        assert min(expected.values()) > 4
+
+    def test_no_new_class_rows_counts_nothing(self):
+        state = linear_head_state(np.eye(4), np.zeros(4))
+        samples = [Sample(features=np.ones(4), label=0, uid=0)]
+        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        assert rec.interval_counts == {"HSI": 0, "ASI": 0, "ESI": 0}
 
     def test_validation(self):
         state = linear_head_state(np.zeros((4, 2)), np.zeros(4))

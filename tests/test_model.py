@@ -5,19 +5,25 @@ from numpy.testing import assert_allclose, assert_array_equal
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.losses import LossConfig, afs_loss, ce_loss, focal_loss, lsr_loss, rfl_loss, vkd_loss
 from afslab.model import (
+    Gradients,
     NetworkSpec,
     NetworkState,
     backward,
     forward,
     init_network,
     load_checkpoint,
-    logits_batch,
     predict,
     save_checkpoint,
     sgd_step,
-    zero_gradients,
 )
 from helpers import central_difference
+
+
+def zero_gradients(state):
+    return Gradients(
+        weights=[np.zeros_like(w) for w in state.weights],
+        biases=[np.zeros_like(b) for b in state.biases],
+    )
 
 
 def tiny_state():
@@ -89,9 +95,14 @@ class TestForward:
         state = init_network(NetworkSpec((6, 9, 4), seed=3))
         rng = np.random.default_rng(0)
         X = rng.normal(size=(11, 6))
-        batched = logits_batch(state, X)
+        batched = forward(state, X)
+        assert batched.logits.shape == (11, 4)
         for i in range(len(X)):
-            assert_allclose(batched[i], forward(state, X[i]).logits, atol=1e-12)
+            single = forward(state, X[i])
+            assert_allclose(batched.logits[i], single.logits, atol=1e-12)
+            assert_allclose(
+                batched.activations[0][i], single.activations[0], atol=1e-12
+            )
 
 
 class TestBackward:
@@ -138,11 +149,30 @@ class TestBackward:
                         err_msg=f"{name} layer {layer}",
                     )
 
+    @pytest.mark.parametrize("widths", [(4, 3), (4, 8, 3), (5, 7, 7, 4)])
+    def test_batch_gradients_are_row_sums(self, widths):
+        rng = np.random.default_rng(22)
+        state = init_network(NetworkSpec(widths, seed=8))
+        X = rng.normal(size=(9, widths[0]))
+        G = rng.normal(size=(9, widths[-1]))
+        got = backward(state, forward(state, X), G)
+        rows = [backward(state, forward(state, X[i]), G[i]) for i in range(9)]
+        for layer in range(len(state.weights)):
+            assert_allclose(
+                got.weights[layer], sum(r.weights[layer] for r in rows), atol=1e-12
+            )
+            assert_allclose(
+                got.biases[layer], sum(r.biases[layer] for r in rows), atol=1e-12
+            )
+
     def test_rejects_mismatched_grad(self):
         state = tiny_state()
         trace = forward(state, np.array([1.0, 1.0]))
         with pytest.raises(InvalidInputError):
             backward(state, trace, np.zeros(3))
+        batch = forward(state, np.ones((4, 2)))
+        with pytest.raises(InvalidInputError):
+            backward(state, batch, np.zeros((3, 2)))
 
     def test_rejects_stale_trace(self):
         state = tiny_state()

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.losses import ce_loss
-from afslab.model import NetworkSpec, init_network, logits_batch
+from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
     Dataset,
     Sample,
@@ -253,6 +253,22 @@ class TestAugment:
         out = augment([s], "vector", np.random.default_rng(0), jitter_sigma=0.0)
         assert_array_equal(out[0].features, s.features)
         assert out[0] is not s
+
+    def test_vector_jitter_is_one_draw_per_sample_in_order(self):
+        # the batch draws all its noise at once; a Generator fills a
+        # (k, dim) draw in the same order as k draws of (dim,)
+        data = np.random.default_rng(3)
+        batch = [
+            Sample(features=data.normal(size=32), label=i % 4, uid=i)
+            for i in range(100)
+        ]
+        rng = np.random.default_rng(11)
+        out = augment(batch, "vector", rng, jitter_sigma=1.2)
+        ref = np.random.default_rng(11)
+        for s, o in zip(batch, out):
+            assert_array_equal(o.features, s.features + ref.normal(0.0, 1.2, size=32))
+            assert (o.label, o.uid) == (s.label, s.uid)
+        assert rng.random() == ref.random()  # both generators end in step
 
     def test_vector_jitter_leaves_original_untouched(self):
         feats = np.ones(4)

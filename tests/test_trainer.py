@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
-from afslab.losses import LossConfig, ce_loss, lsr_loss, rfl_loss
+from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, ce_loss, lsr_loss, rfl_loss
 from afslab.memory import MemoryBuffer, class_histogram
 from afslab.model import NetworkSpec, NetworkState, init_network
 from afslab.stream import (
@@ -26,6 +26,7 @@ from afslab.trainer import (
     train_offline,
     train_reference,
 )
+from helpers import max_param_diff, per_sample_step
 
 
 def one_task_stream(samples, batch_size):
@@ -370,3 +371,65 @@ def test_sgd_on_batch_rejects_empty():
     state = init_network(NetworkSpec((3, 2), seed=0))
     with pytest.raises(InvalidInputError):
         sgd_on_batch(state, [], make_objective("ce", "none", LossConfig()), 0.1)
+
+
+class TestBatchedStepMatchesPerSample:
+    """sgd_on_batch against the per-sample loop it replaced (helpers.per_sample_step).
+
+    The batched step sums the same per-row gradients in a different order,
+    so parameters may differ by float roundoff only: 1e-12 is far above the
+    ~1e-16 drift and far below any real change to a gradient.
+    """
+
+    TOL = 1e-12
+    C, D = 5, 6
+
+    def draw(self, rng, n):
+        return [
+            Sample(features=rng.normal(0.0, 2.0, size=self.D),
+                   label=int(rng.integers(self.C)), uid=i)
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (16, 12)], ids=["d0", "d1", "d2"])
+    @pytest.mark.parametrize("reg_kind", REG_KINDS)
+    @pytest.mark.parametrize("cls_kind", CLS_KINDS)
+    def test_every_arm_and_depth(self, cls_kind, reg_kind, hidden):
+        rng = np.random.default_rng(31)
+        cfg = LossConfig(num_classes=self.C, beta=0.5, temperature=4.0, alpha=1.0)
+        objective = make_objective(cls_kind, reg_kind, cfg)
+        batched = reference = init_network(NetworkSpec((self.D, *hidden, self.C), seed=5))
+        for _ in range(4):
+            samples = self.draw(rng, 37)
+            batched = sgd_on_batch(batched, samples, objective, 0.3)
+            reference = per_sample_step(reference, samples, objective, 0.3)
+        assert max_param_diff(batched, init_network(
+            NetworkSpec((self.D, *hidden, self.C), seed=5))) > 1e-3  # it trained
+        assert max_param_diff(batched, reference) <= self.TOL
+
+    def test_single_row_batch(self):
+        rng = np.random.default_rng(32)
+        objective = make_objective("rfl", "vkd", LossConfig(num_classes=self.C))
+        batched = reference = init_network(NetworkSpec((self.D, 8, self.C), seed=6))
+        for _ in range(3):
+            samples = self.draw(rng, 1)
+            batched = sgd_on_batch(batched, samples, objective, 0.5)
+            reference = per_sample_step(reference, samples, objective, 0.5)
+        assert max_param_diff(batched, reference) <= self.TOL
+
+    def test_review_pass_chunk(self):
+        # rv_batch covers the whole buffer, so the pass is one chunk in the
+        # order of the pass's own permutation draw
+        rng = np.random.default_rng(33)
+        memory = MemoryBuffer(capacity=12)
+        memory.slots = self.draw(rng, 12)
+        memory.tot = 12
+        cfg = LossConfig(num_classes=self.C)
+        state = init_network(NetworkSpec((self.D, 8, self.C), seed=7))
+        got = review_pass(state, memory, 0.2, 12, cfg, np.random.default_rng(4))
+        order = np.random.default_rng(4).permutation(12)
+        expected = per_sample_step(
+            state, [memory.slots[i] for i in order],
+            make_objective("rfl", "none", cfg), 0.2,
+        )
+        assert max_param_diff(got, expected) <= self.TOL
