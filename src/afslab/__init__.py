@@ -36,8 +36,6 @@ from .model import (
 )
 from .stream import (
     Dataset,
-    Sample,
-    StreamBatch,
     TaskSplit,
     augment,
     batches,
@@ -49,13 +47,14 @@ from .stream import (
     write_idx,
 )
 from .trainer import (
+    AFS,
+    ER,
+    Recipe,
     RunRecord,
     TrainConfig,
     evaluate,
     review_pass,
-    train_ablation,
-    train_afs,
-    train_er_baseline,
+    run_stream,
     train_offline,
     train_reference,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AfslabError, InvalidConfigError
+from .errors import AfslabError, InvalidConfigError, RunFailedError
 from .losses import LossConfig
 from .memory import MemoryBuffer
 from .metrics import (
@@ -31,6 +31,7 @@ from .metrics import (
 )
 from .model import NetworkSpec, init_network
 from .stream import (
+    AUGMENT_KINDS,
     Dataset,
     gen_synthetic,
     load_idx,
@@ -39,11 +40,10 @@ from .stream import (
     task_test_sets,
 )
 from .trainer import (
+    Recipe,
     TrainConfig,
     evaluate,
-    train_ablation,
-    train_afs,
-    train_er_baseline,
+    run_stream,
     train_offline,
     train_reference,
 )
@@ -61,50 +61,13 @@ DIAGNOSTICS_HEADER = [
 SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    label: str
-    kind: str  # afs | er | ablation | reference | offline
-    cls_kind: str = "rfl"
-    reg_kind: str = "vkd"
-    review: bool = True
+BASELINES = ("reference", "offline")  # the memory-free, non-recipe methods
 
 
-def parse_method(text: str) -> MethodSpec:
-    """Parse a method name, including ablation:<cls>+<reg>+<rv|norv> forms."""
+def parse_method(text: str) -> Recipe | str:
+    """A `Recipe`, or the name of one of the `BASELINES`."""
     name = text.strip().lower()
-    if name in ("afs", "er", "reference", "offline"):
-        return MethodSpec(label=name, kind=name)
-    if not name.startswith("ablation:"):
-        raise InvalidConfigError(f"unknown method {text!r}")
-    tokens = [t for t in name.split(":", 1)[1].replace(",", "+").split("+") if t]
-    axes = {
-        "cls": {"ce", "fl", "rfl"},
-        "reg": {"none", "lsr", "vkd"},
-        "rv": {"rv", "norv"},
-    }
-    chosen = {"cls": "rfl", "reg": "vkd", "rv": "rv"}
-    seen: set[str] = set()
-    for token in tokens:
-        for axis, options in axes.items():
-            if token in options:
-                if axis in seen:
-                    raise InvalidConfigError(
-                        f"method {text!r} sets the {axis} axis twice"
-                    )
-                seen.add(axis)
-                chosen[axis] = token
-                break
-        else:
-            raise InvalidConfigError(f"unknown ablation flag {token!r} in {text!r}")
-    label = f"ablation:{chosen['cls']}+{chosen['reg']}+{chosen['rv']}"
-    return MethodSpec(
-        label=label,
-        kind="ablation",
-        cls_kind=chosen["cls"],
-        reg_kind=chosen["reg"],
-        review=chosen["rv"] == "rv",
-    )
+    return name if name in BASELINES else Recipe.parse(name)
 
 
 @dataclass
@@ -155,6 +118,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"runs must be positive, got {self.runs}")
         if self.memory < 1:
             raise InvalidConfigError(f"memory must be positive, got {self.memory}")
+        if self.augment not in AUGMENT_KINDS:
+            raise InvalidConfigError(f"unknown augmentation kind {self.augment!r}")
         parse_method(self.method)
 
 
@@ -270,7 +235,7 @@ def _train_config(config: ExperimentConfig, trainer_seed: int, num_classes: int)
 
 
 def _single_run(
-    method: MethodSpec,
+    method: Recipe | str,
     config: ExperimentConfig,
     train_ds: Dataset,
     split,
@@ -287,78 +252,74 @@ def _single_run(
     streams = task_streams(train_ds, split, config.stream_batch, keys[1])
 
     out: dict = {"run": run_index, "seed": run_seed}
-    if method.kind in ("afs", "er", "ablation"):
-        memory = MemoryBuffer(config.memory)
-        state = init_network(spec)
-        if method.kind == "afs":
-            record = train_afs(state, memory, streams, tests, tcfg)
-        elif method.kind == "er":
-            record = train_er_baseline(state, memory, streams, tests, tcfg)
-        else:
-            record = train_ablation(
-                state, memory, streams, tests, tcfg,
-                cls_kind=method.cls_kind, reg_kind=method.reg_kind,
-                use_review=method.review,
+    # from here on an error is a failed run, not a bad configuration
+    try:
+        if isinstance(method, Recipe):
+            record = run_stream(
+                init_network(spec), MemoryBuffer(config.memory), train_ds,
+                streams, tests, tcfg, method,
             )
-        reference = train_reference(init_network(spec), streams, tests, tcfg)
-        matrix = record.accuracy_matrix
-        rows = []
-        for t in range(1, matrix.num_tasks + 1):
-            rows.append({
-                "task": t,
-                "A_T": average_accuracy(matrix, t),
-                "F_T": average_forgetting(matrix, t) if t >= 2 else math.nan,
-                "I_T": average_intransigence(matrix, reference, t),
+            reference = train_reference(init_network(spec), train_ds, streams, tests, tcfg)
+            matrix = record.accuracy_matrix
+            rows = []
+            for t in range(1, matrix.num_tasks + 1):
+                rows.append({
+                    "task": t,
+                    "A_T": average_accuracy(matrix, t),
+                    "F_T": average_forgetting(matrix, t) if t >= 2 else math.nan,
+                    "I_T": average_intransigence(matrix, reference, t),
+                })
+            out.update({
+                "matrix": matrix.rows,
+                "reference": reference,
+                "metrics": rows,
+                "wall_time": record.wall_time,
+                "steps": record.steps,
+                "review_steps": record.review_steps,
+                "diagnostics": {
+                    str(task): {
+                        "mean_weight_old": d.mean_weight_old,
+                        "mean_weight_new": d.mean_weight_new,
+                        "mean_logit_old": d.mean_logit_old,
+                        "mean_logit_new": d.mean_logit_new,
+                        "hsi": d.interval_counts["HSI"],
+                        "asi": d.interval_counts["ASI"],
+                        "esi": d.interval_counts["ESI"],
+                    }
+                    for task, d in record.diagnostics.items()
+                },
             })
-        out.update({
-            "matrix": matrix.rows,
-            "reference": reference,
-            "metrics": rows,
-            "wall_time": record.wall_time,
-            "steps": record.steps,
-            "review_steps": record.review_steps,
-            "diagnostics": {
-                str(task): {
-                    "mean_weight_old": d.mean_weight_old,
-                    "mean_weight_new": d.mean_weight_new,
-                    "mean_logit_old": d.mean_logit_old,
-                    "mean_logit_new": d.mean_logit_new,
-                    "hsi": d.interval_counts["HSI"],
-                    "asi": d.interval_counts["ASI"],
-                    "esi": d.interval_counts["ESI"],
-                }
-                for task, d in record.diagnostics.items()
-            },
-        })
-    elif method.kind == "reference":
-        started = time.perf_counter()
-        reference = train_reference(init_network(spec), streams, tests, tcfg)
-        out.update({
-            "reference": reference,
-            "metrics": [
-                {"task": t, "A_T": acc, "F_T": math.nan, "I_T": math.nan}
-                for t, acc in enumerate(reference, start=1)
-            ],
-            "wall_time": time.perf_counter() - started,
-            "diagnostics": {},
-        })
-    else:  # offline
-        started = time.perf_counter()
-        state = train_offline(
-            init_network(spec), train_ds, tcfg, config.offline_epochs, keys[3]
-        )
-        per_task = [evaluate(state, ts) for ts in tests]
-        out.update({
-            "offline_per_task": per_task,
-            "metrics": [{
-                "task": len(tests),
-                "A_T": float(np.mean(per_task)),
-                "F_T": math.nan,
-                "I_T": math.nan,
-            }],
-            "wall_time": time.perf_counter() - started,
-            "diagnostics": {},
-        })
+        elif method == "reference":
+            started = time.perf_counter()
+            reference = train_reference(init_network(spec), train_ds, streams, tests, tcfg)
+            out.update({
+                "reference": reference,
+                "metrics": [
+                    {"task": t, "A_T": acc, "F_T": math.nan, "I_T": math.nan}
+                    for t, acc in enumerate(reference, start=1)
+                ],
+                "wall_time": time.perf_counter() - started,
+                "diagnostics": {},
+            })
+        else:  # offline
+            started = time.perf_counter()
+            state = train_offline(
+                init_network(spec), train_ds, tcfg, config.offline_epochs, keys[3]
+            )
+            per_task = [evaluate(state, ts) for ts in tests]
+            out.update({
+                "offline_per_task": per_task,
+                "metrics": [{
+                    "task": len(tests),
+                    "A_T": float(np.mean(per_task)),
+                    "F_T": math.nan,
+                    "I_T": math.nan,
+                }],
+                "wall_time": time.perf_counter() - started,
+                "diagnostics": {},
+            })
+    except AfslabError as exc:
+        raise RunFailedError(f"run {run_index} (seed {run_seed}): {exc}") from exc
     return out
 
 
@@ -386,7 +347,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 mean, half = confidence_interval(values)
                 summary.append({"metric": name, "mean": mean, "ci_half_width": half})
     return {
-        "method": method.label,
+        "method": getattr(method, "label", method),
         "memory": config.memory,
         "num_runs": config.runs,
         "base_seed": config.seed,
@@ -477,9 +438,11 @@ def _cmd_run(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         records = run_experiment(config)
-    except AfslabError:
-        raise
-    except Exception as exc:  # partial results plus a marker, non-zero exit
+    except Exception as exc:
+        # configuration and data errors surface before the first step and
+        # exit 2 from main; anything later leaves a marker and exits 1
+        if isinstance(exc, AfslabError) and not isinstance(exc, RunFailedError):
+            raise
         marker = os.path.join(out_dir, "INCOMPLETE")
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(f"run failed: {exc}\n")

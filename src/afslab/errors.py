@@ -19,3 +19,7 @@ class FormatError(AfslabError, ValueError):
 
 class UndefinedMetricError(AfslabError, ValueError):
     """A metric was requested outside its domain of definition."""
+
+
+class RunFailedError(AfslabError):
+    """A run failed after training started; the CLI exits 1, not 2."""

@@ -1,8 +1,11 @@
 """Bounded episodic memory with reservoir insertion and uniform retrieval.
 
-Reservoir sampling keeps each stream sample in the buffer with probability
-capacity / samples_seen, without knowing the stream length in advance. Only
-stream samples count toward `tot`; retrieval never mutates the buffer.
+The buffer is three arrays with one row per slot: features `[capacity,
+dim]`, labels and uids (a row's dataset index). Rows are copied in by value,
+so later changes to the source cannot reach memory. Reservoir sampling keeps
+each stream row in the buffer with probability capacity / rows_seen, without
+knowing the stream length in advance. Only stream rows count toward `tot`;
+retrieval never mutates the buffer.
 """
 
 from __future__ import annotations
@@ -13,62 +16,75 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .stream import Sample
 
 
 @dataclass
 class MemoryBuffer:
     capacity: int
-    slots: list[Sample] = field(default_factory=list)
-    tot: int = 0  # stream samples offered so far
+    tot: int = 0  # stream rows offered so far
+    # allocated on the first insert, once the row width is known
+    features: np.ndarray | None = field(default=None, init=False)
+    labels: np.ndarray = field(init=False)
+    uids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise InvalidConfigError(f"capacity must be >= 1, got {self.capacity}")
+        self.labels = np.full(self.capacity, -1, dtype=np.int64)
+        self.uids = np.full(self.capacity, -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return min(self.tot, self.capacity)
 
 
 def reservoir_update(
-    buffer: MemoryBuffer, batch: list[Sample], rng: np.random.Generator
+    buffer: MemoryBuffer,
+    features: np.ndarray,
+    labels: np.ndarray,
+    uids: np.ndarray,
+    rng: np.random.Generator,
 ) -> None:
-    """Offer a batch of stream samples to the buffer, one at a time.
+    """Offer k stream rows to the buffer, in order.
 
-    While the buffer has room the sample is appended; afterwards it replaces
-    slot j drawn uniformly from [0, tot], kept only if j lands inside the
-    buffer. Samples are stored by value so later mutation of the source
-    cannot corrupt memory.
+    While the buffer has room a row goes to the next free slot; afterwards
+    the row offered as number tot (0-based) replaces slot j drawn uniformly
+    from [0, tot], kept only if j lands inside the buffer. Each offer past
+    the fill point takes one draw, in offer order, and when two offers of
+    the batch land on the same slot the later one wins.
     """
-    for s in batch:
-        stored = Sample(features=np.array(s.features, copy=True), label=s.label, uid=s.uid)
-        if buffer.tot < buffer.capacity:
-            buffer.slots.append(stored)
-        else:
-            j = int(rng.integers(0, buffer.tot + 1))
-            if j < buffer.capacity:
-                buffer.slots[j] = stored
-        buffer.tot += 1
+    if buffer.features is None:
+        buffer.features = np.empty((buffer.capacity, features.shape[1]), features.dtype)
+    tots = buffer.tot + np.arange(len(features))
+    slots = tots.copy()
+    full = tots >= buffer.capacity
+    if full.any():
+        slots[full] = rng.integers(0, tots[full] + 1)
+    rows = np.flatnonzero(slots < buffer.capacity)
+    # keep each slot's last offer: unique over the reversed order finds it
+    _, last = np.unique(slots[rows][::-1], return_index=True)
+    rows = rows[len(rows) - 1 - last]
+    buffer.features[slots[rows]] = features[rows]
+    buffer.labels[slots[rows]] = labels[rows]
+    buffer.uids[slots[rows]] = uids[rows]
+    buffer.tot += len(features)
 
 
 def random_retrieve(
     buffer: MemoryBuffer, size: int, rng: np.random.Generator
-) -> list[Sample]:
-    """Draw min(size, len) stored samples uniformly without replacement.
+) -> np.ndarray:
+    """Slot indices of min(size, len) stored rows, uniform without replacement.
 
-    An empty buffer yields an empty batch, which lets training bootstrap
-    before any memory exists.
+    An empty buffer yields an empty index array, which lets training
+    bootstrap before any memory exists.
     """
     if size < 0:
         raise InvalidInputError(f"size must be non-negative, got {size}")
-    n = len(buffer.slots)
+    n = len(buffer)
     if n == 0 or size == 0:
-        return []
-    k = min(size, n)
-    picks = rng.choice(n, size=k, replace=False)
-    return [buffer.slots[int(i)] for i in picks]
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(n, size=min(size, n), replace=False)
 
 
 def class_histogram(buffer: MemoryBuffer) -> Counter:
-    """Count stored samples per class label."""
-    return Counter(s.label for s in buffer.slots)
+    """Count stored rows per class label."""
+    return Counter(buffer.labels[: len(buffer)].tolist())

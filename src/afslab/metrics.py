@@ -16,7 +16,6 @@ import numpy as np
 from .errors import InvalidInputError, UndefinedMetricError
 from .losses import ASI, ESI, HSI, softmax_stable
 from .model import NetworkState, forward
-from .stream import Sample
 
 # Two-sided 95% Student-t quantiles (0.975 one-sided) for df 1..30; the
 # normal quantile is used past the table.
@@ -137,23 +136,24 @@ class DiagnosticsRecord:
 
 def bias_diagnostics(
     state: NetworkState,
-    samples: list[Sample],
+    features: np.ndarray,
+    labels: np.ndarray,
     old_classes: set[int],
     new_classes: set[int],
 ) -> DiagnosticsRecord:
     """Measure how the class head and logits tilt between old and new classes.
 
     Weight means pool every final-layer weight entry and bias of the group's
-    rows. Logit means pool each scanned sample's logits at the group's class
+    rows. Logit means pool each scanned row's logits at the group's class
     indices, so target and non-target logits both contribute. Difficulty
-    counts classify p_t for the new-class samples only.
+    counts classify p_t for the new-class rows only.
     """
     if not old_classes or not new_classes:
         raise InvalidInputError("both class groups must be non-empty")
     if old_classes & new_classes:
         raise InvalidInputError("class groups must be disjoint")
-    if not samples:
-        raise InvalidInputError("need at least one sample to scan")
+    if len(features) == 0:
+        raise InvalidInputError("need at least one row to scan")
     num_classes = state.num_classes
     for c in old_classes | new_classes:
         if not 0 <= c < num_classes:
@@ -167,8 +167,8 @@ def bias_diagnostics(
         b = state.biases[-1][idx]
         return float(np.concatenate([w.reshape(-1), b]).mean())
 
-    logits = forward(state, np.stack([s.features for s in samples])).logits
-    labels = np.array([s.label for s in samples])
+    logits = forward(state, features).logits
+    labels = np.asarray(labels)
 
     # p_t of the new-class rows, bucketed as in losses.classify_difficulty
     new_rows = np.flatnonzero(np.isin(labels, new_idx))

@@ -1,15 +1,16 @@
 """Task streams: datasets, class-incremental splits, IDX files, augmentation.
 
 A stream presents each training sample exactly once, grouped into small
-batches per task. Features are float vectors in [0, 1] for image data and
-unconstrained floats for synthetic Gaussian data.
+batches per task; a batch is an int64 array of row indices into the
+`Dataset`, and a row's index is its stable id. Features are float vectors in
+[0, 1] for image data and unconstrained floats for synthetic Gaussian data.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,25 +18,7 @@ from .errors import FormatError, InvalidConfigError, InvalidInputError
 
 IMAGE_MAGIC = 0x00000803  # unsigned bytes, 3 dimensions
 LABEL_MAGIC = 0x00000801  # unsigned bytes, 1 dimension
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled feature vector with a stable id (its dataset index)."""
-
-    features: np.ndarray
-    label: int
-    uid: int
-
-
-@dataclass(frozen=True)
-class StreamBatch:
-    samples: tuple[Sample, ...]
-    task_id: int
-    batch_index: int
-
-    def __len__(self) -> int:
-        return len(self.samples)
+AUGMENT_KINDS = ("none", "vector", "image")
 
 
 @dataclass
@@ -59,11 +42,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def sample(self, index: int) -> Sample:
-        return Sample(
-            features=self.features[index], label=int(self.labels[index]), uid=index
-        )
 
 
 @dataclass(frozen=True)
@@ -97,12 +75,11 @@ def batches(
     task_classes: tuple[int, ...],
     batch_size: int,
     seed,
-    task_id: int = 0,
-) -> list[StreamBatch]:
-    """Shuffle one task's samples and chunk them into stream batches.
+) -> list[np.ndarray]:
+    """Shuffle one task's row indices and chunk them into stream batches.
 
-    Every matching sample appears in exactly one batch; the final batch may
-    be short. The shuffle is fully determined by the seed.
+    Every matching row appears in exactly one batch; the final batch may be
+    short. The shuffle is fully determined by the seed.
     """
     if batch_size < 1:
         raise InvalidConfigError(f"batch_size must be positive, got {batch_size}")
@@ -110,28 +87,21 @@ def batches(
     wanted = np.isin(dataset.labels, np.asarray(task_classes))
     indices = np.flatnonzero(wanted)
     indices = indices[rng.permutation(len(indices))]
-    out = []
-    for b, start in enumerate(range(0, len(indices), batch_size)):
-        chunk = indices[start : start + batch_size]
-        out.append(
-            StreamBatch(
-                samples=tuple(dataset.sample(int(i)) for i in chunk),
-                task_id=task_id,
-                batch_index=b,
-            )
-        )
-    return out
+    return [
+        indices[start : start + batch_size]
+        for start in range(0, len(indices), batch_size)
+    ]
 
 
 def task_streams(
     dataset: Dataset, split: TaskSplit, batch_size: int, seed
-) -> list[list[StreamBatch]]:
+) -> list[list[np.ndarray]]:
     """Build the per-task batch streams with independent child seeds."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     children = seed.spawn(split.num_tasks)
     return [
-        batches(dataset, split.tasks[i], batch_size, children[i], task_id=i + 1)
+        batches(dataset, split.tasks[i], batch_size, children[i])
         for i in range(split.num_tasks)
     ]
 
@@ -270,41 +240,35 @@ def pad_crop(features: np.ndarray, side: int, rng: np.random.Generator, pad: int
 
 
 def augment(
-    batch: list[Sample],
+    features: np.ndarray,
     kind: str,
     rng: np.random.Generator,
     jitter_sigma: float = 0.1,
-) -> list[Sample]:
-    """Return transformed copies of a batch; originals are never touched.
+) -> np.ndarray:
+    """Transformed copies of the [k, dim] rows; the input is never touched.
 
     Kinds: "none" hands the input back unchanged, "image" applies a random
     horizontal flip plus a pad-4 random crop to square images, and "vector"
-    adds Gaussian jitter with the given sigma.
+    adds Gaussian jitter with the given sigma. Labels are unchanged by every
+    kind, so only features go in and out.
     """
     if kind == "none":
-        return list(batch)
+        return features
     if kind == "vector":
-        if not batch:
-            return []
         # one draw for the whole batch; a Generator fills it in the same
-        # order as one draw per sample, so the stream of numbers is unchanged
-        feats = np.stack([s.features for s in batch])
-        feats = feats + rng.normal(0.0, jitter_sigma, size=feats.shape)
-        return [
-            Sample(features=f, label=s.label, uid=s.uid) for f, s in zip(feats, batch)
-        ]
-    if kind != "image":
+        # order as one draw per row, so the stream of numbers is unchanged
+        return features + rng.normal(0.0, jitter_sigma, size=features.shape)
+    if kind not in AUGMENT_KINDS:
         raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
-    out = []
-    for s in batch:
-        side = math.isqrt(s.features.size)
-        if side * side != s.features.size:
-            raise InvalidConfigError(
-                f"image augmentation needs square features, got {s.features.size}"
-            )
-        feats = s.features
+    side = math.isqrt(features.shape[1])
+    if side * side != features.shape[1]:
+        raise InvalidConfigError(
+            f"image augmentation needs square features, got {features.shape[1]}"
+        )
+    out = np.empty_like(features)
+    for i, row in enumerate(features):
+        # the draw order per row (flip coin, then crop offsets) fixes seeded runs
         if rng.random() < 0.5:
-            feats = flip_horizontal(feats, side)
-        feats = pad_crop(feats, side, rng)
-        out.append(Sample(features=feats, label=s.label, uid=s.uid))
+            row = flip_horizontal(row, side)
+        out[i] = pad_crop(row, side, rng)
     return out

@@ -1,11 +1,18 @@
-"""Single-pass replay training loops.
+"""Single-pass replay training: one stream loop, one `Recipe` per method.
 
-The stream loop follows one recipe: retrieve a replay batch from memory,
-optionally augment it, take one SGD step on the mean per-sample loss over
-the incoming batch plus the replay material, then offer the incoming batch
-to the reservoir. After each task boundary an optional review pass
-fine-tunes on the memory contents at a low learning rate, and the model is
-scored on every task seen so far to fill one row of the accuracy matrix.
+The stream loop retrieves a replay batch from memory, optionally augments
+it, takes one SGD step on the mean per-row loss over the incoming rows plus
+the replay rows, then offers the incoming rows to the reservoir. After each
+task boundary an optional review pass fine-tunes on the memory contents at
+a low learning rate, and the model is scored on every task seen so far to
+fill one row of the accuracy matrix. Rows travel as arrays throughout: a
+stream batch is an index array into the `Dataset`, a replay batch an index
+array into the `MemoryBuffer`.
+
+A `Recipe` says which ingredients a method switches on: the classification
+loss, the regulariser, the review pass and replay augmentation. `AFS` and
+`ER` are the two named recipes; `ablation:<cls>+<reg>+<rv|norv>` names the
+rest.
 """
 
 from __future__ import annotations
@@ -17,11 +24,66 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .losses import LossConfig, Objective, make_objective
+from .losses import CLS_KINDS, REG_KINDS, LossConfig, Objective, make_objective
 from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
 from .model import NetworkState, backward, forward, sgd_step
-from .stream import Dataset, Sample, StreamBatch, augment
+from .stream import Dataset, augment
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """Which ingredients of the replay loop a method uses.
+
+    `name` is display only: `AFS` equals `Recipe.parse("ablation:rfl+vkd+rv")`
+    but keeps its own label.
+    """
+
+    cls: str = "rfl"
+    reg: str = "vkd"
+    review: bool = True
+    augment_replay: bool = True
+    name: str = field(default="", compare=False)
+
+    @property
+    def label(self) -> str:
+        """The method name that `parse` maps back to this recipe."""
+        rv = "rv" if self.review else "norv"
+        return self.name or f"ablation:{self.cls}+{self.reg}+{rv}"
+
+    @staticmethod
+    def parse(text: str) -> Recipe:
+        """Parse "afs", "er" or ablation:<cls>+<reg>+<rv|norv>.
+
+        Ablation axes come in any order, each at most once; unset axes
+        default to the full method, and augmentation of replay stays on.
+        """
+        name = text.strip().lower()
+        if name in _NAMED:
+            return _NAMED[name]
+        if not name.startswith("ablation:"):
+            raise InvalidConfigError(f"unknown method {text!r}")
+        axes = {"cls": CLS_KINDS, "reg": REG_KINDS, "rv": ("rv", "norv")}
+        chosen = {"cls": "rfl", "reg": "vkd", "rv": "rv"}
+        seen: set[str] = set()
+        tokens = [t for t in name.split(":", 1)[1].replace(",", "+").split("+") if t]
+        for token in tokens:
+            axis = next((a for a, options in axes.items() if token in options), None)
+            if axis is None:
+                raise InvalidConfigError(f"unknown ablation flag {token!r} in {text!r}")
+            if axis in seen:
+                raise InvalidConfigError(f"method {text!r} sets the {axis} axis twice")
+            seen.add(axis)
+            chosen[axis] = token
+        return Recipe(chosen["cls"], chosen["reg"], review=chosen["rv"] == "rv")
+
+
+# Full recipe: RFL + distillation on incoming plus augmented replay, review
+# after each task. Plain experience replay: cross-entropy on incoming plus
+# retrieved rows, no augmentation, no review.
+AFS = Recipe(name="afs")
+ER = Recipe("ce", "none", review=False, augment_replay=False, name="er")
+_NAMED = {"afs": AFS, "er": ER}
 
 
 @dataclass
@@ -63,20 +125,23 @@ class RunRecord:
 
 
 def sgd_on_batch(
-    state: NetworkState, samples: list[Sample], objective: Objective, lr: float
+    state: NetworkState,
+    features: np.ndarray,
+    labels: np.ndarray,
+    objective: Objective,
+    lr: float,
 ) -> NetworkState:
-    """One step on the mean per-sample gradient over the batch.
+    """One step on the mean per-row gradient over the [n, d] batch.
 
-    The batch goes through as one [n, d] matrix: one forward pass, one
-    objective call on the [n, C] logits and one backward pass, which sums
-    the per-row gradients.
+    One forward pass, one objective call on the [n, C] logits and one
+    backward pass, which sums the per-row gradients.
     """
-    if not samples:
+    if len(features) == 0:
         raise InvalidInputError("cannot step on an empty batch")
-    trace = forward(state, np.stack([s.features for s in samples]))
-    out = objective.rows(trace.logits, [s.label for s in samples])
+    trace = forward(state, features)
+    out = objective.rows(trace.logits, labels)
     grads = backward(state, trace, out.grad_logits)
-    return sgd_step(state, grads.scale(1.0 / len(samples)), lr)
+    return sgd_step(state, grads.scale(1.0 / len(features)), lr)
 
 
 def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> float:
@@ -107,79 +172,91 @@ def review_pass(
         raise InvalidConfigError(f"rv_batch must be positive, got {rv_batch}")
     if rv_lr < 0:
         raise InvalidConfigError(f"rv_lr must be non-negative, got {rv_lr}")
-    if rv_lr == 0 or not memory.slots:
+    if rv_lr == 0 or len(memory) == 0:
         return state
     objective = make_objective(cls_kind, "none", loss)
-    order = rng.permutation(len(memory.slots))
+    order = rng.permutation(len(memory))
     for start in range(0, len(order), rv_batch):
-        chunk = [memory.slots[int(i)] for i in order[start : start + rv_batch]]
-        state = sgd_on_batch(state, chunk, objective, rv_lr)
+        rows = order[start : start + rv_batch]
+        state = sgd_on_batch(
+            state, memory.features[rows], memory.labels[rows], objective, rv_lr
+        )
     return state
 
 
 def _review_step_count(memory: MemoryBuffer, config: TrainConfig) -> int:
-    if config.rv_lr == 0 or not memory.slots:
+    if config.rv_lr == 0 or len(memory) == 0:
         return 0
-    return math.ceil(len(memory.slots) / config.rv_batch)
+    return math.ceil(len(memory) / config.rv_batch)
 
 
-def _run_stream(
+def run_stream(
     state: NetworkState,
     memory: MemoryBuffer,
-    task_streams: list[list[StreamBatch]],
+    dataset: Dataset,
+    streams: list[list[np.ndarray]],
     test_sets: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
-    cls_kind: str,
-    reg_kind: str,
-    use_review: bool,
-    augment_replay: bool,
+    recipe: Recipe,
 ) -> RunRecord:
-    if len(test_sets) < len(task_streams):
+    """Train one recipe over the task streams (index arrays into `dataset`)."""
+    if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
     rng = np.random.default_rng(config.seed)
-    objective = make_objective(cls_kind, reg_kind, config.loss)
+    objective = make_objective(recipe.cls, recipe.reg, config.loss)
+    augment_replay = recipe.augment_replay and config.augment_kind != "none"
     matrix = AccuracyMatrix()
     diagnostics: dict[int, DiagnosticsRecord] = {}
     steps = 0
     review_steps = 0
-    seen_samples: list[Sample] = []
+    seen = np.empty(0, dtype=np.int64)  # dataset rows of the finished tasks
     seen_classes: set[int] = set()
     started = time.perf_counter()
 
-    for task_number, stream in enumerate(task_streams, start=1):
-        task_samples: list[Sample] = []
+    def review(state: NetworkState) -> NetworkState:
+        nonlocal review_steps
+        review_steps += _review_step_count(memory, config)
+        return review_pass(
+            state, memory, config.rv_lr, config.rv_batch,
+            config.loss, rng, cls_kind=recipe.cls,
+        )
+
+    for task_number, stream in enumerate(streams, start=1):
         for batch in stream:
-            incoming = list(batch.samples)
-            replay = random_retrieve(memory, config.retrieve_batch, rng)
-            if replay and augment_replay and config.augment_kind != "none":
-                replay = replay + augment(
-                    replay, config.augment_kind, rng, config.jitter_sigma
-                )
-            state = sgd_on_batch(state, incoming + replay, objective, config.lr)
-            steps += 1
-            reservoir_update(memory, incoming, rng)
-            task_samples.extend(incoming)
-            if use_review and config.rv_every and steps % config.rv_every == 0:
-                review_steps += _review_step_count(memory, config)
-                state = review_pass(
-                    state, memory, config.rv_lr, config.rv_batch,
-                    config.loss, rng, cls_kind=cls_kind,
-                )
-        if use_review and not config.rv_every:
-            review_steps += _review_step_count(memory, config)
-            state = review_pass(
-                state, memory, config.rv_lr, config.rv_batch,
-                config.loss, rng, cls_kind=cls_kind,
+            x, y = dataset.features[batch], dataset.labels[batch]
+            # step rows: incoming, then replay, then augmented replay
+            step_x, step_y = [x], [y]
+            picks = random_retrieve(memory, config.retrieve_batch, rng)
+            if len(picks):
+                replay_x, replay_y = memory.features[picks], memory.labels[picks]
+                step_x.append(replay_x)
+                step_y.append(replay_y)
+                if augment_replay:
+                    step_x.append(
+                        augment(replay_x, config.augment_kind, rng, config.jitter_sigma)
+                    )
+                    step_y.append(replay_y)
+            state = sgd_on_batch(
+                state, np.concatenate(step_x), np.concatenate(step_y),
+                objective, config.lr,
             )
+            steps += 1
+            reservoir_update(memory, x, y, batch, rng)
+            if recipe.review and config.rv_every and steps % config.rv_every == 0:
+                state = review(state)
+        if recipe.review and not config.rv_every:
+            state = review(state)
         matrix.append_row(
             [evaluate(state, test_sets[j]) for j in range(task_number)]
         )
-        new_classes = {s.label for s in task_samples}
+        rows = np.concatenate([seen, *stream])
+        new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
         if seen_classes:
             diagnostics[task_number] = bias_diagnostics(
-                state, seen_samples + task_samples, seen_classes, new_classes
+                state, dataset.features[rows], dataset.labels[rows],
+                seen_classes, new_classes,
             )
-        seen_samples.extend(task_samples)
+        seen = rows
         seen_classes |= new_classes
 
     return RunRecord(
@@ -192,57 +269,10 @@ def _run_stream(
     )
 
 
-def train_afs(
-    state: NetworkState,
-    memory: MemoryBuffer,
-    task_streams: list[list[StreamBatch]],
-    test_sets: list[tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
-) -> RunRecord:
-    """Full recipe: RFL + distillation on incoming plus augmented replay,
-    review pass after each task."""
-    return _run_stream(
-        state, memory, task_streams, test_sets, config,
-        cls_kind="rfl", reg_kind="vkd", use_review=True, augment_replay=True,
-    )
-
-
-def train_er_baseline(
-    state: NetworkState,
-    memory: MemoryBuffer,
-    task_streams: list[list[StreamBatch]],
-    test_sets: list[tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
-) -> RunRecord:
-    """Plain experience replay: cross-entropy on incoming plus retrieved
-    samples, no augmentation, no review pass."""
-    return _run_stream(
-        state, memory, task_streams, test_sets, config,
-        cls_kind="ce", reg_kind="none", use_review=False, augment_replay=False,
-    )
-
-
-def train_ablation(
-    state: NetworkState,
-    memory: MemoryBuffer,
-    task_streams: list[list[StreamBatch]],
-    test_sets: list[tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
-    cls_kind: str = "rfl",
-    reg_kind: str = "vkd",
-    use_review: bool = True,
-) -> RunRecord:
-    """The replay pipeline with each ingredient toggleable independently."""
-    return _run_stream(
-        state, memory, task_streams, test_sets, config,
-        cls_kind=cls_kind, reg_kind=reg_kind, use_review=use_review,
-        augment_replay=True,
-    )
-
-
 def train_reference(
     state: NetworkState,
-    task_streams: list[list[StreamBatch]],
+    dataset: Dataset,
+    streams: list[list[np.ndarray]],
     test_sets: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
 ) -> list[float]:
@@ -253,9 +283,12 @@ def train_reference(
     """
     objective = make_objective("ce", "none", config.loss)
     accuracies = []
-    for task_number, stream in enumerate(task_streams, start=1):
+    for task_number, stream in enumerate(streams, start=1):
         for batch in stream:
-            state = sgd_on_batch(state, list(batch.samples), objective, config.lr)
+            state = sgd_on_batch(
+                state, dataset.features[batch], dataset.labels[batch],
+                objective, config.lr,
+            )
         accuracies.append(evaluate(state, test_sets[task_number - 1]))
     return accuracies
 
@@ -275,6 +308,9 @@ def train_offline(
     for _ in range(epochs):
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), config.stream_batch):
-            chunk = [dataset.sample(int(i)) for i in order[start : start + config.stream_batch]]
-            state = sgd_on_batch(state, chunk, objective, config.lr)
+            rows = order[start : start + config.stream_batch]
+            state = sgd_on_batch(
+                state, dataset.features[rows], dataset.labels[rows],
+                objective, config.lr,
+            )
     return state

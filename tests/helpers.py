@@ -21,22 +21,47 @@ def two_class_logits(p_target):
     return np.array([np.log(p_target), np.log(1.0 - p_target)])
 
 
-def per_sample_step(state, samples, objective, lr):
-    """Reference for trainer.sgd_on_batch: one sample at a time.
+def per_sample_step(state, features, labels, objective, lr):
+    """Reference for trainer.sgd_on_batch: one row at a time.
 
-    Each sample takes its own 1-d forward pass, objective call and backward
+    Each row takes its own 1-d forward pass, objective call and backward
     pass; the gradients are summed, scaled by 1/n and applied once.
     """
     weights = [np.zeros_like(w) for w in state.weights]
     biases = [np.zeros_like(b) for b in state.biases]
-    for s in samples:
-        trace = forward(state, s.features)
-        out = objective(trace.logits, s.label)
+    for x, label in zip(features, labels):
+        trace = forward(state, x)
+        out = objective(trace.logits, int(label))
         grads = backward(state, trace, out.grad_logits)
         for total, g in zip(weights + biases, grads.weights + grads.biases):
             total += g
-    mean = Gradients(weights=weights, biases=biases).scale(1.0 / len(samples))
+    mean = Gradients(weights=weights, biases=biases).scale(1.0 / len(features))
     return sgd_step(state, mean, lr)
+
+
+class ListReservoir:
+    """Reference for memory.reservoir_update: a list of (features, label, uid) slots.
+
+    This is the per-offer loop the array buffer replaced: append while
+    there is room, then one rng.integers(0, tot + 1) draw per offer, kept
+    if it lands inside the buffer.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.slots = []
+        self.tot = 0
+
+    def update(self, features, labels, uids, rng):
+        for x, label, uid in zip(features, labels, uids):
+            stored = (np.array(x, copy=True), int(label), int(uid))
+            if self.tot < self.capacity:
+                self.slots.append(stored)
+            else:
+                j = int(rng.integers(0, self.tot + 1))
+                if j < self.capacity:
+                    self.slots[j] = stored
+            self.tot += 1
 
 
 def max_param_diff(a, b):

@@ -41,8 +41,8 @@ from afslab.metrics import (
     confidence_interval,
 )
 from afslab.model import NetworkSpec, backward, forward, init_network
-from afslab.stream import Sample, gen_synthetic, split_tasks, task_streams, task_test_sets
-from afslab.trainer import TrainConfig, train_ablation, train_afs, train_er_baseline
+from afslab.stream import gen_synthetic, split_tasks, task_streams, task_test_sets
+from afslab.trainer import AFS, ER, Recipe, TrainConfig, run_stream
 
 # Benchmark constants, frozen; the 06/07 docstrings give what they measure.
 NUM_CLASSES = 10
@@ -233,15 +233,14 @@ class TestReservoirGuarantee:
         rng = np.random.default_rng(99)
         trials = 100_000
         for capacity, offered in ((1, 3), (2, 4), (5, 50)):
-            samples = [
-                Sample(features=np.zeros(1), label=0, uid=k) for k in range(offered)
-            ]
+            features = np.zeros((offered, 1))
+            labels = np.zeros(offered, dtype=np.int64)
+            uids = np.arange(offered)
             counts = np.zeros(offered)
             for _ in range(trials):
                 buffer = MemoryBuffer(capacity)
-                reservoir_update(buffer, samples, rng)
-                for kept in buffer.slots:
-                    counts[kept.uid] += 1
+                reservoir_update(buffer, features, labels, uids, rng)
+                counts[buffer.uids[: len(buffer)]] += 1
             rates = counts / trials
             expected = capacity / offered
             assert np.max(np.abs(rates - expected)) <= 0.01, (capacity, offered)
@@ -299,17 +298,14 @@ def _benchmark_run(method, seed):
         augment_kind="vector", jitter_sigma=JITTER,
         seed=int(keys[2].generate_state(1)[0]),
     )
-    memory = MemoryBuffer(MEMORY)
     if method == "afs":
-        record = train_afs(state, memory, streams, tests, config)
+        recipe = AFS
     elif method == "er":
-        record = train_er_baseline(state, memory, streams, tests, config)
+        recipe = ER
     else:
         cls_kind, reg_kind = method
-        record = train_ablation(
-            state, memory, streams, tests, config,
-            cls_kind=cls_kind, reg_kind=reg_kind, use_review=False,
-        )
+        recipe = Recipe(cls_kind, reg_kind, review=False)
+    record = run_stream(state, MemoryBuffer(MEMORY), train, streams, tests, config, recipe)
     diag = record.diagnostics[NUM_TASKS]
     return {
         "accuracy": float(np.mean(record.accuracy_matrix.rows[-1])),

@@ -17,6 +17,8 @@ from afslab.cli import (
     run_experiment,
 )
 from afslab.errors import InvalidConfigError
+from afslab.losses import CLS_KINDS, REG_KINDS
+from afslab.trainer import AFS, ER, Recipe
 
 MICRO_CONFIG = """
 dataset = synthetic
@@ -41,32 +43,53 @@ def write_config(tmp_path, text=MICRO_CONFIG, name="exp.cfg"):
 
 class TestParseMethod:
     def test_plain_names(self):
-        for name in ("afs", "er", "reference", "offline"):
-            spec = parse_method(name)
-            assert spec.kind == name and spec.label == name
+        for name in ("afs", "er"):
+            assert Recipe.parse(name).label == name
+            assert parse_method(name) == Recipe.parse(name)
+        for name in ("reference", "offline"):
+            assert parse_method(name) == name
+
+    def test_named_recipes(self):
+        assert Recipe.parse("afs") == AFS == Recipe("rfl", "vkd", True, True)
+        assert Recipe.parse(" ER ") == ER == Recipe("ce", "none", False, False)
+        assert not ER.augment_replay
 
     def test_ablation_defaults_fill_missing_axes(self):
-        spec = parse_method("ablation:ce")
+        spec = Recipe.parse("ablation:ce")
         assert spec.label == "ablation:ce+vkd+rv"
-        assert spec.cls_kind == "ce" and spec.reg_kind == "vkd" and spec.review
+        assert spec.cls == "ce" and spec.reg == "vkd" and spec.review
+        assert spec.augment_replay
 
     def test_ablation_full_form(self):
-        spec = parse_method("ablation:fl+lsr+norv")
-        assert (spec.cls_kind, spec.reg_kind, spec.review) == ("fl", "lsr", False)
+        spec = Recipe.parse("ablation:fl+lsr+norv")
+        assert (spec.cls, spec.reg, spec.review) == ("fl", "lsr", False)
 
     def test_ablation_order_insensitive_label(self):
-        assert parse_method("ablation:norv+rfl+none").label == "ablation:rfl+none+norv"
+        assert Recipe.parse("ablation:norv+rfl+none").label == "ablation:rfl+none+norv"
+
+    def test_all_ablation_labels_round_trip(self):
+        recipes = [
+            Recipe(cls, reg, review)
+            for cls in CLS_KINDS for reg in REG_KINDS for review in (True, False)
+        ]
+        assert len({r.label for r in recipes}) == 18
+        for r in recipes:
+            assert Recipe.parse(r.label) == r
+            assert Recipe.parse(r.label).label == r.label
+        # the full method spelled as an ablation keeps its ablation label
+        assert Recipe.parse("ablation:rfl+vkd+rv") == AFS
+        assert Recipe.parse("ablation:rfl+vkd+rv").label == "ablation:rfl+vkd+rv"
 
     def test_duplicate_axis_rejected(self):
         with pytest.raises(InvalidConfigError, match="cls axis twice"):
-            parse_method("ablation:ce+rfl")
+            Recipe.parse("ablation:ce+rfl")
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(InvalidConfigError, match="mixup"):
-            parse_method("ablation:mixup")
+            Recipe.parse("ablation:mixup")
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidConfigError, match="unknown method"):
             parse_method("gdumb")
 
 
@@ -271,3 +294,17 @@ class TestMainCommand:
         marker = out / "INCOMPLETE"
         assert marker.exists()
         assert "disk on fire" in marker.read_text()
+
+    def test_diverging_run_exits_one_with_marker(self, tmp_path, capsys):
+        # lr = 1e8 blows the logits up mid-run: a failed run, not a bad config
+        cfg = write_config(
+            tmp_path,
+            "synth_classes = 4\nnum_tasks = 2\nhidden = 16\nmemory = 60\n"
+            "method = afs\nlr = 1e8\n",
+        )
+        out = tmp_path / "diverged"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        text = (out / "INCOMPLETE").read_text()
+        assert "run 0" in text and "logits must be finite" in text
+        assert not (out / "records.json").exists()
+        assert "INCOMPLETE" in capsys.readouterr().err

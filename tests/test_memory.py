@@ -2,17 +2,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.memory import MemoryBuffer, class_histogram, random_retrieve, reservoir_update
-from afslab.stream import Sample
+from helpers import ListReservoir
 
 
 def make_samples(n, label=0, start_uid=0):
-    return [
-        Sample(features=np.array([float(i)]), label=label, uid=start_uid + i)
-        for i in range(n)
-    ]
+    """(features [n, 1], labels, uids) of n rows whose feature is their position."""
+    features = np.arange(n, dtype=np.float64)[:, None]
+    return features, np.full(n, label, dtype=np.int64), start_uid + np.arange(n)
+
+
+def held_uids(buf):
+    return buf.uids[: len(buf)].tolist()
 
 
 def test_capacity_validated():
@@ -23,28 +28,28 @@ def test_capacity_validated():
 def test_fill_phase_keeps_everything_in_order():
     buf = MemoryBuffer(capacity=5)
     rng = np.random.default_rng(0)
-    reservoir_update(buf, make_samples(3), rng)
-    assert [s.uid for s in buf.slots] == [0, 1, 2]
+    reservoir_update(buf, *make_samples(3), rng)
+    assert held_uids(buf) == [0, 1, 2]
     assert buf.tot == 3
-    reservoir_update(buf, make_samples(2, start_uid=3), rng)
-    assert [s.uid for s in buf.slots] == [0, 1, 2, 3, 4]
+    reservoir_update(buf, *make_samples(2, start_uid=3), rng)
+    assert held_uids(buf) == [0, 1, 2, 3, 4]
     assert len(buf) == 5
 
 
 def test_overflow_never_exceeds_capacity():
     buf = MemoryBuffer(capacity=4)
     rng = np.random.default_rng(1)
-    reservoir_update(buf, make_samples(50), rng)
+    reservoir_update(buf, *make_samples(50), rng)
     assert len(buf) == 4
     assert buf.tot == 50
 
 
 def test_stores_by_value():
     buf = MemoryBuffer(capacity=2)
-    src = Sample(features=np.array([1.0, 2.0]), label=1, uid=7)
-    reservoir_update(buf, [src], np.random.default_rng(0))
-    src.features[0] = 99.0
-    assert buf.slots[0].features[0] == 1.0
+    src = np.array([[1.0, 2.0]])
+    reservoir_update(buf, src, np.array([1]), np.array([7]), np.random.default_rng(0))
+    src[0, 0] = 99.0
+    assert buf.features[0, 0] == 1.0
 
 
 def test_uniform_inclusion_small_case():
@@ -55,9 +60,8 @@ def test_uniform_inclusion_small_case():
     for t in range(trials):
         buf = MemoryBuffer(capacity=2)
         rng = np.random.default_rng(t)
-        reservoir_update(buf, make_samples(4), rng)
-        for s in buf.slots:
-            hits[s.uid] += 1
+        reservoir_update(buf, *make_samples(4), rng)
+        hits[held_uids(buf)] += 1
     rates = hits / trials
     assert np.all(np.abs(rates - 0.5) < 0.02), rates
 
@@ -65,30 +69,31 @@ def test_uniform_inclusion_small_case():
 def test_retrieve_without_replacement():
     buf = MemoryBuffer(capacity=10)
     rng = np.random.default_rng(3)
-    reservoir_update(buf, make_samples(10), rng)
+    reservoir_update(buf, *make_samples(10), rng)
     for _ in range(20):
         got = random_retrieve(buf, 6, rng)
-        uids = [s.uid for s in got]
+        uids = buf.uids[got].tolist()
         assert len(set(uids)) == len(uids) == 6
 
 
 def test_retrieve_caps_at_buffer_size_and_leaves_buffer_alone():
     buf = MemoryBuffer(capacity=8)
     rng = np.random.default_rng(4)
-    reservoir_update(buf, make_samples(3), rng)
-    before = list(buf.slots)
+    reservoir_update(buf, *make_samples(3), rng)
+    before = (buf.features.copy(), buf.labels.copy(), buf.uids.copy())
     got = random_retrieve(buf, 100, rng)
-    assert sorted(s.uid for s in got) == [0, 1, 2]
-    assert buf.slots == before
+    assert sorted(buf.uids[got].tolist()) == [0, 1, 2]
+    for now, then in zip((buf.features, buf.labels, buf.uids), before):
+        assert np.array_equal(now, then)
     assert buf.tot == 3
 
 
 def test_retrieve_empty_and_zero():
     buf = MemoryBuffer(capacity=4)
     rng = np.random.default_rng(5)
-    assert random_retrieve(buf, 10, rng) == []
-    reservoir_update(buf, make_samples(2), rng)
-    assert random_retrieve(buf, 0, rng) == []
+    assert len(random_retrieve(buf, 10, rng)) == 0
+    reservoir_update(buf, *make_samples(2), rng)
+    assert len(random_retrieve(buf, 0, rng)) == 0
     with pytest.raises(InvalidInputError):
         random_retrieve(buf, -1, rng)
 
@@ -96,12 +101,11 @@ def test_retrieve_empty_and_zero():
 def test_retrieval_is_uniform():
     buf = MemoryBuffer(capacity=5)
     rng = np.random.default_rng(6)
-    reservoir_update(buf, make_samples(5), rng)
+    reservoir_update(buf, *make_samples(5), rng)
     counts = Counter()
     trials = 20000
     for _ in range(trials):
-        for s in random_retrieve(buf, 2, rng):
-            counts[s.uid] += 1
+        counts.update(buf.uids[random_retrieve(buf, 2, rng)].tolist())
     for uid in range(5):
         assert abs(counts[uid] / trials - 0.4) < 0.02
 
@@ -109,6 +113,40 @@ def test_retrieval_is_uniform():
 def test_class_histogram():
     buf = MemoryBuffer(capacity=10)
     rng = np.random.default_rng(7)
-    reservoir_update(buf, make_samples(4, label=0), rng)
-    reservoir_update(buf, make_samples(3, label=2, start_uid=4), rng)
+    reservoir_update(buf, *make_samples(4, label=0), rng)
+    reservoir_update(buf, *make_samples(3, label=2, start_uid=4), rng)
     assert class_histogram(buf) == Counter({0: 4, 2: 3})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 20),
+    batch_sizes=st.lists(st.integers(1, 15), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_list_reservoir(capacity, batch_sizes, seed):
+    # the array buffer against the per-offer list loop it replaced: same
+    # draws, so the same slots in the same order, for any batching
+    lengths = np.cumsum(batch_sizes)
+    lengths = lengths[lengths <= 200]
+    data = np.random.default_rng(seed)
+    features = data.normal(size=(int(lengths[-1]), 3))
+    labels = data.integers(0, 5, size=len(features))
+    uids = data.permutation(1000)[: len(features)]
+    buf, ref = MemoryBuffer(capacity), ListReservoir(capacity)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for start, stop in zip(np.concatenate([[0], lengths[:-1]]), lengths):
+        rows = slice(start, stop)
+        reservoir_update(buf, features[rows], labels[rows], uids[rows], rng)
+        ref.update(features[rows], labels[rows], uids[rows], ref_rng)
+        assert buf.tot == ref.tot
+        assert len(buf) == min(buf.tot, capacity) == len(ref.slots)
+        held = slice(0, len(buf))
+        assert buf.uids[held].tolist() == [uid for _, _, uid in ref.slots]
+        assert buf.labels[held].tolist() == [label for _, label, _ in ref.slots]
+        assert buf.features[held].tobytes() == b"".join(x.tobytes() for x, _, _ in ref.slots)
+    assert rng.random() == ref_rng.random()  # both generators end in step
+    if len(buf):
+        snapshot = buf.features[held].copy()
+        features += 1.0  # the source changes; memory must not
+        assert np.array_equal(buf.features[held], snapshot)

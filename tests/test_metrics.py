@@ -15,7 +15,6 @@ from afslab.metrics import (
 )
 from afslab.losses import classify_difficulty, softmax_stable
 from afslab.model import NetworkState
-from afslab.stream import Sample
 
 
 def random_matrix(rng, num_tasks):
@@ -188,11 +187,7 @@ def exact_p_logits(p, target, num_classes=4):
 class TestBiasDiagnostics:
     def test_zero_network_all_hsi(self):
         state = linear_head_state(np.zeros((4, 3)), np.zeros(4))
-        samples = [
-            Sample(features=np.ones(3), label=lab, uid=i)
-            for i, lab in enumerate([2, 3, 3])
-        ]
-        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        rec = bias_diagnostics(state, np.ones((3, 3)), np.array([2, 3, 3]), {0, 1}, {2, 3})
         assert rec.mean_weight_old == 0.0 and rec.mean_weight_new == 0.0
         assert rec.mean_logit_old == 0.0 and rec.mean_logit_new == 0.0
         # p_t = 1/4 for every new-class sample, squarely in the hard interval
@@ -203,8 +198,7 @@ class TestBiasDiagnostics:
         b = np.array([1.0, -1.0, 0.0, 2.0])
         state = linear_head_state(w, b)
         x = np.array([1.0, 1.0])
-        samples = [Sample(features=x, label=2, uid=0)]
-        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        rec = bias_diagnostics(state, x[None], np.array([2]), {0, 1}, {2, 3})
         # old rows pool (1,2,1) and (3,4,-1); new rows (0,0,0) and (1,1,2)
         assert_allclose(rec.mean_weight_old, (1 + 2 + 1 + 3 + 4 - 1) / 6)
         assert_allclose(rec.mean_weight_new, (0 + 0 + 0 + 1 + 1 + 2) / 6)
@@ -214,12 +208,12 @@ class TestBiasDiagnostics:
 
     def test_counts_cover_new_class_samples_only(self):
         state = linear_head_state(np.eye(4), np.zeros(4))
-        samples = [
-            Sample(features=np.eye(4)[0] * 10, label=0, uid=0),  # old class
-            Sample(features=np.eye(4)[3] * 10, label=3, uid=1),  # easy new
-            Sample(features=np.zeros(4), label=2, uid=2),  # hard new
-        ]
-        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        features = np.array([
+            np.eye(4)[0] * 10,  # old class
+            np.eye(4)[3] * 10,  # easy new
+            np.zeros(4),  # hard new
+        ])
+        rec = bias_diagnostics(state, features, np.array([0, 3, 2]), {0, 1}, {2, 3})
         assert sum(rec.interval_counts.values()) == 2
         assert rec.interval_counts["ESI"] == 1
         assert rec.interval_counts["HSI"] == 1
@@ -235,11 +229,7 @@ class TestBiasDiagnostics:
             for t in (2, 3):
                 rows.append(exact_p_logits(p, t))
                 labels.append(t)
-        samples = [
-            Sample(features=z, label=lab, uid=i)
-            for i, (z, lab) in enumerate(zip(rows, labels))
-        ]
-        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        rec = bias_diagnostics(state, np.array(rows), np.array(labels), {0, 1}, {2, 3})
         expected = {"HSI": 0, "ASI": 0, "ESI": 0}
         for z, lab in zip(rows, labels):
             if lab in (2, 3):
@@ -249,18 +239,17 @@ class TestBiasDiagnostics:
 
     def test_no_new_class_rows_counts_nothing(self):
         state = linear_head_state(np.eye(4), np.zeros(4))
-        samples = [Sample(features=np.ones(4), label=0, uid=0)]
-        rec = bias_diagnostics(state, samples, {0, 1}, {2, 3})
+        rec = bias_diagnostics(state, np.ones((1, 4)), np.array([0]), {0, 1}, {2, 3})
         assert rec.interval_counts == {"HSI": 0, "ASI": 0, "ESI": 0}
 
     def test_validation(self):
         state = linear_head_state(np.zeros((4, 2)), np.zeros(4))
-        s = [Sample(features=np.zeros(2), label=0, uid=0)]
+        x, y = np.zeros((1, 2)), np.array([0])
         with pytest.raises(InvalidInputError):
-            bias_diagnostics(state, s, set(), {1})
+            bias_diagnostics(state, x, y, set(), {1})
         with pytest.raises(InvalidInputError):
-            bias_diagnostics(state, s, {0, 1}, {1, 2})
+            bias_diagnostics(state, x, y, {0, 1}, {1, 2})
         with pytest.raises(InvalidInputError):
-            bias_diagnostics(state, [], {0}, {1})
+            bias_diagnostics(state, x[:0], y[:0], {0}, {1})
         with pytest.raises(InvalidInputError):
-            bias_diagnostics(state, s, {0}, {9})
+            bias_diagnostics(state, x, y, {0}, {9})

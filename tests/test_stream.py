@@ -9,7 +9,6 @@ from afslab.losses import ce_loss
 from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
     Dataset,
-    Sample,
     augment,
     batches,
     flip_horizontal,
@@ -42,13 +41,6 @@ class TestDataset:
                 num_classes=2,
             )
 
-    def test_sample_carries_uid(self):
-        ds = toy_dataset()
-        s = ds.sample(7)
-        assert s.uid == 7
-        assert s.label == int(ds.labels[7])
-        assert_array_equal(s.features, ds.features[7])
-
 
 class TestSplit:
     def test_contiguous_equal_groups(self):
@@ -66,7 +58,7 @@ class TestBatches:
     def test_every_sample_once(self):
         ds = toy_dataset(n_per_class=7, num_classes=4)
         got = batches(ds, (1, 2), batch_size=4, seed=5)
-        uids = [s.uid for b in got for s in b.samples]
+        uids = np.concatenate(got).tolist()
         expected = [i for i in range(len(ds)) if ds.labels[i] in (1, 2)]
         assert sorted(uids) == expected
         assert len(set(uids)) == len(uids)
@@ -75,27 +67,23 @@ class TestBatches:
         ds = toy_dataset(n_per_class=7, num_classes=4)
         got = batches(ds, (0,), batch_size=3, seed=1)
         assert [len(b) for b in got] == [3, 3, 1]
-        assert [b.batch_index for b in got] == [0, 1, 2]
+        assert all(b.dtype == np.int64 for b in got)
 
     def test_deterministic_and_seed_sensitive(self):
         ds = toy_dataset()
         a = batches(ds, (0, 1), batch_size=4, seed=3)
         b = batches(ds, (0, 1), batch_size=4, seed=3)
         c = batches(ds, (0, 1), batch_size=4, seed=4)
-        assert [s.uid for x in a for s in x.samples] == [
-            s.uid for x in b for s in x.samples
-        ]
-        assert [s.uid for x in a for s in x.samples] != [
-            s.uid for x in c for s in x.samples
-        ]
+        assert np.concatenate(a).tolist() == np.concatenate(b).tolist()
+        assert np.concatenate(a).tolist() != np.concatenate(c).tolist()
 
     def test_task_streams_cover_everything(self):
         ds = toy_dataset(n_per_class=5, num_classes=4)
         split = split_tasks(ds, 2)
         streams = task_streams(ds, split, batch_size=4, seed=11)
-        assert [b.task_id for b in streams[0]] == [1] * len(streams[0])
-        assert [b.task_id for b in streams[1]] == [2] * len(streams[1])
-        uids = sorted(s.uid for st in streams for b in st for s in b.samples)
+        assert set(ds.labels[np.concatenate(streams[0])].tolist()) == {0, 1}
+        assert set(ds.labels[np.concatenate(streams[1])].tolist()) == {2, 3}
+        uids = sorted(np.concatenate([b for st in streams for b in st]).tolist())
         assert uids == list(range(len(ds)))
 
     def test_task_test_sets(self):
@@ -244,52 +232,55 @@ class TestAugment:
         assert out.sum() <= x.sum() + 1e-12
 
     def test_none_returns_same_objects(self):
-        s = Sample(features=np.ones(4), label=0, uid=0)
-        out = augment([s], "none", np.random.default_rng(0))
-        assert out[0] is s
+        x = np.ones((1, 4))
+        out = augment(x, "none", np.random.default_rng(0))
+        assert out is x
 
     def test_vector_jitter_sigma_zero_is_identity(self):
-        s = Sample(features=np.ones(4), label=0, uid=0)
-        out = augment([s], "vector", np.random.default_rng(0), jitter_sigma=0.0)
-        assert_array_equal(out[0].features, s.features)
-        assert out[0] is not s
+        x = np.ones((1, 4))
+        out = augment(x, "vector", np.random.default_rng(0), jitter_sigma=0.0)
+        assert_array_equal(out, x)
+        assert out is not x
 
     def test_vector_jitter_is_one_draw_per_sample_in_order(self):
         # the batch draws all its noise at once; a Generator fills a
         # (k, dim) draw in the same order as k draws of (dim,)
         data = np.random.default_rng(3)
-        batch = [
-            Sample(features=data.normal(size=32), label=i % 4, uid=i)
-            for i in range(100)
-        ]
+        batch = data.normal(size=(100, 32))
         rng = np.random.default_rng(11)
         out = augment(batch, "vector", rng, jitter_sigma=1.2)
         ref = np.random.default_rng(11)
-        for s, o in zip(batch, out):
-            assert_array_equal(o.features, s.features + ref.normal(0.0, 1.2, size=32))
-            assert (o.label, o.uid) == (s.label, s.uid)
+        assert out.shape == batch.shape
+        for x, o in zip(batch, out):
+            assert_array_equal(o, x + ref.normal(0.0, 1.2, size=32))
         assert rng.random() == ref.random()  # both generators end in step
 
     def test_vector_jitter_leaves_original_untouched(self):
-        feats = np.ones(4)
-        s = Sample(features=feats, label=2, uid=5)
-        out = augment([s], "vector", np.random.default_rng(0), jitter_sigma=0.5)
-        assert_array_equal(s.features, np.ones(4))
-        assert out[0].label == 2 and out[0].uid == 5
-        assert not np.array_equal(out[0].features, s.features)
+        x = np.ones((1, 4))
+        out = augment(x, "vector", np.random.default_rng(0), jitter_sigma=0.5)
+        assert_array_equal(x, np.ones((1, 4)))
+        assert not np.array_equal(out, x)
 
     def test_image_on_non_square_rejected(self):
-        s = Sample(features=np.ones(5), label=0, uid=0)
         with pytest.raises(InvalidConfigError):
-            augment([s], "image", np.random.default_rng(0))
+            augment(np.ones((1, 5)), "image", np.random.default_rng(0))
 
     def test_unknown_kind_rejected(self):
-        s = Sample(features=np.ones(4), label=0, uid=0)
         with pytest.raises(InvalidConfigError):
-            augment([s], "mixup", np.random.default_rng(0))
+            augment(np.ones((1, 4)), "mixup", np.random.default_rng(0))
+
+    def test_image_draws_flip_then_crop_per_row(self):
+        # each row draws its flip coin, then its two crop offsets, in row order
+        data = np.random.default_rng(4)
+        batch = data.random((20, 16))
+        out = augment(batch, "image", np.random.default_rng(12))
+        ref = np.random.default_rng(12)
+        for x, o in zip(batch, out):
+            if ref.random() < 0.5:
+                x = flip_horizontal(x, 4)
+            assert_array_equal(o, pad_crop(x, 4, ref))
 
     def test_image_output_stays_square_sized(self):
         rng = np.random.default_rng(3)
-        s = Sample(features=rng.random(16), label=1, uid=2)
-        out = augment([s], "image", rng)
-        assert out[0].features.shape == (16,)
+        out = augment(rng.random((1, 16)), "image", rng)
+        assert out.shape == (1, 16)

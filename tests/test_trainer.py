@@ -4,42 +4,36 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, ce_loss, lsr_loss, rfl_loss
-from afslab.memory import MemoryBuffer, class_histogram
+from afslab.memory import MemoryBuffer, class_histogram, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, init_network
 from afslab.stream import (
-    Sample,
-    StreamBatch,
+    Dataset,
     gen_synthetic,
     split_tasks,
     task_streams,
     task_test_sets,
 )
 from afslab.trainer import (
+    AFS,
+    ER,
+    Recipe,
     TrainConfig,
     evaluate,
     make_objective,
     review_pass,
+    run_stream,
     sgd_on_batch,
-    train_ablation,
-    train_afs,
-    train_er_baseline,
     train_offline,
     train_reference,
 )
 from helpers import max_param_diff, per_sample_step
 
 
-def one_task_stream(samples, batch_size):
-    batches = []
-    for b, start in enumerate(range(0, len(samples), batch_size)):
-        batches.append(
-            StreamBatch(
-                samples=tuple(samples[start : start + batch_size]),
-                task_id=1,
-                batch_index=b,
-            )
-        )
-    return [batches]
+def one_task_stream(features, labels, batch_size):
+    """A dataset of the given rows and one task streaming them in order."""
+    dataset = Dataset(features=features, labels=labels, num_classes=int(labels.max()) + 1)
+    order = np.arange(len(labels))
+    return dataset, [[order[s : s + batch_size] for s in range(0, len(order), batch_size)]]
 
 
 def small_benchmark(seed=0, num_classes=4, dim=8, per_class=40, spread=0.6, num_tasks=2):
@@ -121,29 +115,25 @@ class TestHandSteppedTrace:
 
     lr = 0.2
 
-    def hand_step(self, state, samples, cfg):
+    def hand_step(self, state, features, labels, cfg):
         W, b = state.weights[0].copy(), state.biases[0].copy()
         dW, db = np.zeros_like(W), np.zeros_like(b)
-        for s in samples:
+        for x, label in zip(features, labels):
             g = rfl_loss(
-                W @ s.features + b, s.label,
+                W @ x + b, int(label),
                 alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma,
             ).grad_logits
-            dW += np.outer(g, s.features)
+            dW += np.outer(g, x)
             db += g
-        n = len(samples)
+        n = len(features)
         return NetworkState(
             weights=[W - self.lr * dW / n], biases=[b - self.lr * db / n]
         )
 
     def test_two_batch_trace_matches(self):
-        samples = [
-            Sample(features=np.array([1.0, 0.0]), label=0, uid=0),
-            Sample(features=np.array([0.0, 1.0]), label=1, uid=1),
-            Sample(features=np.array([0.8, -0.5]), label=0, uid=2),
-            Sample(features=np.array([-0.3, 1.2]), label=1, uid=3),
-        ]
-        streams = one_task_stream(samples, batch_size=2)
+        features = np.array([[1.0, 0.0], [0.0, 1.0], [0.8, -0.5], [-0.3, 1.2]])
+        labels = np.array([0, 1, 0, 1])
+        dataset, streams = one_task_stream(features, labels, batch_size=2)
         X_test = np.array([[2.0, -1.0], [-1.0, 2.0]])
         y_test = np.array([0, 1])
 
@@ -154,11 +144,12 @@ class TestHandSteppedTrace:
         )
         start = init_network(NetworkSpec((2, 2), seed=5))
         memory = MemoryBuffer(capacity=10)
-        record = train_afs(start, memory, streams, [(X_test, y_test)], config)
+        record = run_stream(start, memory, dataset, streams, [(X_test, y_test)], config, AFS)
 
         # batch 1 trains alone; batch 2 trains with the full buffer replayed
-        expected = self.hand_step(start, samples[:2], loss)
-        expected = self.hand_step(expected, samples[2:] + samples[:2], loss)
+        expected = self.hand_step(start, features[:2], labels[:2], loss)
+        order = [2, 3, 0, 1]
+        expected = self.hand_step(expected, features[order], labels[order], loss)
 
         assert record.steps == 2
         assert record.review_steps == 0
@@ -178,11 +169,9 @@ class TestReviewPass:
     def build_memory(self, n, dim=3, num_classes=2, seed=0):
         rng = np.random.default_rng(seed)
         buf = MemoryBuffer(capacity=n)
-        buf.slots = [
-            Sample(features=rng.normal(size=dim), label=int(i % num_classes), uid=i)
-            for i in range(n)
-        ]
-        buf.tot = n
+        labels = np.arange(n) % num_classes
+        # n rows into n slots: the fill phase, which draws nothing
+        reservoir_update(buf, rng.normal(size=(n, dim)), labels, np.arange(n), rng)
         return buf
 
     def test_zero_rate_and_empty_buffer_are_identity(self):
@@ -196,13 +185,14 @@ class TestReviewPass:
     def test_changes_model_but_not_memory(self):
         state = init_network(NetworkSpec((3, 2), seed=1))
         buf = self.build_memory(8)
-        before_slots = list(buf.slots)
+        before = (buf.features.copy(), buf.labels.copy(), buf.uids.copy())
         before_hist = class_histogram(buf)
         out = review_pass(
             state, buf, 0.05, 4, LossConfig(num_classes=2), np.random.default_rng(2)
         )
         assert not np.array_equal(out.weights[0], state.weights[0])
-        assert buf.slots == before_slots
+        for now, then in zip((buf.features, buf.labels, buf.uids), before):
+            assert_array_equal(now, then)
         assert class_histogram(buf) == before_hist
         assert buf.tot == 8
 
@@ -210,20 +200,18 @@ class TestReviewPass:
         # one task, 20 samples, capacity 20: the boundary review sees all 20
         # slots and rv_batch 10 makes exactly 2 review steps
         rng = np.random.default_rng(3)
-        samples = [
-            Sample(features=rng.normal(size=3), label=int(i % 2), uid=i)
-            for i in range(20)
-        ]
-        streams = one_task_stream(samples, batch_size=5)
+        dataset, streams = one_task_stream(
+            rng.normal(size=(20, 3)), np.arange(20) % 2, batch_size=5
+        )
         X = rng.normal(size=(4, 3))
         y = np.array([0, 1, 0, 1])
         config = TrainConfig(
             stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
             loss=LossConfig(num_classes=2), seed=0,
         )
-        record = train_afs(
+        record = run_stream(
             init_network(NetworkSpec((3, 2), seed=0)),
-            MemoryBuffer(capacity=20), streams, [(X, y)], config,
+            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS,
         )
         assert record.steps == 4
         assert record.review_steps == 2
@@ -231,35 +219,38 @@ class TestReviewPass:
 
 class TestEquivalences:
     def test_er_equals_stripped_ablation_bitwise(self):
-        _, streams, tests = small_benchmark(seed=2)
+        train, streams, tests = small_benchmark(seed=2)
         config = TrainConfig(
             loss=LossConfig(num_classes=4), augment_kind="none", seed=7,
             retrieve_batch=20,
         )
         spec = NetworkSpec((8, 6, 4), seed=3)
-        a = train_er_baseline(
-            init_network(spec), MemoryBuffer(capacity=30), streams, tests, config
+        a = run_stream(
+            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
+            config, ER,
         )
-        b = train_ablation(
-            init_network(spec), MemoryBuffer(capacity=30), streams, tests, config,
-            cls_kind="ce", reg_kind="none", use_review=False,
+        b = run_stream(
+            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
+            config, Recipe("ce", "none", review=False),
         )
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
         for wa, wb in zip(a.final_state.weights, b.final_state.weights):
             assert_array_equal(wa, wb)
 
     def test_determinism_per_seed(self):
-        _, streams, tests = small_benchmark(seed=4)
+        train, streams, tests = small_benchmark(seed=4)
         config = TrainConfig(
             loss=LossConfig(num_classes=4), augment_kind="vector",
             jitter_sigma=0.05, seed=11, retrieve_batch=20,
         )
         spec = NetworkSpec((8, 6, 4), seed=1)
-        a = train_afs(
-            init_network(spec), MemoryBuffer(capacity=30), streams, tests, config
+        a = run_stream(
+            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
+            config, AFS,
         )
-        b = train_afs(
-            init_network(spec), MemoryBuffer(capacity=30), streams, tests, config
+        b = run_stream(
+            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
+            config, AFS,
         )
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
         for wa, wb in zip(a.final_state.weights, b.final_state.weights):
@@ -269,22 +260,22 @@ class TestEquivalences:
 
 class TestRunShape:
     def test_steps_count_and_matrix_shape(self):
-        _, streams, tests = small_benchmark(seed=5)
+        train, streams, tests = small_benchmark(seed=5)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
-        record = train_afs(
+        record = run_stream(
             init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), streams, tests, config,
+            MemoryBuffer(capacity=25), train, streams, tests, config, AFS,
         )
         assert record.steps == sum(len(st) for st in streams)
         assert record.accuracy_matrix.num_tasks == len(streams)
         assert record.wall_time > 0
 
     def test_diagnostics_start_at_second_task(self):
-        _, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
+        train, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
-        record = train_afs(
+        record = run_stream(
             init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), streams, tests, config,
+            MemoryBuffer(capacity=25), train, streams, tests, config, AFS,
         )
         assert set(record.diagnostics) == {2}
         rec = record.diagnostics[2]
@@ -293,50 +284,48 @@ class TestRunShape:
 
     def test_rv_every_reviews_mid_task(self):
         rng = np.random.default_rng(8)
-        samples = [
-            Sample(features=rng.normal(size=3), label=int(i % 2), uid=i)
-            for i in range(20)
-        ]
-        streams = one_task_stream(samples, batch_size=5)
+        dataset, streams = one_task_stream(
+            rng.normal(size=(20, 3)), np.arange(20) % 2, batch_size=5
+        )
         X, y = rng.normal(size=(4, 3)), np.array([0, 1, 0, 1])
         config = TrainConfig(
             stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
             rv_every=2, loss=LossConfig(num_classes=2), seed=0,
         )
-        record = train_afs(
+        record = run_stream(
             init_network(NetworkSpec((3, 2), seed=0)),
-            MemoryBuffer(capacity=20), streams, [(X, y)], config,
+            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS,
         )
         # reviews after steps 2 and 4; buffer holds 10 then 20 samples
         assert record.steps == 4
         assert record.review_steps == 1 + 2
 
     def test_needs_one_test_set_per_task(self):
-        _, streams, tests = small_benchmark(seed=5)
+        train, streams, tests = small_benchmark(seed=5)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
         with pytest.raises(InvalidInputError):
-            train_afs(
+            run_stream(
                 init_network(NetworkSpec((8, 6, 4), seed=0)),
-                MemoryBuffer(capacity=25), streams, tests[:1], config,
+                MemoryBuffer(capacity=25), train, streams, tests[:1], config, AFS,
             )
 
 
 class TestReference:
     def test_lengths_and_range(self):
-        _, streams, tests = small_benchmark(seed=12)
+        train, streams, tests = small_benchmark(seed=12)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
         ref = train_reference(
-            init_network(NetworkSpec((8, 6, 4), seed=2)), streams, tests, config
+            init_network(NetworkSpec((8, 6, 4), seed=2)), train, streams, tests, config
         )
         assert len(ref) == 2
         assert all(0.0 <= a <= 1.0 for a in ref)
 
     def test_deterministic(self):
-        _, streams, tests = small_benchmark(seed=12)
+        train, streams, tests = small_benchmark(seed=12)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
         spec = NetworkSpec((8, 6, 4), seed=2)
-        a = train_reference(init_network(spec), streams, tests, config)
-        b = train_reference(init_network(spec), streams, tests, config)
+        a = train_reference(init_network(spec), train, streams, tests, config)
+        b = train_reference(init_network(spec), train, streams, tests, config)
         assert a == b
 
 
@@ -349,8 +338,9 @@ class TestOfflineBound:
             loss=LossConfig(num_classes=4), seed=1, retrieve_batch=20
         )
         spec = NetworkSpec((8, 16, 4), seed=0)
-        er = train_er_baseline(
-            init_network(spec), MemoryBuffer(capacity=20), streams, tests, config
+        er = run_stream(
+            init_network(spec), MemoryBuffer(capacity=20), train, streams, tests,
+            config, ER,
         )
         offline = train_offline(init_network(spec), train, config, epochs=5, seed=2)
         offline_acc = float(np.mean([evaluate(offline, ts) for ts in tests]))
@@ -370,7 +360,10 @@ class TestOfflineBound:
 def test_sgd_on_batch_rejects_empty():
     state = init_network(NetworkSpec((3, 2), seed=0))
     with pytest.raises(InvalidInputError):
-        sgd_on_batch(state, [], make_objective("ce", "none", LossConfig()), 0.1)
+        sgd_on_batch(
+            state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
+            make_objective("ce", "none", LossConfig()), 0.1,
+        )
 
 
 class TestBatchedStepMatchesPerSample:
@@ -385,11 +378,9 @@ class TestBatchedStepMatchesPerSample:
     C, D = 5, 6
 
     def draw(self, rng, n):
-        return [
-            Sample(features=rng.normal(0.0, 2.0, size=self.D),
-                   label=int(rng.integers(self.C)), uid=i)
-            for i in range(n)
-        ]
+        """(features [n, D], labels), each row's features then its label drawn in turn."""
+        rows = [(rng.normal(0.0, 2.0, size=self.D), int(rng.integers(self.C))) for _ in range(n)]
+        return np.array([x for x, _ in rows]), np.array([label for _, label in rows])
 
     @pytest.mark.parametrize("hidden", [(), (16,), (16, 12)], ids=["d0", "d1", "d2"])
     @pytest.mark.parametrize("reg_kind", REG_KINDS)
@@ -400,9 +391,9 @@ class TestBatchedStepMatchesPerSample:
         objective = make_objective(cls_kind, reg_kind, cfg)
         batched = reference = init_network(NetworkSpec((self.D, *hidden, self.C), seed=5))
         for _ in range(4):
-            samples = self.draw(rng, 37)
-            batched = sgd_on_batch(batched, samples, objective, 0.3)
-            reference = per_sample_step(reference, samples, objective, 0.3)
+            x, y = self.draw(rng, 37)
+            batched = sgd_on_batch(batched, x, y, objective, 0.3)
+            reference = per_sample_step(reference, x, y, objective, 0.3)
         assert max_param_diff(batched, init_network(
             NetworkSpec((self.D, *hidden, self.C), seed=5))) > 1e-3  # it trained
         assert max_param_diff(batched, reference) <= self.TOL
@@ -412,9 +403,9 @@ class TestBatchedStepMatchesPerSample:
         objective = make_objective("rfl", "vkd", LossConfig(num_classes=self.C))
         batched = reference = init_network(NetworkSpec((self.D, 8, self.C), seed=6))
         for _ in range(3):
-            samples = self.draw(rng, 1)
-            batched = sgd_on_batch(batched, samples, objective, 0.5)
-            reference = per_sample_step(reference, samples, objective, 0.5)
+            x, y = self.draw(rng, 1)
+            batched = sgd_on_batch(batched, x, y, objective, 0.5)
+            reference = per_sample_step(reference, x, y, objective, 0.5)
         assert max_param_diff(batched, reference) <= self.TOL
 
     def test_review_pass_chunk(self):
@@ -422,14 +413,13 @@ class TestBatchedStepMatchesPerSample:
         # order of the pass's own permutation draw
         rng = np.random.default_rng(33)
         memory = MemoryBuffer(capacity=12)
-        memory.slots = self.draw(rng, 12)
-        memory.tot = 12
+        x, y = self.draw(rng, 12)
+        reservoir_update(memory, x, y, np.arange(12), rng)  # fill phase: no draws
         cfg = LossConfig(num_classes=self.C)
         state = init_network(NetworkSpec((self.D, 8, self.C), seed=7))
         got = review_pass(state, memory, 0.2, 12, cfg, np.random.default_rng(4))
         order = np.random.default_rng(4).permutation(12)
         expected = per_sample_step(
-            state, [memory.slots[i] for i in order],
-            make_objective("rfl", "none", cfg), 0.2,
+            state, x[order], y[order], make_objective("rfl", "none", cfg), 0.2,
         )
         assert max_param_diff(got, expected) <= self.TOL
