@@ -5,6 +5,17 @@ command executes one method over several seeded runs and writes a JSON
 record store plus CSV reports, and `report` re-emits reports from a stored
 record file. Outputs carry no timestamps, so identical configs and seeds
 reproduce byte-identical reports (wall-time columns aside).
+
+Each run is split into jobs: a recipe run has its `run_stream` pass and
+its memory-free `train_reference` pass, a `reference` or `offline` run has
+one pass. The jobs run on a pool of forked workers, one per CPU this
+process may use (`os.sched_getaffinity`), each held to one OpenBLAS thread;
+with one worker they run in this process. Results are put back together in
+run order, so the records match the serial loop's. A one-thread BLAS sums
+some products in another order, which on a 784-pixel image stream moves
+the `mean_weight_*`/`mean_logit_*` diagnostics by a few units in the last
+place (at most 1.3e-15 measured); accuracies, counts, steps and summaries
+are identical.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import sys
 import time
 from csv import writer as csv_writer
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +36,7 @@ from .errors import AfslabError, InvalidConfigError, RunFailedError
 from .losses import LossConfig
 from .memory import MemoryBuffer
 from .metrics import (
+    AccuracyMatrix,
     average_accuracy,
     average_forgetting,
     average_intransigence,
@@ -33,6 +46,7 @@ from .model import NetworkSpec, init_network
 from .stream import (
     AUGMENT_KINDS,
     Dataset,
+    TaskSplit,
     gen_synthetic,
     load_idx,
     split_tasks,
@@ -62,6 +76,14 @@ SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
 
 
 BASELINES = ("reference", "offline")  # the memory-free, non-recipe methods
+
+# Names of the OpenBLAS thread-count setter across builds (prefix, int64 suffix).
+BLAS_SET_THREADS_SYMBOLS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+)
 
 
 def parse_method(text: str) -> Recipe | str:
@@ -234,14 +256,32 @@ def _train_config(config: ExperimentConfig, trainer_seed: int, num_classes: int)
     )
 
 
-def _single_run(
-    method: Recipe | str,
-    config: ExperimentConfig,
-    train_ds: Dataset,
-    split,
-    tests,
-    run_index: int,
-) -> dict:
+class _Inputs(NamedTuple):
+    """What every job reads. Forked workers inherit it; it is never pickled."""
+
+    method: Recipe | str
+    config: ExperimentConfig
+    train_ds: Dataset
+    split: TaskSplit
+    tests: list[tuple[np.ndarray, np.ndarray]]
+
+
+def _jobs(method: Recipe | str, runs: int) -> list[tuple[int, str]]:
+    """(run index, pass) of every job, in serial order.
+
+    A recipe run has a "method" pass (`run_stream`) and a "reference" pass
+    (`train_reference`); a `reference` or `offline` run is one pass.
+    """
+    if isinstance(method, Recipe):
+        passes = ("method", "reference")
+    else:
+        passes = ("reference",) if method == "reference" else ("method",)
+    return [(run, part) for run in range(runs) for part in passes]
+
+
+def _run_job(inputs: _Inputs, run_index: int, part: str) -> dict:
+    """One pass of one run; returns the plain values its record needs."""
+    method, config, train_ds, split, tests = inputs
     run_seed = config.seed + run_index
     keys = np.random.SeedSequence(run_seed).spawn(4)
     model_seed = int(keys[0].generate_state(1)[0])
@@ -251,76 +291,156 @@ def _single_run(
     tcfg = _train_config(config, trainer_seed, train_ds.num_classes)
     streams = task_streams(train_ds, split, config.stream_batch, keys[1])
 
-    out: dict = {"run": run_index, "seed": run_seed}
     # from here on an error is a failed run, not a bad configuration
     try:
-        if isinstance(method, Recipe):
-            record = run_stream(
-                init_network(spec), MemoryBuffer(config.memory), train_ds,
-                streams, tests, tcfg, method,
-            )
+        started = time.perf_counter()
+        if part == "reference":
             reference = train_reference(init_network(spec), train_ds, streams, tests, tcfg)
-            matrix = record.accuracy_matrix
-            rows = []
-            for t in range(1, matrix.num_tasks + 1):
-                rows.append({
-                    "task": t,
-                    "A_T": average_accuracy(matrix, t),
-                    "F_T": average_forgetting(matrix, t) if t >= 2 else math.nan,
-                    "I_T": average_intransigence(matrix, reference, t),
-                })
-            out.update({
-                "matrix": matrix.rows,
-                "reference": reference,
-                "metrics": rows,
-                "wall_time": record.wall_time,
-                "steps": record.steps,
-                "review_steps": record.review_steps,
-                "diagnostics": {
-                    str(task): {
-                        "mean_weight_old": d.mean_weight_old,
-                        "mean_weight_new": d.mean_weight_new,
-                        "mean_logit_old": d.mean_logit_old,
-                        "mean_logit_new": d.mean_logit_new,
-                        "hsi": d.interval_counts["HSI"],
-                        "asi": d.interval_counts["ASI"],
-                        "esi": d.interval_counts["ESI"],
-                    }
-                    for task, d in record.diagnostics.items()
-                },
-            })
-        elif method == "reference":
-            started = time.perf_counter()
-            reference = train_reference(init_network(spec), train_ds, streams, tests, tcfg)
-            out.update({
-                "reference": reference,
-                "metrics": [
-                    {"task": t, "A_T": acc, "F_T": math.nan, "I_T": math.nan}
-                    for t, acc in enumerate(reference, start=1)
-                ],
-                "wall_time": time.perf_counter() - started,
-                "diagnostics": {},
-            })
-        else:  # offline
-            started = time.perf_counter()
+            return {"reference": reference, "wall_time": time.perf_counter() - started}
+        if method == "offline":
             state = train_offline(
                 init_network(spec), train_ds, tcfg, config.offline_epochs, keys[3]
             )
             per_task = [evaluate(state, ts) for ts in tests]
-            out.update({
-                "offline_per_task": per_task,
-                "metrics": [{
-                    "task": len(tests),
-                    "A_T": float(np.mean(per_task)),
-                    "F_T": math.nan,
-                    "I_T": math.nan,
-                }],
-                "wall_time": time.perf_counter() - started,
-                "diagnostics": {},
-            })
+            return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
+        record = run_stream(
+            init_network(spec), MemoryBuffer(config.memory), train_ds,
+            streams, tests, tcfg, method,
+        )
+        return {
+            "matrix": record.accuracy_matrix.rows,
+            "wall_time": record.wall_time,
+            "steps": record.steps,
+            "review_steps": record.review_steps,
+            "diagnostics": {
+                str(task): {
+                    "mean_weight_old": d.mean_weight_old,
+                    "mean_weight_new": d.mean_weight_new,
+                    "mean_logit_old": d.mean_logit_old,
+                    "mean_logit_new": d.mean_logit_new,
+                    "hsi": d.interval_counts["HSI"],
+                    "asi": d.interval_counts["ASI"],
+                    "esi": d.interval_counts["ESI"],
+                }
+                for task, d in record.diagnostics.items()
+            },
+        }
     except AfslabError as exc:
         raise RunFailedError(f"run {run_index} (seed {run_seed}): {exc}") from exc
+
+
+def _assemble(method: Recipe | str, config: ExperimentConfig, run_index: int, results: dict) -> dict:
+    """The record of one run, built from the results of its passes."""
+    out: dict = {"run": run_index, "seed": config.seed + run_index}
+    if isinstance(method, Recipe):
+        out.update(results[run_index, "method"])
+        out["reference"] = reference = results[run_index, "reference"]["reference"]
+        matrix = AccuracyMatrix(out["matrix"])
+        out["metrics"] = [
+            {
+                "task": t,
+                "A_T": average_accuracy(matrix, t),
+                "F_T": average_forgetting(matrix, t) if t >= 2 else math.nan,
+                "I_T": average_intransigence(matrix, reference, t),
+            }
+            for t in range(1, matrix.num_tasks + 1)
+        ]
+    elif method == "reference":
+        out.update(results[run_index, "reference"], diagnostics={})
+        out["metrics"] = [
+            {"task": t, "A_T": acc, "F_T": math.nan, "I_T": math.nan}
+            for t, acc in enumerate(out["reference"], start=1)
+        ]
+    else:  # offline
+        out.update(results[run_index, "method"], diagnostics={})
+        per_task = out["offline_per_task"]
+        out["metrics"] = [{
+            "task": len(per_task),
+            "A_T": float(np.mean(per_task)),
+            "F_T": math.nan,
+            "I_T": math.nan,
+        }]
     return out
+
+
+_WORKER_INPUTS: _Inputs | None = None  # set only inside pool workers
+
+
+def _start_worker(inputs: _Inputs) -> None:
+    global _WORKER_INPUTS
+    _pin_blas_to_one_thread()
+    _WORKER_INPUTS = inputs
+
+
+def _worker_job(run_index: int, part: str) -> dict:
+    return _run_job(_WORKER_INPUTS, run_index, part)
+
+
+def _pin_blas_to_one_thread(maps_path: str = "/proc/self/maps") -> None:
+    """Cap the OpenBLAS mapped into this process at one thread, if any.
+
+    Calls the first of `BLAS_SET_THREADS_SYMBOLS` that a library named in
+    the memory map exports; does nothing when no OpenBLAS is mapped.
+    """
+    import ctypes
+
+    try:
+        with open(maps_path, encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for symbol in BLAS_SET_THREADS_SYMBOLS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
+
+
+def _run_jobs(inputs: _Inputs, jobs: list[tuple[int, str]]) -> dict:
+    """The result of every job, keyed by job.
+
+    Jobs run on a pool of forked workers, one per CPU this process may use,
+    each pinned to one BLAS thread; with one worker they run here, in
+    order. Every job finishes before the first failure in serial order is
+    raised.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return {job: _run_job(inputs, *job) for job in jobs}
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork: workers inherit `inputs` unpickled. The pool forks all of them at
+    # the first submit, before it starts its own thread.
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(inputs,),
+    ) as pool:
+        futures = {}
+        try:
+            # the method passes are the long ones, so they start first
+            for job in sorted(jobs, key=lambda job: job[1] != "method"):
+                futures[job] = pool.submit(_worker_job, *job)
+        except BrokenProcessPool:
+            pass  # a worker died already; the jobs left out count as lost
+
+    def lost(job) -> bool:
+        return job not in futures or isinstance(futures[job].exception(), BrokenProcessPool)
+
+    results = {}
+    for job in jobs:
+        if lost(job):
+            unfinished = sorted({job[0] for job in jobs if lost(job)})
+            names = ", ".join(f"run {r} (seed {inputs.config.seed + r})" for r in unfinished)
+            raise RunFailedError(f"a worker process died; unfinished: {names}")
+        results[job] = futures[job].result()
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -328,11 +448,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     method = parse_method(config.method)
     train_ds, test_ds = _load_data(config)
     split = split_tasks(train_ds, config.num_tasks)
-    tests = task_test_sets(test_ds, split)
-    runs = [
-        _single_run(method, config, train_ds, split, tests, r)
-        for r in range(config.runs)
-    ]
+    inputs = _Inputs(method, config, train_ds, split, task_test_sets(test_ds, split))
+    results = _run_jobs(inputs, _jobs(method, config.runs))
+    runs = [_assemble(method, config, r, results) for r in range(config.runs)]
     summary = []
     if config.runs >= 2 and runs and runs[0].get("metrics"):
         final_task = max(m["task"] for m in runs[0]["metrics"])

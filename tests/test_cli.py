@@ -1,10 +1,18 @@
 import csv
+import inspect
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+import time
 
+import numpy as np
 import pytest
 
+import afslab
+import afslab.cli as cli
 from afslab.cli import (
     DIAGNOSTICS_HEADER,
     METRICS_HEADER,
@@ -16,7 +24,7 @@ from afslab.cli import (
     parse_method,
     run_experiment,
 )
-from afslab.errors import InvalidConfigError
+from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.losses import CLS_KINDS, REG_KINDS
 from afslab.trainer import AFS, ER, Recipe
 
@@ -308,3 +316,137 @@ class TestMainCommand:
         assert "run 0" in text and "logits must be finite" in text
         assert not (out / "records.json").exists()
         assert "INCOMPLETE" in capsys.readouterr().err
+
+
+def allow_cpus(monkeypatch, count):
+    """Make the job pool see `count` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def without_wall_time(records):
+    """The records as JSON text minus wall times; NaN compares equal as text."""
+    runs = [{k: v for k, v in run.items() if k != "wall_time"} for run in records["runs"]]
+    return json.dumps(dict(records, runs=runs), sort_keys=True)
+
+
+class TestJobPool:
+    @pytest.mark.parametrize(
+        "method,runs", [("afs", 3), ("er", 2), ("reference", 2), ("offline", 2)]
+    )
+    def test_pool_matches_serial(self, method, runs, tmp_path, monkeypatch):
+        # every job builds its network once; log which process did it
+        pids = tmp_path / "pids"
+        real_init = cli.init_network
+
+        def logged_init(spec):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_init(spec)
+
+        monkeypatch.setattr(cli, "init_network", logged_init)
+        config = micro_experiment(method=method, runs=runs)
+        allow_cpus(monkeypatch, 2)
+        pooled = run_experiment(config)
+        pooled_pids = pids.read_text().split()
+        pids.unlink()
+        allow_cpus(monkeypatch, 1)
+        serial = run_experiment(config)
+        jobs = runs * (2 if method in ("afs", "er") else 1)
+        assert len(pooled_pids) == jobs and str(os.getpid()) not in pooled_pids
+        assert pids.read_text().split() == [str(os.getpid())] * jobs
+        # hidden 8 is too small for BLAS to thread, so equality is exact
+        assert without_wall_time(pooled) == without_wall_time(serial)
+
+    def test_first_failure_in_serial_order_is_raised(self, monkeypatch):
+        # run 1's method pass fails at once and run 0's later: run 0 is named
+        run0_trainer_seed = int(np.random.SeedSequence(0).spawn(4)[2].generate_state(1)[0])
+
+        def failing_stream(state, memory, dataset, streams, tests, config, recipe):
+            if config.seed == run0_trainer_seed:
+                time.sleep(0.5)
+            raise InvalidInputError(f"trainer seed {config.seed}")
+
+        monkeypatch.setattr(cli, "run_stream", failing_stream)
+        allow_cpus(monkeypatch, 2)
+        with pytest.raises(RunFailedError, match=r"^run 0 \(seed 0\): trainer seed"):
+            run_experiment(micro_experiment(runs=2))
+
+    def test_diverging_runs_report_run_zero(self, tmp_path, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        cfg = write_config(
+            tmp_path,
+            "synth_classes = 4\nnum_tasks = 2\nhidden = 16\nmemory = 60\n"
+            "method = afs\nlr = 1e8\n",
+        )
+        out = tmp_path / "diverged"
+        assert main(["run", "--config", cfg, "--out", str(out), "--runs", "3"]) == 1
+        text = (out / "INCOMPLETE").read_text()
+        assert "run 0 (seed 0)" in text and "logits must be finite" in text
+        assert "run 1" not in text and "run 2" not in text
+        assert not (out / "records.json").exists()
+
+    def test_dead_worker_exits_one_with_marker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_stream", lambda *args: os._exit(1))
+        allow_cpus(monkeypatch, 2)
+        out = tmp_path / "dead"
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(out), "--runs", "2"]) == 1
+        text = (out / "INCOMPLETE").read_text()
+        assert "worker process died" in text
+        assert "run 0 (seed 0)" in text and "run 1 (seed 1)" in text
+        assert not (out / "records.json").exists()
+        assert "INCOMPLETE" in capsys.readouterr().err
+
+
+def blas_threads():
+    """Thread count of the OpenBLAS mapped into this process, or None."""
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    for lib in sorted(libs):
+        for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+class TestPinBlas:
+    def test_pins_openblas_to_one_thread(self):
+        script = inspect.getsource(blas_threads) + textwrap.dedent("""
+            from afslab.cli import _pin_blas_to_one_thread
+
+            before = blas_threads()
+            _pin_blas_to_one_thread()
+            print(before, blas_threads())
+        """)
+        src = os.path.dirname(os.path.dirname(afslab.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        if before == "None":
+            pytest.skip("NumPy is not linked against OpenBLAS")
+        assert after == "1"
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        if blas_threads() is None:
+            pytest.skip("NumPy is not linked against OpenBLAS")
+        monkeypatch.setattr(cli, "_run_job", lambda inputs, run, part: blas_threads())
+        allow_cpus(monkeypatch, 2)
+        jobs = [(0, "method"), (0, "reference"), (1, "method")]
+        assert cli._run_jobs(None, jobs) == {job: 1 for job in jobs}
+
+    def test_silent_without_openblas(self, tmp_path):
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/libc.so.6\n"
+            "7f02-7f03 rw-p 00000000 00:00 0 [heap]\n"
+        )
+        assert cli._pin_blas_to_one_thread(str(maps)) is None
+        assert cli._pin_blas_to_one_thread(str(tmp_path / "missing")) is None
