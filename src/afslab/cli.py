@@ -142,6 +142,10 @@ class ExperimentConfig:
             raise InvalidConfigError(f"memory must be positive, got {self.memory}")
         if self.augment not in AUGMENT_KINDS:
             raise InvalidConfigError(f"unknown augmentation kind {self.augment!r}")
+        if self.offline_epochs < 1:
+            raise InvalidConfigError(
+                f"offline_epochs must be positive, got {self.offline_epochs}"
+            )
         parse_method(self.method)
 
 

@@ -60,9 +60,10 @@ def reservoir_update(
     if full.any():
         slots[full] = rng.integers(0, tots[full] + 1)
     rows = np.flatnonzero(slots < buffer.capacity)
-    # keep each slot's last offer: unique over the reversed order finds it
-    _, last = np.unique(slots[rows][::-1], return_index=True)
-    rows = rows[len(rows) - 1 - last]
+    if len(rows) > 1:
+        # keep each slot's last offer: unique over the reversed order finds it
+        _, last = np.unique(slots[rows][::-1], return_index=True)
+        rows = rows[len(rows) - 1 - last]
     buffer.features[slots[rows]] = features[rows]
     buffer.labels[slots[rows]] = labels[rows]
     buffer.uids[slots[rows]] = uids[rows]

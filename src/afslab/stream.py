@@ -178,11 +178,22 @@ def load_idx(
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
-    """Write a dataset as an IDX pair; features are byte-quantized square images."""
+    """Write a dataset as an IDX pair; features are byte-quantized square images.
+
+    The label file holds one unsigned byte per label, so a label outside
+    [0, 255] raises InvalidInputError naming its row.
+    """
     n, dim = dataset.features.shape
     side = math.isqrt(dim)
     if side * side != dim:
         raise InvalidConfigError(f"feature length {dim} is not a square image")
+    bad = np.flatnonzero((dataset.labels < 0) | (dataset.labels > 255))
+    if len(bad):
+        row = int(bad[0])
+        raise InvalidInputError(
+            f"label {int(dataset.labels[row])} at row {row} does not fit in one "
+            "unsigned byte of an IDX label file"
+        )
     pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IMAGE_MAGIC, n, side, side))
@@ -227,18 +238,6 @@ def gen_synthetic(
     return draw(per_class, "train"), draw(test_per_class, "test")
 
 
-def flip_horizontal(features: np.ndarray, side: int) -> np.ndarray:
-    """Mirror a row-major square image left to right."""
-    return features.reshape(side, side)[:, ::-1].reshape(-1).copy()
-
-
-def pad_crop(features: np.ndarray, side: int, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
-    """Zero-pad by `pad` on each side, then crop a random side x side window."""
-    img = np.pad(features.reshape(side, side), pad)
-    dy, dx = rng.integers(0, 2 * pad + 1, size=2)
-    return img[dy : dy + side, dx : dx + side].reshape(-1).copy()
-
-
 def augment(
     features: np.ndarray,
     kind: str,
@@ -251,6 +250,12 @@ def augment(
     horizontal flip plus a pad-4 random crop to square images, and "vector"
     adds Gaussian jitter with the given sigma. Labels are unchanged by every
     kind, so only features go in and out.
+
+    "image" draws, row by row, a flip coin (`rng.random() < 0.5`) and then
+    two crop offsets (`rng.integers(0, 9, size=2)` for dy, dx). It then cuts
+    all k crops out of one zero-padded [k, side+8, side+8] buffer with a
+    single gather; a flipped row reads its columns mirrored, so no flipped
+    copy is made.
     """
     if kind == "none":
         return features
@@ -260,15 +265,23 @@ def augment(
         return features + rng.normal(0.0, jitter_sigma, size=features.shape)
     if kind not in AUGMENT_KINDS:
         raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
-    side = math.isqrt(features.shape[1])
-    if side * side != features.shape[1]:
-        raise InvalidConfigError(
-            f"image augmentation needs square features, got {features.shape[1]}"
-        )
-    out = np.empty_like(features)
-    for i, row in enumerate(features):
+    k, dim = features.shape
+    side = math.isqrt(dim)
+    if side * side != dim:
+        raise InvalidConfigError(f"image augmentation needs square features, got {dim}")
+    pad = 4
+    flips = np.empty(k, dtype=bool)
+    offsets = np.empty((k, 2), dtype=np.int64)
+    for i in range(k):
         # the draw order per row (flip coin, then crop offsets) fixes seeded runs
-        if rng.random() < 0.5:
-            row = flip_horizontal(row, side)
-        out[i] = pad_crop(row, side, rng)
-    return out
+        flips[i] = rng.random() < 0.5
+        offsets[i] = rng.integers(0, 2 * pad + 1, size=2)
+    width = side + 2 * pad
+    padded = np.zeros((k, width, width), dtype=features.dtype)
+    padded[:, pad : pad + side, pad : pad + side] = features.reshape(k, side, side)
+    span = np.arange(side)
+    # flat buffer offset of the first pixel of every crop row: [k, side]
+    rows = (np.arange(k)[:, None] * width + offsets[:, :1] + span) * width
+    cols = offsets[:, 1:] + span  # [k, side]
+    cols = np.where(flips[:, None], width - 1 - cols, cols)
+    return padded.reshape(-1)[rows[:, :, None] + cols[:, None, :]].reshape(k, dim)

@@ -1,5 +1,7 @@
 """Shared numeric oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from afslab.model import Gradients, backward, forward, sgd_step
@@ -62,6 +64,33 @@ class ListReservoir:
                 if j < self.capacity:
                     self.slots[j] = stored
             self.tot += 1
+
+
+def flip_horizontal(features, side):
+    """Mirror a row-major square image left to right."""
+    return features.reshape(side, side)[:, ::-1].reshape(-1).copy()
+
+
+def pad_crop(features, side, rng, pad=4):
+    """Zero-pad by `pad` on each side, then crop a random side x side window."""
+    img = np.pad(features.reshape(side, side), pad)
+    dy, dx = rng.integers(0, 2 * pad + 1, size=2)
+    return img[dy : dy + side, dx : dx + side].reshape(-1).copy()
+
+
+def augment_image_rows(features, rng):
+    """Reference for stream.augment(kind="image"): one row at a time.
+
+    This is the per-row loop the batched gather replaced: a flip coin,
+    then a flip if it comes up below 0.5, then a pad-4 random crop.
+    """
+    side = math.isqrt(features.shape[1])
+    out = np.empty_like(features)
+    for i, row in enumerate(features):
+        if rng.random() < 0.5:
+            row = flip_horizontal(row, side)
+        out[i] = pad_crop(row, side, rng)
+    return out
 
 
 def max_param_diff(a, b):

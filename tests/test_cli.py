@@ -278,6 +278,13 @@ class TestMainCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_zero_offline_epochs_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MICRO_CONFIG + "method = offline\noffline_epochs = 0\n")
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "offline_epochs" in capsys.readouterr().err
+        assert not (out / "INCOMPLETE").exists()
+
     def test_report_without_records_exits_two(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
         assert "records.json" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
@@ -11,16 +13,15 @@ from afslab.stream import (
     Dataset,
     augment,
     batches,
-    flip_horizontal,
     gen_synthetic,
     load_idx,
-    pad_crop,
     split_tasks,
     task_streams,
     task_test_sets,
     write_idx,
 )
 from afslab.trainer import TrainConfig, evaluate, train_offline
+from helpers import augment_image_rows, flip_horizontal, pad_crop
 
 
 def toy_dataset(n_per_class=6, num_classes=4, dim=3, seed=0):
@@ -165,6 +166,17 @@ class TestIdx:
         with pytest.raises(InvalidConfigError):
             write_idx(ds, str(tmp_path / "i"), str(tmp_path / "l"))
 
+    def test_write_rejects_labels_past_one_byte(self, tmp_path):
+        ds = Dataset(
+            features=np.zeros((4, 4)),
+            labels=np.array([0, 255, 300, 256]),
+            num_classes=301,
+        )
+        img, lab = tmp_path / "i", tmp_path / "l"
+        with pytest.raises(InvalidInputError, match="label 300 at row 2"):
+            write_idx(ds, str(img), str(lab))
+        assert not img.exists() and not lab.exists()
+
 
 class TestSynthetic:
     def test_counts_and_split_tags(self):
@@ -269,16 +281,27 @@ class TestAugment:
         with pytest.raises(InvalidConfigError):
             augment(np.ones((1, 4)), "mixup", np.random.default_rng(0))
 
-    def test_image_draws_flip_then_crop_per_row(self):
-        # each row draws its flip coin, then its two crop offsets, in row order
-        data = np.random.default_rng(4)
-        batch = data.random((20, 16))
-        out = augment(batch, "image", np.random.default_rng(12))
-        ref = np.random.default_rng(12)
-        for x, o in zip(batch, out):
-            if ref.random() < 0.5:
-                x = flip_horizontal(x, 4)
-            assert_array_equal(o, pad_crop(x, 4, ref))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(0, 30),
+        side=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 28]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(k=0, side=28, seed=0)
+    def test_image_draws_flip_then_crop_per_row(self, k, side, seed):
+        # each row draws its flip coin, then its two crop offsets, in row
+        # order; the batched gather must match the per-row loop byte for byte
+        batch = np.random.default_rng(seed).random((k, side * side))
+        before = batch.copy()
+        rng = np.random.default_rng(seed + 1)
+        out = augment(batch, "image", rng)
+        ref = np.random.default_rng(seed + 1)
+        expected = augment_image_rows(batch, ref)
+        assert out.shape == (k, side * side)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()  # both generators end in step
+        assert_array_equal(batch, before)
 
     def test_image_output_stays_square_sized(self):
         rng = np.random.default_rng(3)
