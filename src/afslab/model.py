@@ -3,6 +3,13 @@
 ReLU hidden layers, a linear class head, and plain SGD. Gradients are exact
 and flow through stored forward traces, so every update is reproducible and
 testable against finite differences without any autodiff machinery.
+
+A training loop owns one `Workspace`. `forward` and `backward` given one
+write their traces and gradients into its buffers instead of allocating, and
+`Gradients.scale` and `sgd_step` work in place, so a step allocates no
+activation, gradient or parameter arrays. Without a workspace `forward` and `backward` allocate fresh arrays.
+`sgd_step` always updates the state it is given; callers that must keep a
+state copy it first (`NetworkState.copy`).
 """
 
 from __future__ import annotations
@@ -47,6 +54,13 @@ class NetworkState:
     def num_classes(self) -> int:
         return self.weights[-1].shape[0]
 
+    def copy(self) -> "NetworkState":
+        """An independent copy of every weight and bias."""
+        return NetworkState(
+            weights=[w.copy() for w in self.weights],
+            biases=[b.copy() for b in self.biases],
+        )
+
 
 @dataclass
 class ForwardTrace:
@@ -73,10 +87,48 @@ class Gradients:
     biases: list[np.ndarray]
 
     def scale(self, factor: float) -> "Gradients":
-        return Gradients(
-            weights=[w * factor for w in self.weights],
-            biases=[b * factor for b in self.biases],
-        )
+        """Multiply every gradient by `factor` in place; returns self."""
+        for g in self.weights + self.biases:
+            g *= factor
+        return self
+
+
+class Workspace:
+    """Buffers reused by every training step of one loop.
+
+    Per layer it holds the pre-activations, and per hidden layer the
+    activations, the back-propagated deltas and the ReLU masks, each
+    [rows, width] and grown to the largest batch seen so far; a step uses
+    their leading `[:n]` rows. One `Gradients` receives every backward pass.
+    A trace or gradients taken from a workspace are therefore valid only
+    until its next forward or backward pass.
+    """
+
+    def __init__(self) -> None:
+        self.layer_widths: tuple[int, ...] = ()
+        self.rows = 0
+        self.pre: list[np.ndarray] = []
+        self.act: list[np.ndarray] = []
+        self.delta: list[np.ndarray] = []
+        self.mask: list[np.ndarray] = []
+        self.grads = Gradients(weights=[], biases=[])
+
+    def _fit(self, state: NetworkState, rows: int) -> None:
+        """(Re)allocate for the state's widths and at least `rows` rows."""
+        widths = state.layer_widths
+        if widths != self.layer_widths:
+            self.layer_widths, self.rows = widths, 0
+            self.grads = Gradients(
+                weights=[np.empty(w.shape) for w in state.weights],
+                biases=[np.empty(b.shape) for b in state.biases],
+            )
+        if rows > self.rows:
+            hidden = widths[1:-1]
+            self.rows = rows
+            self.pre = [np.empty((rows, w)) for w in widths[1:]]
+            self.act = [np.empty((rows, w)) for w in hidden]
+            self.delta = [np.empty((rows, w)) for w in hidden]
+            self.mask = [np.empty((rows, w), dtype=bool) for w in hidden]
 
 
 def init_network(spec: NetworkSpec) -> NetworkState:
@@ -90,10 +142,14 @@ def init_network(spec: NetworkSpec) -> NetworkState:
     return NetworkState(weights=weights, biases=biases)
 
 
-def forward(state: NetworkState, x: np.ndarray) -> ForwardTrace:
+def forward(
+    state: NetworkState, x: np.ndarray, workspace: Workspace | None = None
+) -> ForwardTrace:
     """Run a [n, fan_in] batch, or one fan_in vector, through the network.
 
     Rows are independent; every layer's values are recorded for backward.
+    With a workspace (which needs a [n, fan_in] batch) the recorded values
+    are views of its buffers, overwritten by its next forward pass.
     """
     a = np.asarray(x, dtype=np.float64)
     fan_in = state.weights[0].shape[1]
@@ -101,24 +157,37 @@ def forward(state: NetworkState, x: np.ndarray) -> ForwardTrace:
         raise InvalidInputError(
             f"input of shape {a.shape} does not match fan-in {fan_in}"
         )
+    depth = len(state.weights)
+    if workspace is None:
+        pre = act = [None] * depth
+    else:
+        if a.ndim != 2:
+            raise InvalidInputError("a workspace needs a [n, fan_in] batch")
+        workspace._fit(state, len(a))
+        pre = [buf[: len(a)] for buf in workspace.pre]
+        act = [buf[: len(a)] for buf in workspace.act]
     trace = ForwardTrace(input=a)
-    last = len(state.weights) - 1
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = a @ w.T + b
+        z = np.matmul(a, w.T, out=pre[i])
+        z += b
         trace.pre_activations.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
+        if i < depth - 1:
+            a = np.maximum(z, 0.0, out=act[i])
             trace.activations.append(a)
     return trace
 
 
 def backward(
-    state: NetworkState, trace: ForwardTrace, grad_logits: np.ndarray
+    state: NetworkState,
+    trace: ForwardTrace,
+    grad_logits: np.ndarray,
+    workspace: Workspace | None = None,
 ) -> Gradients:
     """Exact backprop of a logit gradient through the stored trace.
 
     grad_logits has the shape of the trace's logits; for a batch the
-    returned gradients are summed over its rows.
+    returned gradients are summed over its rows. With a workspace they are
+    its `grads`, overwritten by its next backward pass.
     """
     delta = np.asarray(grad_logits, dtype=np.float64)
     if delta.shape != trace.logits.shape:
@@ -126,36 +195,55 @@ def backward(
             f"grad_logits shape {delta.shape} does not match logits "
             f"{trace.logits.shape}"
         )
-    if len(trace.pre_activations) != len(state.weights):
+    depth = len(state.weights)
+    if len(trace.pre_activations) != depth:
         raise InvalidInputError("trace does not match network depth")
     delta = np.atleast_2d(delta)
-    weights, biases = [], []
-    for layer in range(len(state.weights) - 1, -1, -1):
+    if workspace is None:
+        grads = Gradients(weights=[None] * depth, biases=[None] * depth)
+        deltas = masks = [None] * depth
+    else:
+        workspace._fit(state, len(delta))
+        grads = workspace.grads
+        deltas = [buf[: len(delta)] for buf in workspace.delta]
+        masks = [buf[: len(delta)] for buf in workspace.mask]
+    for layer in range(depth - 1, -1, -1):
         a_in = trace.activations[layer - 1] if layer > 0 else trace.input
         if a_in.shape[-1] != state.weights[layer].shape[1]:
             raise InvalidInputError("stale trace: activation width mismatch")
-        weights.append(delta.T @ np.atleast_2d(a_in))
-        biases.append(delta.sum(axis=0))
+        grads.weights[layer] = np.matmul(
+            delta.T, np.atleast_2d(a_in), out=grads.weights[layer]
+        )
+        grads.biases[layer] = np.sum(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            delta = (delta @ state.weights[layer]) * (
-                trace.pre_activations[layer - 1] > 0.0
+            live = np.greater(
+                trace.pre_activations[layer - 1], 0.0, out=masks[layer - 1]
             )
-    return Gradients(weights=weights[::-1], biases=biases[::-1])
+            delta = np.matmul(delta, state.weights[layer], out=deltas[layer - 1])
+            delta = np.multiply(delta, live, out=deltas[layer - 1])
+    return grads
 
 
-def sgd_step(
-    state: NetworkState, grads: Gradients, learning_rate: float
-) -> NetworkState:
-    """Return a new state with parameters moved one step downhill."""
+def sgd_step(state: NetworkState, grads: Gradients, learning_rate: float) -> None:
+    """Move `state` one step downhill in place: each parameter p -= lr * g.
+
+    The gradients are used as scratch and are left holding lr * g.
+    """
     if learning_rate <= 0:
         raise InvalidConfigError(f"learning rate must be positive, got {learning_rate}")
-    for w, g in zip(state.weights, grads.weights):
-        if w.shape != g.shape:
-            raise InvalidInputError(f"gradient shape {g.shape} != weight {w.shape}")
-    return NetworkState(
-        weights=[w - learning_rate * g for w, g in zip(state.weights, grads.weights)],
-        biases=[b - learning_rate * g for b, g in zip(state.biases, grads.biases)],
-    )
+    if len(grads.weights) != len(state.weights) or len(grads.biases) != len(state.biases):
+        raise InvalidInputError(
+            f"gradients for {len(grads.weights)} weights and {len(grads.biases)} "
+            f"biases, network has {len(state.weights)} layers"
+        )
+    params = state.weights + state.biases
+    steps = grads.weights + grads.biases
+    for p, g in zip(params, steps):
+        if p.shape != g.shape:
+            raise InvalidInputError(f"gradient shape {g.shape} != parameter {p.shape}")
+    for p, g in zip(params, steps):
+        g *= learning_rate
+        p -= g
 
 
 def predict(state: NetworkState, x: np.ndarray) -> int:

@@ -154,7 +154,8 @@ def load_idx(
     rows = _read_u32(img, 8, "row count")
     cols = _read_u32(img, 12, "column count")
     payload = _read_exact(img, 16, count * rows * cols, "image payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    pixels /= 255.0  # in place: no second float copy of the payload
     features = pixels.reshape(count, rows * cols)
 
     magic = _read_u32(lab, 0, "label magic")

@@ -9,6 +9,12 @@ fill one row of the accuracy matrix. Rows travel as arrays throughout: a
 stream batch is an index array into the `Dataset`, a replay batch an index
 array into the `MemoryBuffer`.
 
+Every loop here (`run_stream`, `review_pass`, `train_reference`,
+`train_offline`) copies the caller's `NetworkState` once on entry and steps
+that copy in place through one `Workspace`, so the caller's state is never
+changed and a step allocates no parameter or activation arrays.
+`sgd_on_batch` without a workspace returns a stepped copy.
+
 A `Recipe` says which ingredients a method switches on: the classification
 loss, the regulariser, the review pass and replay augmentation. `AFS` and
 `ER` are the two named recipes; `ablation:<cls>+<reg>+<rv|norv>` names the
@@ -27,7 +33,7 @@ from .errors import InvalidConfigError, InvalidInputError
 from .losses import CLS_KINDS, REG_KINDS, LossConfig, Objective, make_objective
 from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
-from .model import NetworkState, backward, forward, sgd_step
+from .model import NetworkState, Workspace, backward, forward, sgd_step
 from .stream import Dataset, augment
 
 
@@ -130,18 +136,24 @@ def sgd_on_batch(
     labels: np.ndarray,
     objective: Objective,
     lr: float,
+    workspace: Workspace | None = None,
 ) -> NetworkState:
     """One step on the mean per-row gradient over the [n, d] batch.
 
     One forward pass, one objective call on the [n, C] logits and one
-    backward pass, which sums the per-row gradients.
+    backward pass, which sums the per-row gradients. Without a workspace
+    the step is taken on a copy, which is returned, and `state` is left as
+    it was; with one, `state` itself is stepped in place and returned.
     """
     if len(features) == 0:
         raise InvalidInputError("cannot step on an empty batch")
-    trace = forward(state, features)
+    if workspace is None:
+        state, workspace = state.copy(), Workspace()
+    trace = forward(state, features, workspace)
     out = objective.rows(trace.logits, labels)
-    grads = backward(state, trace, out.grad_logits)
-    return sgd_step(state, grads.scale(1.0 / len(features)), lr)
+    grads = backward(state, trace, out.grad_logits, workspace)
+    sgd_step(state, grads.scale(1.0 / len(features)), lr)
+    return state
 
 
 def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> float:
@@ -165,8 +177,9 @@ def review_pass(
     """One low-rate epoch over a shuffled copy of the memory contents.
 
     Uses the classification loss alone, with no augmentation and no
-    distillation term. Memory itself is never modified. A zero rv_lr or an
-    empty buffer leaves the model untouched.
+    distillation term. Memory itself is never modified. Returns the
+    reviewed copy of `state`; a zero rv_lr or an empty buffer returns
+    `state` itself.
     """
     if rv_batch < 1:
         raise InvalidConfigError(f"rv_batch must be positive, got {rv_batch}")
@@ -175,11 +188,13 @@ def review_pass(
     if rv_lr == 0 or len(memory) == 0:
         return state
     objective = make_objective(cls_kind, "none", loss)
+    state, workspace = state.copy(), Workspace()
     order = rng.permutation(len(memory))
     for start in range(0, len(order), rv_batch):
         rows = order[start : start + rv_batch]
-        state = sgd_on_batch(
-            state, memory.features[rows], memory.labels[rows], objective, rv_lr
+        sgd_on_batch(
+            state, memory.features[rows], memory.labels[rows], objective, rv_lr,
+            workspace,
         )
     return state
 
@@ -199,9 +214,13 @@ def run_stream(
     config: TrainConfig,
     recipe: Recipe,
 ) -> RunRecord:
-    """Train one recipe over the task streams (index arrays into `dataset`)."""
+    """Train one recipe over the task streams (index arrays into `dataset`).
+
+    `state` is copied on entry; the trained copy is the record's `final_state`.
+    """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
+    state, workspace = state.copy(), Workspace()
     rng = np.random.default_rng(config.seed)
     objective = make_objective(recipe.cls, recipe.reg, config.loss)
     augment_replay = recipe.augment_replay and config.augment_kind != "none"
@@ -236,9 +255,9 @@ def run_stream(
                         augment(replay_x, config.augment_kind, rng, config.jitter_sigma)
                     )
                     step_y.append(replay_y)
-            state = sgd_on_batch(
+            sgd_on_batch(
                 state, np.concatenate(step_x), np.concatenate(step_y),
-                objective, config.lr,
+                objective, config.lr, workspace,
             )
             steps += 1
             reservoir_update(memory, x, y, batch, rng)
@@ -282,12 +301,13 @@ def train_reference(
     the per-task reference used by the intransigence metric.
     """
     objective = make_objective("ce", "none", config.loss)
+    state, workspace = state.copy(), Workspace()
     accuracies = []
     for task_number, stream in enumerate(streams, start=1):
         for batch in stream:
-            state = sgd_on_batch(
+            sgd_on_batch(
                 state, dataset.features[batch], dataset.labels[batch],
-                objective, config.lr,
+                objective, config.lr, workspace,
             )
         accuracies.append(evaluate(state, test_sets[task_number - 1]))
     return accuracies
@@ -300,17 +320,21 @@ def train_offline(
     epochs: int,
     seed,
 ) -> NetworkState:
-    """Multi-epoch iid training on the pooled dataset; the upper-bound oracle."""
+    """Multi-epoch iid training on the pooled dataset; the upper-bound oracle.
+
+    Returns the trained copy of `state`.
+    """
     if epochs < 1:
         raise InvalidConfigError(f"epochs must be positive, got {epochs}")
     rng = np.random.default_rng(seed)
     objective = make_objective("ce", "none", config.loss)
+    state, workspace = state.copy(), Workspace()
     for _ in range(epochs):
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), config.stream_batch):
             rows = order[start : start + config.stream_batch]
-            state = sgd_on_batch(
+            sgd_on_batch(
                 state, dataset.features[rows], dataset.labels[rows],
-                objective, config.lr,
+                objective, config.lr, workspace,
             )
     return state

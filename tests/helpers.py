@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from afslab.model import Gradients, backward, forward, sgd_step
+from afslab.model import Gradients, NetworkState, backward, forward, sgd_step
 
 
 def central_difference(f, x, h=1e-5):
@@ -27,7 +27,8 @@ def per_sample_step(state, features, labels, objective, lr):
     """Reference for trainer.sgd_on_batch: one row at a time.
 
     Each row takes its own 1-d forward pass, objective call and backward
-    pass; the gradients are summed, scaled by 1/n and applied once.
+    pass; the gradients are summed, scaled by 1/n and applied once to a
+    copy of `state`, which is returned.
     """
     weights = [np.zeros_like(w) for w in state.weights]
     biases = [np.zeros_like(b) for b in state.biases]
@@ -38,7 +39,38 @@ def per_sample_step(state, features, labels, objective, lr):
         for total, g in zip(weights + biases, grads.weights + grads.biases):
             total += g
     mean = Gradients(weights=weights, biases=biases).scale(1.0 / len(features))
-    return sgd_step(state, mean, lr)
+    state = state.copy()
+    sgd_step(state, mean, lr)
+    return state
+
+
+def allocating_step(state, features, labels, objective, lr):
+    """Reference for trainer.sgd_on_batch: the step before the workspace.
+
+    A batched forward and backward that allocate every activation, delta
+    and gradient, then a scale and an update that build new arrays, in the
+    same arithmetic order: g * (1/n), then lr * that, then w - that.
+    Returns a new state; `state` is untouched.
+    """
+    a = np.asarray(features, dtype=np.float64)
+    inputs, pre = [], []
+    for w, b in zip(state.weights, state.biases):
+        inputs.append(a)
+        z = a @ w.T + b
+        pre.append(z)
+        a = np.maximum(z, 0.0)
+    delta = objective.rows(pre[-1], labels).grad_logits
+    weights, biases = [], []
+    for layer in range(len(state.weights) - 1, -1, -1):
+        weights.append(delta.T @ inputs[layer])
+        biases.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ state.weights[layer]) * (pre[layer - 1] > 0.0)
+    factor = 1.0 / len(features)
+    return NetworkState(
+        weights=[w - lr * (g * factor) for w, g in zip(state.weights, weights[::-1])],
+        biases=[b - lr * (g * factor) for b, g in zip(state.biases, biases[::-1])],
+    )
 
 
 class ListReservoir:

@@ -1,5 +1,11 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
@@ -183,17 +189,16 @@ class TestBackward:
 
 
 class TestSgdStep:
-    def test_exact_update_and_functional(self):
+    def test_exact_update_in_place(self):
         state = tiny_state()
         grads = zero_gradients(state)
         grads.weights[0][0, 0] = 2.0
         grads.biases[1][1] = -1.0
-        before = [w.copy() for w in state.weights]
-        updated = sgd_step(state, grads, 0.1)
-        assert_allclose(updated.weights[0][0, 0], 1.0 - 0.2)
-        assert_allclose(updated.biases[1][1], 0.1)
-        for w, orig in zip(state.weights, before):
-            assert_array_equal(w, orig)  # input state untouched
+        arrays = state.weights + state.biases
+        assert sgd_step(state, grads, 0.1) is None
+        assert_allclose(state.weights[0][0, 0], 1.0 - 0.2)
+        assert_allclose(state.biases[1][1], 0.1)
+        assert all(a is b for a, b in zip(state.weights + state.biases, arrays))
 
     def test_rejects_bad_lr(self):
         state = tiny_state()
@@ -205,6 +210,29 @@ class TestSgdStep:
         bad = zero_gradients(init_network(NetworkSpec((2, 4, 2), seed=0)))
         with pytest.raises(InvalidInputError):
             sgd_step(state, bad, 0.1)
+
+    def rejected_untouched(self, grads):
+        state = tiny_state()
+        with pytest.raises(InvalidInputError):
+            sgd_step(state, grads, 0.1)
+        for got, want in zip(state.weights + state.biases,
+                             tiny_state().weights + tiny_state().biases):
+            assert_array_equal(got, want)
+
+    def test_rejects_missing_layer(self):
+        grads = zero_gradients(tiny_state())
+        self.rejected_untouched(Gradients(weights=grads.weights[:1], biases=grads.biases[:1]))
+
+    def test_rejects_weight_shape(self):
+        grads = zero_gradients(tiny_state())
+        grads.weights[1] = np.ones((2, 2))
+        self.rejected_untouched(grads)
+
+    def test_rejects_broadcastable_bias_shape(self):
+        # a (1,) bias gradient would broadcast silently in an in-place update
+        grads = zero_gradients(tiny_state())
+        grads.biases[0] = np.ones(1)
+        self.rejected_untouched(grads)
 
 
 class TestPredict:
@@ -227,7 +255,7 @@ class TestCheckpoint:
         for _ in range(3):
             trace = forward(state, rng.normal(size=6))
             out = ce_loss(trace.logits, int(rng.integers(0, 4)))
-            state = sgd_step(state, backward(state, trace, out.grad_logits), 0.05)
+            sgd_step(state, backward(state, trace, out.grad_logits), 0.05)
         path = tmp_path / "model.json"
         save_checkpoint(state, str(path))
         loaded = load_checkpoint(str(path))
@@ -236,6 +264,25 @@ class TestCheckpoint:
             assert_array_equal(a, b)
         for a, b in zip(loaded.biases, state.biases):
             assert_array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), widths=st.lists(st.integers(1, 9), min_size=2, max_size=4))
+    def test_round_trip_bit_exact_property(self, data, widths):
+        # any finite float64, signed zeros and subnormals included, in
+        # every weight and bias of a network of random widths
+        state = init_network(NetworkSpec(tuple(widths), seed=0))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        for arrays in (state.weights, state.biases):
+            for i, a in enumerate(arrays):
+                arrays[i] = data.draw(hnp.arrays(np.float64, a.shape, elements=finite))
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "model.json")
+            save_checkpoint(state, path)
+            loaded = load_checkpoint(path)
+        assert loaded.layer_widths == tuple(widths)
+        for a, b in zip(loaded.weights + loaded.biases, state.weights + state.biases):
+            assert a.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,6 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -158,6 +160,31 @@ class TestIdx:
         back = load_idx(img, lab)
         assert_allclose(back.features, ds.features)
         assert_array_equal(back.labels, ds.labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(0, 50),
+        side=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 28]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(count=0, side=28, seed=0)
+    def test_write_load_round_trip_is_bit_exact(self, count, side, seed):
+        # byte-valued features b / 255 and one-byte labels survive a write
+        # and a load bit for bit
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 256, size=(count, side * side))
+        labels = rng.integers(0, 256, size=count)
+        ds = Dataset(features=pixels / 255.0, labels=labels, num_classes=256)
+        with tempfile.TemporaryDirectory() as work:
+            img, lab = os.path.join(work, "i"), os.path.join(work, "l")
+            write_idx(ds, img, lab)
+            back = load_idx(img, lab)
+        assert back.features.shape == (count, side * side)
+        assert back.features.dtype == np.float64
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.dtype == np.int64
+        assert_array_equal(back.labels, labels)
+        assert back.num_classes == (int(labels.max()) + 1 if count else 1)
 
     def test_write_rejects_non_square(self, tmp_path):
         ds = Dataset(

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, ce_loss, lsr_loss, rfl_loss
 from afslab.memory import MemoryBuffer, class_histogram, reservoir_update
-from afslab.model import NetworkSpec, NetworkState, init_network
+from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
 from afslab.stream import (
     Dataset,
     gen_synthetic,
@@ -26,7 +26,7 @@ from afslab.trainer import (
     train_offline,
     train_reference,
 )
-from helpers import max_param_diff, per_sample_step
+from helpers import allocating_step, max_param_diff, per_sample_step
 
 
 def one_task_stream(features, labels, batch_size):
@@ -423,3 +423,80 @@ class TestBatchedStepMatchesPerSample:
             state, x[order], y[order], make_objective("rfl", "none", cfg), 0.2,
         )
         assert max_param_diff(got, expected) <= self.TOL
+
+
+def assert_states_equal(a, b):
+    assert len(a.weights) == len(b.weights) and len(a.biases) == len(b.biases)
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert_array_equal(x, y)
+
+
+class TestWorkspaceStepMatchesAllocating:
+    """The in-place workspace step against the allocating step it replaced.
+
+    Both take the same arithmetic in the same order, so parameters must be
+    bit-identical after every step, also when one workspace serves batches
+    that grow and shrink.
+    """
+
+    C, D = 5, 6
+    SIZES = (3, 17, 5, 40, 1, 23, 40, 2)
+
+    @pytest.mark.parametrize("hidden", [(), (16,), (16, 12)], ids=["d0", "d1", "d2"])
+    @pytest.mark.parametrize("reg_kind", REG_KINDS)
+    @pytest.mark.parametrize("cls_kind", CLS_KINDS)
+    def test_every_arm_and_depth(self, cls_kind, reg_kind, hidden):
+        rng = np.random.default_rng(41)
+        cfg = LossConfig(num_classes=self.C, beta=0.5, temperature=4.0, alpha=1.0)
+        objective = make_objective(cls_kind, reg_kind, cfg)
+        spec = NetworkSpec((self.D, *hidden, self.C), seed=9)
+        stepped, reference = init_network(spec), init_network(spec)
+        workspace = Workspace()
+        for n in self.SIZES:
+            x = rng.normal(0.0, 2.0, size=(n, self.D))
+            y = rng.integers(0, self.C, size=n)
+            copied = sgd_on_batch(stepped, x, y, objective, 0.3)
+            assert sgd_on_batch(stepped, x, y, objective, 0.3, workspace) is stepped
+            reference = allocating_step(reference, x, y, objective, 0.3)
+            assert_states_equal(stepped, reference)
+            assert_states_equal(copied, reference)
+        assert workspace.rows == max(self.SIZES)
+        assert max_param_diff(stepped, init_network(spec)) > 1e-3  # it trained
+
+
+class TestLoopsLeaveCallerStateUnchanged:
+    """Each loop steps its own copy; the state passed in stays bit-identical."""
+
+    def setup_method(self):
+        self.train, self.streams, self.tests = small_benchmark(seed=3)
+        self.state = init_network(NetworkSpec((8, 12, 4), seed=2))
+        self.before = self.state.copy()
+        self.config = TrainConfig(loss=LossConfig(num_classes=4), augment_kind="vector")
+
+    def test_run_stream(self):
+        record = run_stream(
+            self.state, MemoryBuffer(capacity=30), self.train, self.streams,
+            self.tests, self.config, AFS,
+        )
+        assert record.review_steps > 0
+        assert max_param_diff(record.final_state, self.before) > 1e-3
+        assert_states_equal(self.state, self.before)
+
+    def test_review_pass(self):
+        memory = MemoryBuffer(capacity=25)
+        rows = np.arange(25)
+        reservoir_update(memory, self.train.features[rows], self.train.labels[rows], rows,
+                         np.random.default_rng(0))
+        got = review_pass(self.state, memory, 0.1, 10, LossConfig(num_classes=4),
+                          np.random.default_rng(1))
+        assert max_param_diff(got, self.before) > 1e-4
+        assert_states_equal(self.state, self.before)
+
+    def test_train_reference(self):
+        train_reference(self.state, self.train, self.streams, self.tests, self.config)
+        assert_states_equal(self.state, self.before)
+
+    def test_train_offline(self):
+        got = train_offline(self.state, self.train, self.config, epochs=1, seed=0)
+        assert max_param_diff(got, self.before) > 1e-3
+        assert_states_equal(self.state, self.before)
