@@ -6,6 +6,7 @@ from .losses import (
     afs_loss,
     ce_loss,
     classify_difficulty,
+    difficulty_counts,
     focal_loss,
     lsr_loss,
     rfl_loss,
@@ -32,6 +33,7 @@ from .model import (
     load_checkpoint,
     predict,
     save_checkpoint,
+    score_rows,
     sgd_step,
 )
 from .stream import (

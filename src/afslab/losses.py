@@ -28,6 +28,8 @@ P_FLOOR = 1e-12
 HSI = "HSI"  # hard:      [0.0, 0.3)
 ASI = "ASI"  # ambiguous: [0.3, 0.6]
 ESI = "ESI"  # easy:      (0.6, 1.0]
+HARD_BELOW = 0.3  # p_t under this is hard; the edge itself is ambiguous
+EASY_ABOVE = 0.6  # p_t over this is easy; the edge itself is ambiguous
 
 DIFFICULTY_INTERVALS = (HSI, ASI, ESI)
 
@@ -109,19 +111,26 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def classify_difficulty(p_t: float) -> str:
-    """Map a target probability to its difficulty interval.
+def difficulty_counts(p_t) -> dict[str, int]:
+    """Count target probabilities per difficulty interval.
 
-    Hard below 0.3, ambiguous in [0.3, 0.6], easy above 0.6. Both interval
-    boundaries belong to the ambiguous bucket.
+    Hard below HARD_BELOW (0.3), ambiguous in [0.3, 0.6], easy above
+    EASY_ABOVE (0.6). Both interval boundaries belong to the ambiguous
+    bucket. Every value must lie in [0, 1].
     """
-    if not 0.0 <= p_t <= 1.0:
-        raise InvalidInputError(f"p_t must lie in [0, 1], got {p_t}")
-    if p_t < 0.3:
-        return HSI
-    if p_t <= 0.6:
-        return ASI
-    return ESI
+    p = np.asarray(p_t, dtype=np.float64)
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not inside.all():
+        raise InvalidInputError(f"p_t must lie in [0, 1], got {p[~inside][0]}")
+    hard = int(np.count_nonzero(p < HARD_BELOW))
+    easy = int(np.count_nonzero(p > EASY_ABOVE))
+    return {HSI: hard, ASI: p.size - hard - easy, ESI: easy}
+
+
+def classify_difficulty(p_t: float) -> str:
+    """The difficulty interval of one target probability (`difficulty_counts`)."""
+    counts = difficulty_counts(p_t)
+    return max(counts, key=counts.get)  # the one bucket holding p_t
 
 
 def rfl_weight(p_t, alpha: float, mu: float, sigma: float):

@@ -4,6 +4,11 @@ The matrix is lower-triangular: entry (i, j) is the accuracy on task j's
 test set measured after training on task i, for j <= i. From it come average
 accuracy, average forgetting and, with an incrementally fine-tuned reference,
 average intransigence. Confidence intervals use the Student-t 0.975 quantile.
+
+`bias_diagnostics` scores rows through `model.score_rows`: given row
+indices it reads them from the feature matrix in fixed chunks instead of
+gathering them, so its peak is chunk rows x the widest layers plus the
+`[n, C]` logits, not a copy of every scanned row.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .losses import ASI, ESI, HSI, softmax_stable
-from .model import NetworkState, forward
+from .losses import difficulty_counts, softmax_stable
+from .model import NetworkState, score_rows
 
 # Two-sided 95% Student-t quantiles (0.975 one-sided) for df 1..30; the
 # normal quantile is used past the table.
@@ -140,19 +145,23 @@ def bias_diagnostics(
     labels: np.ndarray,
     old_classes: set[int],
     new_classes: set[int],
+    rows: np.ndarray | None = None,
 ) -> DiagnosticsRecord:
     """Measure how the class head and logits tilt between old and new classes.
 
-    Weight means pool every final-layer weight entry and bias of the group's
-    rows. Logit means pool each scanned row's logits at the group's class
-    indices, so target and non-target logits both contribute. Difficulty
-    counts classify p_t for the new-class rows only.
+    The scanned rows are `features[rows]` with labels `labels[rows]`, or
+    every row when `rows` is None; they are scored in chunks by index
+    (`score_rows`), so passing indices into a dataset copies none of its
+    features. Weight means pool every final-layer weight entry and bias of
+    the group's rows. Logit means pool each scanned row's logits at the
+    group's class indices, so target and non-target logits both contribute.
+    Difficulty counts classify p_t for the new-class rows only.
     """
     if not old_classes or not new_classes:
         raise InvalidInputError("both class groups must be non-empty")
     if old_classes & new_classes:
         raise InvalidInputError("class groups must be disjoint")
-    if len(features) == 0:
+    if len(features if rows is None else rows) == 0:
         raise InvalidInputError("need at least one row to scan")
     num_classes = state.num_classes
     for c in old_classes | new_classes:
@@ -167,22 +176,20 @@ def bias_diagnostics(
         b = state.biases[-1][idx]
         return float(np.concatenate([w.reshape(-1), b]).mean())
 
-    logits = forward(state, features).logits
+    logits = score_rows(state, features, rows)
     labels = np.asarray(labels)
+    if rows is not None:
+        labels = labels[rows]
 
-    # p_t of the new-class rows, bucketed as in losses.classify_difficulty
     new_rows = np.flatnonzero(np.isin(labels, new_idx))
     p_t = np.empty(0)
     if new_rows.size:
         p_t = softmax_stable(logits[new_rows])[np.arange(new_rows.size), labels[new_rows]]
-    hard = int(np.count_nonzero(p_t < 0.3))
-    easy = int(np.count_nonzero(p_t > 0.6))
-    counts = {HSI: hard, ASI: len(p_t) - hard - easy, ESI: easy}
 
     return DiagnosticsRecord(
         mean_weight_old=weight_mean(old_idx),
         mean_weight_new=weight_mean(new_idx),
         mean_logit_old=float(logits[:, old_idx].mean()),
         mean_logit_new=float(logits[:, new_idx].mean()),
-        interval_counts=counts,
+        interval_counts=difficulty_counts(p_t),
     )

@@ -9,6 +9,11 @@ fill one row of the accuracy matrix. Rows travel as arrays throughout: a
 stream batch is an index array into the `Dataset`, a replay batch an index
 array into the `MemoryBuffer`.
 
+Scoring never gathers the rows it scores: `evaluate` and the bias
+diagnostics over every row seen so far both go through `model.score_rows`,
+which reads rows by index in fixed chunks of `SCORE_CHUNK_ROWS`, so their
+peak is chunk rows x the widest layers plus the `[n, C]` logits.
+
 Every loop here (`run_stream`, `review_pass`, `train_reference`,
 `train_offline`) copies the caller's `NetworkState` once on entry and steps
 that copy in place through one `Workspace`, so the caller's state is never
@@ -33,7 +38,7 @@ from .errors import InvalidConfigError, InvalidInputError
 from .losses import CLS_KINDS, REG_KINDS, LossConfig, Objective, make_objective
 from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
-from .model import NetworkState, Workspace, backward, forward, sgd_step
+from .model import NetworkState, Workspace, backward, forward, score_rows, sgd_step
 from .stream import Dataset, augment
 
 
@@ -161,7 +166,7 @@ def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> fl
     features, labels = test_set
     if len(features) == 0:
         raise InvalidInputError("test set is empty")
-    predictions = np.argmax(forward(state, features).logits, axis=1)
+    predictions = np.argmax(score_rows(state, features), axis=1)
     return float(np.mean(predictions == labels))
 
 
@@ -272,8 +277,8 @@ def run_stream(
         new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
         if seen_classes:
             diagnostics[task_number] = bias_diagnostics(
-                state, dataset.features[rows], dataset.labels[rows],
-                seen_classes, new_classes,
+                state, dataset.features, dataset.labels,
+                seen_classes, new_classes, rows,
             )
         seen = rows
         seen_classes |= new_classes

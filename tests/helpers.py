@@ -1,6 +1,7 @@
 """Shared numeric oracles for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -131,3 +132,24 @@ def max_param_diff(a, b):
         float(np.max(np.abs(x - y)))
         for x, y in zip(a.weights + a.biases, b.weights + b.biases)
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs); return (its result, peak bytes it allocated).
+
+    The peak is tracemalloc's, which counts NumPy's array buffers, less
+    what was already allocated when the call started; arrays the result
+    keeps alive count too.
+    """
+    already = tracemalloc.is_tracing()
+    if not already:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before, _ = tracemalloc.get_traced_memory()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not already:
+            tracemalloc.stop()
+    return result, peak - before

@@ -16,6 +16,7 @@ from afslab.losses import (
     afs_loss,
     ce_loss,
     classify_difficulty,
+    difficulty_counts,
     distill,
     focal_loss,
     lsr_loss,
@@ -80,6 +81,23 @@ class TestDifficultyIntervals:
             classify_difficulty(-0.01)
         with pytest.raises(InvalidInputError):
             classify_difficulty(1.01)
+
+    def test_counts_match_per_value_classification(self):
+        rng = np.random.default_rng(2)
+        p = np.concatenate([rng.random(500), [0.0, 0.3, 0.3, 0.6, 0.6, 1.0]])
+        expected = {HSI: 0, ASI: 0, ESI: 0}
+        for value in p:
+            expected[classify_difficulty(float(value))] += 1
+        assert difficulty_counts(p) == expected
+        assert min(expected.values()) > 100
+
+    def test_counts_of_nothing_are_zero(self):
+        assert difficulty_counts(np.empty(0)) == {HSI: 0, ASI: 0, ESI: 0}
+
+    def test_counts_reject_out_of_range(self):
+        for bad in (-0.01, 1.01, math.nan):
+            with pytest.raises(InvalidInputError):
+                difficulty_counts(np.array([0.5, bad]))
 
 
 class TestRflWeight:

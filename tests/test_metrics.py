@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from afslab.errors import InvalidInputError, UndefinedMetricError
@@ -14,7 +16,8 @@ from afslab.metrics import (
     confidence_interval,
 )
 from afslab.losses import classify_difficulty, softmax_stable
-from afslab.model import NetworkState
+from afslab.model import SCORE_CHUNK_ROWS, NetworkSpec, NetworkState, init_network
+from helpers import traced_peak
 
 
 def random_matrix(rng, num_tasks):
@@ -253,3 +256,50 @@ class TestBiasDiagnostics:
             bias_diagnostics(state, x[:0], y[:0], {0}, {1})
         with pytest.raises(InvalidInputError):
             bias_diagnostics(state, x, y, {0}, {9})
+
+
+class TestBiasDiagnosticsByIndex:
+    """Rows passed as indices give the record of the gathered rows."""
+
+    POOL = 4000
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        count=st.integers(1, 3 * SCORE_CHUNK_ROWS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=1, seed=0)
+    @example(count=SCORE_CHUNK_ROWS, seed=1)
+    @example(count=SCORE_CHUNK_ROWS + 3, seed=2)
+    @example(count=3 * SCORE_CHUNK_ROWS, seed=3)
+    def test_matches_gathered_call(self, count, seed):
+        rng = np.random.default_rng(seed)
+        state = init_network(NetworkSpec((6, 11, 6), seed=seed % 89))
+        features = rng.normal(0.0, 3.0, size=(self.POOL, 6))
+        labels = rng.integers(0, 6, size=self.POOL)
+        rows = rng.permutation(self.POOL)[:count]
+        old, new = {0, 1, 2}, {3, 4, 5}
+        got = bias_diagnostics(state, features, labels, old, new, rows)
+        expected = bias_diagnostics(state, features[rows], labels[rows], old, new)
+        assert got.interval_counts == expected.interval_counts
+        for name in ("mean_weight_old", "mean_weight_new", "mean_logit_old", "mean_logit_new"):
+            assert_allclose(getattr(got, name), getattr(expected, name), rtol=0, atol=1e-12)
+
+    def test_allocates_a_chunk_not_a_gather(self):
+        rng = np.random.default_rng(0)
+        features = rng.random((10_000, 784))
+        labels = rng.integers(0, 10, size=10_000)
+        state = init_network(NetworkSpec((784, 64, 10), seed=0))
+        rows = rng.permutation(10_000)
+        rec, peak = traced_peak(
+            bias_diagnostics, state, features, labels, set(range(5)), set(range(5, 10)), rows
+        )
+        assert sum(rec.interval_counts.values()) == np.isin(labels, range(5, 10)).sum()
+        # a gather of every row would be features.nbytes, 62.7 MB
+        assert peak < 16e6 < features.nbytes / 3
+
+    def test_rejects_empty_rows(self):
+        state = linear_head_state(np.eye(4), np.zeros(4))
+        with pytest.raises(InvalidInputError):
+            bias_diagnostics(state, np.ones((3, 4)), np.zeros(3, dtype=int), {0}, {1},
+                             np.array([], dtype=int))

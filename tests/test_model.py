@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
@@ -11,18 +11,21 @@ from numpy.testing import assert_allclose, assert_array_equal
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.losses import LossConfig, afs_loss, ce_loss, focal_loss, lsr_loss, rfl_loss, vkd_loss
 from afslab.model import (
+    SCORE_CHUNK_ROWS,
     Gradients,
     NetworkSpec,
     NetworkState,
+    Workspace,
     backward,
     forward,
     init_network,
     load_checkpoint,
     predict,
     save_checkpoint,
+    score_rows,
     sgd_step,
 )
-from helpers import central_difference
+from helpers import central_difference, traced_peak
 
 
 def zero_gradients(state):
@@ -109,6 +112,70 @@ class TestForward:
             assert_allclose(
                 batched.activations[0][i], single.activations[0], atol=1e-12
             )
+
+
+class TestScoreRows:
+    """Chunked, by-index scoring against one forward over the gathered rows."""
+
+    POOL = 4000  # rows of the feature matrix the subsets index into
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.integers(0, 3 * SCORE_CHUNK_ROWS),
+        hidden=st.sampled_from([(), (13,), (13, 9)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=0, hidden=(13,), seed=0)
+    @example(count=1, hidden=(13,), seed=1)
+    @example(count=SCORE_CHUNK_ROWS, hidden=(13,), seed=2)
+    @example(count=SCORE_CHUNK_ROWS + 1, hidden=(13, 9), seed=3)
+    @example(count=2 * SCORE_CHUNK_ROWS + 7, hidden=(), seed=4)
+    @example(count=3 * SCORE_CHUNK_ROWS, hidden=(13,), seed=5)
+    def test_matches_gathered_forward(self, count, hidden, seed):
+        rng = np.random.default_rng(seed)
+        state = init_network(NetworkSpec((7, *hidden, 5), seed=seed % 97))
+        features = rng.normal(0.0, 2.0, size=(self.POOL, 7))
+        rows = rng.integers(0, self.POOL, size=count)
+        got = score_rows(state, features, rows)
+        assert got.shape == (count, 5)
+        expected = forward(state, features[rows]).logits
+        assert_allclose(got, expected, rtol=0, atol=1e-12)
+        every = score_rows(state, features[:count])
+        assert_allclose(every, forward(state, features[:count]).logits, rtol=0, atol=1e-12)
+
+    def test_rejects_bad_rows_and_features(self):
+        state = tiny_state()
+        features = np.zeros((4, 2))
+        with pytest.raises(InvalidInputError):
+            score_rows(state, features, np.array([True, False, True, False]))
+        with pytest.raises(InvalidInputError):
+            score_rows(state, features, np.zeros((2, 2), dtype=int))
+        with pytest.raises(InvalidInputError):
+            score_rows(state, np.zeros(2))
+        with pytest.raises(InvalidInputError):
+            score_rows(state, np.zeros((4, 3)), np.array([0, 1]))
+        for outside in ([0, 4], [-1, 2]):
+            with pytest.raises(InvalidInputError):
+                score_rows(state, features, np.array(outside))
+
+    def test_allocates_a_chunk_not_a_gather(self):
+        rng = np.random.default_rng(0)
+        features = rng.random((10_000, 784))
+        rows = rng.permutation(10_000)
+        state = init_network(NetworkSpec((784, 64, 10), seed=0))
+        logits, peak = traced_peak(score_rows, state, features, rows)
+        assert logits.shape == (10_000, 10)
+        # a gather of every row would be features.nbytes, 62.7 MB
+        assert peak < 16e6 < features.nbytes / 3
+
+    def test_forward_only_workspace_holds_no_backward_buffers(self):
+        state = init_network(NetworkSpec((6, 9, 4), seed=3))
+        workspace = Workspace()
+        trace = forward(state, np.ones((12, 6)), workspace)
+        assert workspace.rows == 12 and workspace.delta == [] and workspace.mask == []
+        backward(state, trace, np.ones((12, 4)), workspace)
+        assert workspace.backward_rows == 12
+        assert [d.shape for d in workspace.delta] == [(12, 9)]
 
 
 class TestBackward:

@@ -26,7 +26,7 @@ from afslab.trainer import (
     train_offline,
     train_reference,
 )
-from helpers import allocating_step, max_param_diff, per_sample_step
+from helpers import allocating_step, max_param_diff, per_sample_step, traced_peak
 
 
 def one_task_stream(features, labels, batch_size):
@@ -500,3 +500,16 @@ class TestLoopsLeaveCallerStateUnchanged:
         got = train_offline(self.state, self.train, self.config, epochs=1, seed=0)
         assert max_param_diff(got, self.before) > 1e-3
         assert_states_equal(self.state, self.before)
+
+
+def test_run_stream_diagnostics_read_seen_rows_by_index():
+    # 4,000 seen rows of 784 floats: a gather of them before the task-2
+    # diagnostics would be 25 MB; chunked scoring by index needs one chunk
+    train, streams, tests = small_benchmark(dim=784, per_class=1000)
+    state = init_network(NetworkSpec((784, 8, 4), seed=0))
+    config = TrainConfig(retrieve_batch=10, loss=LossConfig(num_classes=4))
+    record, peak = traced_peak(
+        run_stream, state, MemoryBuffer(capacity=20), train, streams, tests, config, ER
+    )
+    assert sum(record.diagnostics[2].interval_counts.values()) == 2000
+    assert peak < train.features.nbytes / 2
