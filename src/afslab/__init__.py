@@ -3,17 +3,10 @@
 from .losses import (
     LossConfig,
     LossOutput,
-    afs_loss,
-    ce_loss,
-    classify_difficulty,
     difficulty_counts,
-    focal_loss,
-    lsr_loss,
-    rfl_loss,
     rfl_weight,
     softmax_stable,
     virtual_teacher,
-    vkd_loss,
 )
 from .memory import MemoryBuffer, class_histogram, random_retrieve, reservoir_update
 from .metrics import (
@@ -31,7 +24,6 @@ from .model import (
     forward,
     init_network,
     load_checkpoint,
-    predict,
     save_checkpoint,
     score_rows,
     sgd_step,

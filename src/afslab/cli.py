@@ -201,8 +201,6 @@ def _convert(key: str, value: str, defaults: ExperimentConfig):
             raise InvalidConfigError(f"config key {key!r} needs an integer, got {value!r}") from exc
     template = getattr(defaults, key)
     try:
-        if isinstance(template, bool):
-            return value.lower() in ("1", "true", "yes", "on")
         if isinstance(template, int):
             return int(value)
         if isinstance(template, float):

@@ -2,15 +2,13 @@
 
 Every loss returns its value together with the closed-form gradient with
 respect to the logits, so training never depends on autodiff and the
-arithmetic can be pinned against finite differences in tests. Two kernels
-do the work on [n, C] logits, one row per sample: `weighted_ce`, the
-cross-entropy -w(p_t) log p_t with a weight w(p_t) that is 1, the focal
-weight or the revised focal Gaussian bump, and `distill`, a
-temperature-softened cross-entropy against a per-label teacher table.
-`make_objective` is the one place they are combined, as cls + beta * reg.
-The 1-d functions (`ce_loss`, `focal_loss`, `rfl_loss`, `vkd_loss`,
-`lsr_loss`, `afs_loss`) take a single sample and are batch-of-one calls of
-the same kernels.
+arithmetic can be pinned against finite differences in tests. Logits are
+always [n, C] rows, one per sample; a single sample is a one-row batch.
+Two kernels do the work: `weighted_ce`, the cross-entropy -w(p_t) log p_t
+with a weight w(p_t) that is 1, the focal weight or the revised focal
+Gaussian bump, and `distill`, a temperature-softened cross-entropy against
+a per-label teacher table. `make_objective` is the one place they are
+combined, as cls + beta * reg.
 """
 
 from __future__ import annotations
@@ -79,36 +77,34 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """Value, exact logit gradient, and the target probability that drove it.
+    """Per-row value, exact logit gradient, and the target probability.
 
-    The kernels return one entry per row: value and p_target are [n] arrays
-    and grad_logits is [n, C]. The 1-d losses return floats and a [C]
-    gradient. `distill` leaves p_target as None, since its value does not
-    depend on p_t.
+    value and p_target are [n] arrays and grad_logits is [n, C]. `distill`
+    leaves p_target as None, since its value does not depend on p_t.
     """
 
-    value: float | np.ndarray
+    value: np.ndarray
     grad_logits: np.ndarray
-    p_target: float | np.ndarray | None
+    p_target: np.ndarray | None
 
 
 def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 1-d vector or [n, C] rows.
+    """Softmax of each row of [n, C] logits.
 
     The row max is subtracted first; non-finite input is rejected, naming
     the first offending row.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim not in (1, 2) or z.size == 0:
-        raise InvalidInputError("logits must be a non-empty 1-d vector or [n, C] rows")
+    if z.ndim != 2 or z.size == 0:
+        raise InvalidInputError(
+            f"logits must be non-empty [n, C] rows, got shape {z.shape}"
+        )
     finite = np.isfinite(z)
     if not finite.all():
-        if z.ndim == 1:
-            raise InvalidInputError("logits must be finite")
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise InvalidInputError(f"logits must be finite (row {row})")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def difficulty_counts(p_t) -> dict[str, int]:
@@ -125,12 +121,6 @@ def difficulty_counts(p_t) -> dict[str, int]:
     hard = int(np.count_nonzero(p < HARD_BELOW))
     easy = int(np.count_nonzero(p > EASY_ABOVE))
     return {HSI: hard, ASI: p.size - hard - easy, ESI: easy}
-
-
-def classify_difficulty(p_t: float) -> str:
-    """The difficulty interval of one target probability (`difficulty_counts`)."""
-    counts = difficulty_counts(p_t)
-    return max(counts, key=counts.get)  # the one bucket holding p_t
 
 
 def rfl_weight(p_t, alpha: float, mu: float, sigma: float):
@@ -182,8 +172,6 @@ def weighted_ce(
     p - onehot(target) even where the clamp flattens its value.
     """
     p = softmax_stable(logits)
-    if p.ndim != 2:
-        raise InvalidInputError(f"expected [n, C] logits, got shape {p.shape}")
     y = _check_labels(labels, p.shape)
     rows = np.arange(len(y))
     p_t = p[rows, y]
@@ -254,7 +242,7 @@ def distill(
     """
     z = np.asarray(logits, dtype=np.float64)
     p_soft = softmax_stable(z / temperature)
-    if p_soft.ndim != 2 or teacher.shape != (p_soft.shape[1],) * 2:
+    if teacher.shape != (p_soft.shape[1],) * 2:
         raise InvalidInputError(
             f"logits of shape {z.shape} do not match a teacher table of "
             f"shape {teacher.shape}"
@@ -271,8 +259,7 @@ class Objective:
     """cls + beta * reg over [n, C] logits; built by `make_objective`.
 
     `teacher` is the [C, C] teacher table of the regulariser at
-    `temperature`, or None for the classification term alone. Calling the
-    objective with 1-d logits and an integer target scores one sample.
+    `temperature`, or None for the classification term alone.
     """
 
     cls_kind: str
@@ -296,9 +283,6 @@ class Objective:
             p_target=cls.p_target,
         )
 
-    def __call__(self, logits: np.ndarray, target: int) -> LossOutput:
-        return _single(self.rows, logits, target)
-
 
 def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
     """Compose an objective from a classification and a smoothing term.
@@ -318,79 +302,3 @@ def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
         teacher=teacher_table(cfg.num_classes, cfg.epsilon, temperature),
         temperature=temperature,
     )
-
-
-def _one_row(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise InvalidInputError("logits must be a non-empty 1-d vector")
-    return z
-
-
-def _single(kernel, logits: np.ndarray, target: int, *args, **kwargs) -> LossOutput:
-    """Run a row kernel on one 1-d sample and unpack its only row."""
-    out = kernel(_one_row(logits)[None], [target], *args, **kwargs)
-    p_t = None if out.p_target is None else float(out.p_target[0])
-    return LossOutput(value=float(out.value[0]), grad_logits=out.grad_logits[0], p_target=p_t)
-
-
-def ce_loss(logits: np.ndarray, target: int) -> LossOutput:
-    """Cross-entropy -log p_t with gradient p - onehot(target)."""
-    return _single(weighted_ce, logits, target, "ce")
-
-
-def focal_loss(
-    logits: np.ndarray, target: int, alpha: float = 0.25, gamma: float = 2.0
-) -> LossOutput:
-    """Focal loss FL = -alpha * (1 - p_t)^gamma * log(p_t).
-
-    The target-logit gradient works out to
-    alpha * Q^gamma * (gamma * p_t * log p_t + p_t - 1) with Q = 1 - p_t.
-    """
-    return _single(weighted_ce, logits, target, "fl", alpha=alpha, gamma=gamma)
-
-
-def rfl_loss(
-    logits: np.ndarray,
-    target: int,
-    alpha: float = 0.25,
-    mu: float = 0.3,
-    sigma: float = 0.5,
-) -> LossOutput:
-    """Revised focal loss RFL = -alpha * exp(-(p_t - mu)^2 / sigma) * log(p_t).
-
-    Unlike the plain focal weight, the Gaussian bump concentrates gradient
-    on ambiguous samples (p_t near mu) and shrinks it on both hard and easy
-    ones. At p_t = mu the target-logit gradient reduces to -alpha * (1 - p_t).
-    """
-    return _single(weighted_ce, logits, target, "rfl", alpha=alpha, mu=mu, sigma=sigma)
-
-
-def vkd_loss(
-    logits: np.ndarray,
-    target: int,
-    temperature: float = 20.0,
-    epsilon: float = 0.01,
-) -> LossOutput:
-    """Distillation against a virtual teacher built from the label alone.
-
-    Teacher and student distributions are temperature-softened softmaxes,
-    q = softmax(v / T) and p = softmax(z / T); the value is the scaled
-    cross-entropy -T^2 * sum_i q_i log p_i and the exact logit gradient is
-    T * (p - q). Minimized over the logits exactly when p equals q.
-    """
-    z = _one_row(logits)
-    teacher = teacher_table(z.size, epsilon, temperature)
-    out = _single(distill, z, target, teacher, temperature)
-    p_t = float(softmax_stable(z)[target])
-    return LossOutput(value=out.value, grad_logits=out.grad_logits, p_target=p_t)
-
-
-def lsr_loss(logits: np.ndarray, target: int, epsilon: float = 0.01) -> LossOutput:
-    """Label-smoothing regularization: the temperature-1 case of vkd_loss."""
-    return vkd_loss(logits, target, temperature=1.0, epsilon=epsilon)
-
-
-def afs_loss(logits: np.ndarray, target: int, config: LossConfig) -> LossOutput:
-    """Combined objective: rfl_loss + beta * vkd_loss, gradients added likewise."""
-    return make_objective("rfl", "vkd", config)(logits, target)

@@ -73,8 +73,7 @@ class NetworkState:
 class ForwardTrace:
     """Intermediate values kept for the backward pass.
 
-    Each array has one row per input row, [n, width], or is 1-d when a
-    single input vector went through.
+    Each array has one row per input row: [n, width].
     """
 
     input: np.ndarray
@@ -161,24 +160,22 @@ def init_network(spec: NetworkSpec) -> NetworkState:
 def forward(
     state: NetworkState, x: np.ndarray, workspace: Workspace | None = None
 ) -> ForwardTrace:
-    """Run a [n, fan_in] batch, or one fan_in vector, through the network.
+    """Run a [n, fan_in] batch through the network; one sample is one row.
 
     Rows are independent; every layer's values are recorded for backward.
-    With a workspace (which needs a [n, fan_in] batch) the recorded values
-    are views of its buffers, overwritten by its next forward pass.
+    With a workspace the recorded values are views of its buffers,
+    overwritten by its next forward pass.
     """
     a = np.asarray(x, dtype=np.float64)
     fan_in = state.weights[0].shape[1]
-    if a.ndim not in (1, 2) or a.shape[-1] != fan_in:
+    if a.ndim != 2 or a.shape[1] != fan_in:
         raise InvalidInputError(
-            f"input of shape {a.shape} does not match fan-in {fan_in}"
+            f"input of shape {a.shape} is not a [n, {fan_in}] batch"
         )
     depth = len(state.weights)
     if workspace is None:
         pre = act = [None] * depth
     else:
-        if a.ndim != 2:
-            raise InvalidInputError("a workspace needs a [n, fan_in] batch")
         workspace._fit(state, len(a))
         pre = [buf[: len(a)] for buf in workspace.pre]
         act = [buf[: len(a)] for buf in workspace.act]
@@ -201,8 +198,8 @@ def backward(
 ) -> Gradients:
     """Exact backprop of a logit gradient through the stored trace.
 
-    grad_logits has the shape of the trace's logits; for a batch the
-    returned gradients are summed over its rows. With a workspace they are
+    grad_logits has the [n, C] shape of the trace's logits; the returned
+    gradients are summed over its rows. With a workspace they are
     its `grads`, overwritten by its next backward pass.
     """
     delta = np.asarray(grad_logits, dtype=np.float64)
@@ -214,7 +211,6 @@ def backward(
     depth = len(state.weights)
     if len(trace.pre_activations) != depth:
         raise InvalidInputError("trace does not match network depth")
-    delta = np.atleast_2d(delta)
     if workspace is None:
         grads = Gradients(weights=[None] * depth, biases=[None] * depth)
         deltas = masks = [None] * depth
@@ -227,9 +223,7 @@ def backward(
         a_in = trace.activations[layer - 1] if layer > 0 else trace.input
         if a_in.shape[-1] != state.weights[layer].shape[1]:
             raise InvalidInputError("stale trace: activation width mismatch")
-        grads.weights[layer] = np.matmul(
-            delta.T, np.atleast_2d(a_in), out=grads.weights[layer]
-        )
+        grads.weights[layer] = np.matmul(delta.T, a_in, out=grads.weights[layer])
         grads.biases[layer] = np.sum(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
             live = np.greater(
@@ -294,11 +288,6 @@ def score_rows(
         x = np.take(features, chunk, axis=0, out=gathered[: len(chunk)], mode="clip")
         logits[start : start + len(chunk)] = forward(state, x, workspace).logits
     return logits
-
-
-def predict(state: NetworkState, x: np.ndarray) -> int:
-    """Argmax over logits; ties resolve to the lowest class index."""
-    return int(np.argmax(forward(state, x).logits))
 
 
 def save_checkpoint(state: NetworkState, path: str) -> None:

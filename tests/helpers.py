@@ -27,15 +27,15 @@ def two_class_logits(p_target):
 def per_sample_step(state, features, labels, objective, lr):
     """Reference for trainer.sgd_on_batch: one row at a time.
 
-    Each row takes its own 1-d forward pass, objective call and backward
-    pass; the gradients are summed, scaled by 1/n and applied once to a
-    copy of `state`, which is returned.
+    Each row takes its own one-row forward pass, objective call and
+    backward pass; the gradients are summed, scaled by 1/n and applied once
+    to a copy of `state`, which is returned.
     """
     weights = [np.zeros_like(w) for w in state.weights]
     biases = [np.zeros_like(b) for b in state.biases]
     for x, label in zip(features, labels):
-        trace = forward(state, x)
-        out = objective(trace.logits, int(label))
+        trace = forward(state, x[None])
+        out = objective.rows(trace.logits, [label])
         grads = backward(state, trace, out.grad_logits)
         for total, g in zip(weights + biases, grads.weights + grads.biases):
             total += g

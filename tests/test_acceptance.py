@@ -14,6 +14,7 @@ for this implementation at the pinned constants, not that the code crashed.
 import csv
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,14 +24,11 @@ from afslab.cli import main
 from afslab.dynmu import ScoreHistogram, compute_mu, record_scores
 from afslab.losses import (
     LossConfig,
-    afs_loss,
-    ce_loss,
-    focal_loss,
-    lsr_loss,
-    rfl_loss,
-    softmax_stable,
+    distill,
+    make_objective,
+    teacher_table,
     virtual_teacher,
-    vkd_loss,
+    weighted_ce,
 )
 from afslab.memory import MemoryBuffer, reservoir_update
 from afslab.metrics import (
@@ -74,13 +72,18 @@ def _target_logits(p_target: float, num_classes: int = 10) -> np.ndarray:
 
 
 class TestGradientOracles:
+    # each scores [1, C] logits against a one-label list
     LOSSES = {
-        "ce": lambda z, t: ce_loss(z, t),
-        "focal": lambda z, t: focal_loss(z, t),
-        "rfl": lambda z, t: rfl_loss(z, t),
-        "lsr": lambda z, t: lsr_loss(z, t),
-        "vkd": lambda z, t: vkd_loss(z, t),
-        "afs": lambda z, t: afs_loss(z, t, LossConfig()),
+        "ce": partial(weighted_ce, kind="ce"),
+        "focal": partial(weighted_ce, kind="fl"),
+        "rfl": partial(weighted_ce, kind="rfl"),
+        "lsr": partial(
+            distill, teacher=teacher_table(NUM_CLASSES, 0.01, 1.0), temperature=1.0
+        ),
+        "vkd": partial(
+            distill, teacher=teacher_table(NUM_CLASSES, 0.01, 20.0), temperature=20.0
+        ),
+        "afs": make_objective("rfl", "vkd", LossConfig()).rows,
     }
 
     def test_01_gradients_match_finite_differences(self):
@@ -90,22 +93,23 @@ class TestGradientOracles:
         for name, loss in self.LOSSES.items():
             for _ in range(100):
                 z = rng.normal(0.0, 2.0, NUM_CLASSES)
-                target = int(rng.integers(NUM_CLASSES))
-                analytic = loss(z, target).grad_logits
+                target = [int(rng.integers(NUM_CLASSES))]
+                analytic = loss(z[None], target).grad_logits[0]
                 numeric = np.zeros(NUM_CLASSES)
                 for i in range(NUM_CLASSES):
                     bump = np.zeros(NUM_CLASSES)
                     bump[i] = h
                     numeric[i] = (
-                        loss(z + bump, target).value - loss(z - bump, target).value
+                        loss((z + bump)[None], target).value[0]
+                        - loss((z - bump)[None], target).value[0]
                     ) / (2.0 * h)
                 assert np.max(np.abs(analytic - numeric)) <= 1e-6, name
 
         # end to end: loss gradients propagated through the network match a
         # finite-difference sweep over every weight and bias
         state = init_network(NetworkSpec((9, 7, NUM_CLASSES), seed=11))
-        x = rng.normal(size=9)
-        target = int(rng.integers(NUM_CLASSES))
+        x = rng.normal(size=9)[None]
+        target = [int(rng.integers(NUM_CLASSES))]
         for name, loss in self.LOSSES.items():
             trace = forward(state, x)
             grads = backward(state, trace, loss(trace.logits, target).grad_logits)
@@ -119,9 +123,9 @@ class TestGradientOracles:
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + h
-                        up = loss(forward(state, x).logits, target).value
+                        up = loss(forward(state, x).logits, target).value[0]
                         flat[i] = orig - h
-                        down = loss(forward(state, x).logits, target).value
+                        down = loss(forward(state, x).logits, target).value[0]
                         flat[i] = orig
                         numeric[i] = (up - down) / (2.0 * h)
                     assert_allclose(
@@ -143,8 +147,9 @@ class TestGradientOrdering:
         cases = [(0.2, "lt"), (0.3, "eq"), (0.45, "gt"), (0.9, "lt")]
         for p, relation in cases:
             z = _target_logits(p)
-            got = abs(rfl_loss(z, 0, alpha=1.0, mu=0.3, sigma=0.5).grad_logits[0])
-            ref = abs(ce_loss(z, 0).grad_logits[0])
+            rfl = weighted_ce(z[None], [0], "rfl", alpha=1.0, mu=0.3, sigma=0.5)
+            got = abs(rfl.grad_logits[0, 0])
+            ref = abs(weighted_ce(z[None], [0], "ce").grad_logits[0, 0])
             if relation == "eq":
                 assert abs(got - ref) <= 1e-9, f"p_t={p}"
             elif relation == "lt":
@@ -162,7 +167,7 @@ class TestGradientOrdering:
         samples and weaker above p*. At the shipped alpha = 0.25 the ratio
         is at most 0.25 * 1.2246 = 0.306, so focal stays below cross-entropy
         everywhere. The expected values come from the closed form here, not
-        from focal_loss."""
+        from weighted_ce."""
 
         def closed_form(p, alpha):
             q = 1.0 - p
@@ -182,9 +187,9 @@ class TestGradientOrdering:
         shipped_alpha = LossConfig().alpha
         for p in np.arange(1, 20) * 0.05:
             z = _target_logits(float(p))
-            ref = abs(ce_loss(z, 0).grad_logits[0])
+            ref = abs(weighted_ce(z[None], [0], "ce").grad_logits[0, 0])
             for alpha in (1.0, shipped_alpha):
-                got = abs(focal_loss(z, 0, alpha=alpha).grad_logits[0])
+                got = abs(weighted_ce(z[None], [0], "fl", alpha=alpha).grad_logits[0, 0])
                 expected = closed_form(float(p), alpha)
                 assert abs(got - expected) <= 1e-12, (
                     f"p_t={p:.2f} alpha={alpha}: focal {got:.15g} vs closed form "
@@ -208,6 +213,7 @@ class TestDistillationLinearization:
         (z_i - v_i) / (C * T^2) for centered logits and teacher values."""
         rng = np.random.default_rng(5)
         for temperature in (50.0, 100.0, 200.0):
+            teacher = teacher_table(NUM_CLASSES, 0.01, temperature)
             for _ in range(100):
                 z = rng.normal(0.0, 1.5, NUM_CLASSES)
                 z -= z.mean()
@@ -215,7 +221,7 @@ class TestDistillationLinearization:
                 v = virtual_teacher(target, NUM_CLASSES, epsilon=0.01)
                 v = v - v.mean()
                 unscaled = (
-                    vkd_loss(z, target, temperature=temperature).grad_logits
+                    distill(z[None], [target], teacher, temperature).grad_logits[0]
                     / temperature**2
                 )
                 predicted = (z - v) / (NUM_CLASSES * temperature**2)

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
@@ -13,51 +17,56 @@ from afslab.losses import (
     P_FLOOR,
     REG_KINDS,
     LossConfig,
-    afs_loss,
-    ce_loss,
-    classify_difficulty,
     difficulty_counts,
     distill,
-    focal_loss,
-    lsr_loss,
     make_objective,
-    rfl_loss,
     rfl_weight,
     softmax_stable,
     teacher_table,
     virtual_teacher,
-    vkd_loss,
     weighted_ce,
 )
 from helpers import central_difference, two_class_logits
 
 
+class TestShapeContract:
+    """Logits are [n, C] rows; a 1-d vector is rejected, naming that shape."""
+
+    def test_softmax_rejects_a_vector(self):
+        with pytest.raises(InvalidInputError, match=r"\[n, C\]"):
+            softmax_stable(np.zeros(3))
+
+    def test_weighted_ce_rejects_a_vector(self):
+        with pytest.raises(InvalidInputError, match=r"\[n, C\]"):
+            weighted_ce(np.zeros(3), [0], "ce")
+
+
 class TestSoftmax:
     def test_worked_example(self):
         assert_allclose(
-            softmax_stable(np.array([math.log(2.0), 0.0])), [2 / 3, 1 / 3], atol=1e-12
+            softmax_stable(np.array([[math.log(2.0), 0.0]]))[0], [2 / 3, 1 / 3], atol=1e-12
         )
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            z = rng.uniform(-8, 8, size=rng.integers(2, 12))
+            z = rng.uniform(-8, 8, size=rng.integers(2, 12))[None]
             p = softmax_stable(z)
             assert_allclose(p.sum(), 1.0, atol=1e-12)
             assert_allclose(p, softmax_stable(z + 123.4), atol=1e-12)
 
     def test_large_logits_do_not_overflow(self):
-        p = softmax_stable(np.array([1000.0, 0.0, -1000.0]))
+        p = softmax_stable(np.array([[1000.0, 0.0, -1000.0]]))[0]
         assert np.all(np.isfinite(p))
         assert p[0] > 0.999
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            softmax_stable(np.array([np.nan, 0.0]))
+            softmax_stable(np.array([[np.nan, 0.0]]))
         with pytest.raises(InvalidInputError):
-            softmax_stable(np.array([np.inf, 0.0]))
+            softmax_stable(np.array([[np.inf, 0.0]]))
         with pytest.raises(InvalidInputError):
-            softmax_stable(np.array([]))
+            softmax_stable(np.empty((1, 0)))
 
 
 class TestDifficultyIntervals:
@@ -74,20 +83,21 @@ class TestDifficultyIntervals:
         ],
     )
     def test_boundaries(self, p, expected):
-        assert classify_difficulty(p) == expected
+        assert difficulty_counts([p]) == {HSI: 0, ASI: 0, ESI: 0, expected: 1}
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            classify_difficulty(-0.01)
+            difficulty_counts([-0.01])
         with pytest.raises(InvalidInputError):
-            classify_difficulty(1.01)
+            difficulty_counts([1.01])
 
     def test_counts_match_per_value_classification(self):
         rng = np.random.default_rng(2)
         p = np.concatenate([rng.random(500), [0.0, 0.3, 0.3, 0.6, 0.6, 1.0]])
         expected = {HSI: 0, ASI: 0, ESI: 0}
         for value in p:
-            expected[classify_difficulty(float(value))] += 1
+            for bucket, count in difficulty_counts([value]).items():
+                expected[bucket] += count
         assert difficulty_counts(p) == expected
         assert min(expected.values()) > 100
 
@@ -117,31 +127,33 @@ class TestRflWeight:
 
 class TestCrossEntropy:
     def test_worked_example(self):
-        out = ce_loss(np.array([0.0, 0.0]), 0)
-        assert_allclose(out.value, math.log(2.0), atol=1e-12)
-        assert_allclose(out.grad_logits, [-0.5, 0.5], atol=1e-12)
-        assert out.p_target == pytest.approx(0.5)
+        out = weighted_ce(np.array([[0.0, 0.0]]), [0], "ce")
+        assert_allclose(out.value[0], math.log(2.0), atol=1e-12)
+        assert_allclose(out.grad_logits[0], [-0.5, 0.5], atol=1e-12)
+        assert out.p_target[0] == pytest.approx(0.5)
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             z = rng.uniform(-8, 8, size=rng.integers(2, 12))
             t = int(rng.integers(0, z.size))
-            assert abs(ce_loss(z, t).grad_logits.sum()) < 1e-12
+            assert abs(weighted_ce(z[None], [t], "ce").grad_logits.sum()) < 1e-12
 
     def test_finite_difference(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             z = rng.uniform(-8, 8, size=rng.integers(2, 10))
             t = int(rng.integers(0, z.size))
-            numeric = central_difference(lambda x: ce_loss(x, t).value, z)
-            assert_allclose(ce_loss(z, t).grad_logits, numeric, atol=1e-6)
+            numeric = central_difference(
+                lambda x: weighted_ce(x[None], [t], "ce").value[0], z
+            )
+            assert_allclose(weighted_ce(z[None], [t], "ce").grad_logits[0], numeric, atol=1e-6)
 
     def test_rejects_bad_target(self):
         with pytest.raises(InvalidInputError):
-            ce_loss(np.array([0.0, 0.0]), 2)
+            weighted_ce(np.array([[0.0, 0.0]]), [2], "ce")
         with pytest.raises(InvalidInputError):
-            ce_loss(np.array([0.0, 0.0]), -1)
+            weighted_ce(np.array([[0.0, 0.0]]), [-1], "ce")
 
 
 class TestFocal:
@@ -150,8 +162,8 @@ class TestFocal:
         for _ in range(20):
             z = rng.uniform(-6, 6, size=5)
             t = int(rng.integers(0, 5))
-            fl = focal_loss(z, t, alpha=0.25, gamma=0.0)
-            ce = ce_loss(z, t)
+            fl = weighted_ce(z[None], [t], "fl", alpha=0.25, gamma=0.0)
+            ce = weighted_ce(z[None], [t], "ce")
             assert_allclose(fl.value, 0.25 * ce.value, atol=1e-12)
             assert_allclose(fl.grad_logits, 0.25 * ce.grad_logits, atol=1e-12)
 
@@ -161,11 +173,11 @@ class TestFocal:
         for _ in range(30):
             z = rng.uniform(-6, 6, size=6)
             t = int(rng.integers(0, 6))
-            out = focal_loss(z, t, alpha=0.7, gamma=3.0)
-            p_t = out.p_target
+            out = weighted_ce(z[None], [t], "fl", alpha=0.7, gamma=3.0)
+            p_t = float(out.p_target[0])
             q = 1 - p_t
             expected = 0.7 * q**3 * (3 * p_t * math.log(p_t) + p_t - 1)
-            assert_allclose(out.grad_logits[t], expected, atol=1e-10)
+            assert_allclose(out.grad_logits[0, t], expected, atol=1e-10)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 5.0])
     def test_finite_difference(self, gamma):
@@ -174,9 +186,9 @@ class TestFocal:
             z = rng.uniform(-8, 8, size=rng.integers(2, 10))
             t = int(rng.integers(0, z.size))
             numeric = central_difference(
-                lambda x: focal_loss(x, t, alpha=0.25, gamma=gamma).value, z
+                lambda x: weighted_ce(x[None], [t], "fl", alpha=0.25, gamma=gamma).value[0], z
             )
-            analytic = focal_loss(z, t, alpha=0.25, gamma=gamma).grad_logits
+            analytic = weighted_ce(z[None], [t], "fl", alpha=0.25, gamma=gamma).grad_logits[0]
             assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_down_weights_ce_at_default_alpha(self):
@@ -184,16 +196,18 @@ class TestFocal:
         # unweighted cross-entropy gradient anywhere on the probability grid
         for p in np.arange(0.05, 1.0, 0.05):
             z = two_class_logits(p)
-            fl = abs(focal_loss(z, 0, alpha=0.25, gamma=2.0).grad_logits[0])
-            ce = abs(ce_loss(z, 0).grad_logits[0])
+            fl = abs(weighted_ce(z[None], [0], "fl", alpha=0.25, gamma=2.0).grad_logits[0, 0])
+            ce = abs(weighted_ce(z[None], [0], "ce").grad_logits[0, 0])
             assert fl < ce
 
     def test_promotes_hard_samples_relative_to_rfl(self):
         # at equal alpha the plain focal gradient is larger than the revised
         # one on hard samples; the revision is what damps them
         z = two_class_logits(0.1)
-        fl = abs(focal_loss(z, 0, alpha=1.0, gamma=2.0).grad_logits[0])
-        rfl = abs(rfl_loss(z, 0, alpha=1.0, mu=0.3, sigma=0.5).grad_logits[0])
+        fl = abs(weighted_ce(z[None], [0], "fl", alpha=1.0, gamma=2.0).grad_logits[0, 0])
+        rfl = abs(
+            weighted_ce(z[None], [0], "rfl", alpha=1.0, mu=0.3, sigma=0.5).grad_logits[0, 0]
+        )
         assert fl > rfl
 
     def test_crosses_ce_near_030(self):
@@ -201,20 +215,22 @@ class TestFocal:
         # drops under it above; pin the crossing bracket
         for p, above in [(0.25, True), (0.29, True), (0.31, False), (0.35, False)]:
             z = two_class_logits(p)
-            fl = abs(focal_loss(z, 0, alpha=1.0, gamma=2.0).grad_logits[0])
-            ce = abs(ce_loss(z, 0).grad_logits[0])
+            fl = abs(weighted_ce(z[None], [0], "fl", alpha=1.0, gamma=2.0).grad_logits[0, 0])
+            ce = abs(weighted_ce(z[None], [0], "ce").grad_logits[0, 0])
             assert (fl > ce) == above
 
 
 class TestRevisedFocal:
     def test_worked_value(self):
-        out = rfl_loss(two_class_logits(0.3), 0, alpha=0.25, mu=0.3, sigma=0.5)
-        assert_allclose(out.value, 0.30099320108148403, atol=1e-9)
+        z = two_class_logits(0.3)
+        out = weighted_ce(z[None], [0], "rfl", alpha=0.25, mu=0.3, sigma=0.5)
+        assert_allclose(out.value[0], 0.30099320108148403, atol=1e-9)
 
     def test_gradient_at_peak_reduces_to_weighted_ce(self):
         # at p_t = mu the Gaussian weight is alpha and its derivative vanishes
-        out = rfl_loss(two_class_logits(0.3), 0, alpha=0.25, mu=0.3, sigma=0.5)
-        assert_allclose(out.grad_logits[0], -0.25 * 0.7, atol=1e-9)
+        z = two_class_logits(0.3)
+        out = weighted_ce(z[None], [0], "rfl", alpha=0.25, mu=0.3, sigma=0.5)
+        assert_allclose(out.grad_logits[0, 0], -0.25 * 0.7, atol=1e-9)
 
     @pytest.mark.parametrize("mu,sigma", [(0.3, 0.5), (0.0, 0.2), (0.7, 1.5)])
     def test_finite_difference(self, mu, sigma):
@@ -222,10 +238,11 @@ class TestRevisedFocal:
         for _ in range(15):
             z = rng.uniform(-8, 8, size=rng.integers(2, 10))
             t = int(rng.integers(0, z.size))
-            numeric = central_difference(
-                lambda x: rfl_loss(x, t, alpha=0.25, mu=mu, sigma=sigma).value, z
-            )
-            analytic = rfl_loss(z, t, alpha=0.25, mu=mu, sigma=sigma).grad_logits
+            def rfl(x):
+                return weighted_ce(x[None], [t], "rfl", alpha=0.25, mu=mu, sigma=sigma)
+
+            numeric = central_difference(lambda x: rfl(x).value[0], z)
+            analytic = rfl(z).grad_logits[0]
             assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_gradient_ordering_against_ce(self):
@@ -234,8 +251,9 @@ class TestRevisedFocal:
         cases = [(0.2, "lt"), (0.3, "eq"), (0.45, "gt"), (0.9, "lt")]
         for p, relation in cases:
             z = two_class_logits(p)
-            r = abs(rfl_loss(z, 0, alpha=1.0, mu=0.3, sigma=0.5).grad_logits[0])
-            c = abs(ce_loss(z, 0).grad_logits[0])
+            rfl = weighted_ce(z[None], [0], "rfl", alpha=1.0, mu=0.3, sigma=0.5)
+            r = abs(rfl.grad_logits[0, 0])
+            c = abs(weighted_ce(z[None], [0], "ce").grad_logits[0, 0])
             if relation == "lt":
                 assert r < c
             elif relation == "gt":
@@ -248,9 +266,9 @@ class TestRevisedFocal:
         for _ in range(50):
             z = rng.uniform(-8, 8, size=6)
             t = int(rng.integers(0, 6))
-            assert rfl_loss(z, t).value >= 0.0
-            assert focal_loss(z, t).value >= 0.0
-            assert ce_loss(z, t).value >= 0.0
+            assert weighted_ce(z[None], [t], "rfl").value[0] >= 0.0
+            assert weighted_ce(z[None], [t], "fl").value[0] >= 0.0
+            assert weighted_ce(z[None], [t], "ce").value[0] >= 0.0
 
 
 class TestVirtualTeacher:
@@ -259,7 +277,7 @@ class TestVirtualTeacher:
         assert_allclose(v.sum(), 1.0, atol=1e-12)
         assert v[3] == 0.99
         assert_allclose(v[0], 0.01 / 9, atol=1e-15)
-        q = softmax_stable(v / 20.0)
+        q = softmax_stable(v[None] / 20.0)[0]
         assert_allclose(q[3], 0.10454, atol=1e-5)
         assert_allclose(q[0], 0.09950, atol=1e-5)
 
@@ -275,7 +293,7 @@ class TestVirtualTeacher:
 
         v = virtual_teacher(2, 8, 0.05)
         temps = [1.0, 2.0, 5.0, 20.0, 100.0]
-        entropies = [entropy(softmax_stable(v / t)) for t in temps]
+        entropies = [entropy(softmax_stable(v[None] / t)) for t in temps]
         assert all(a < b for a, b in zip(entropies, entropies[1:]))
 
 
@@ -285,9 +303,9 @@ class TestVkd:
         for _ in range(30):
             z = rng.uniform(-8, 8, size=10)
             t = int(rng.integers(0, 10))
-            out = vkd_loss(z, t, temperature=20.0, epsilon=0.01)
-            q = softmax_stable(virtual_teacher(t, 10, 0.01) / 20.0)
-            p = softmax_stable(z / 20.0)
+            out = distill(z[None], [t], teacher_table(10, 0.01, 20.0), 20.0)
+            q = softmax_stable(virtual_teacher(t, 10, 0.01)[None] / 20.0)
+            p = softmax_stable(z[None] / 20.0)
             assert_allclose(out.grad_logits, 20.0 * (p - q), atol=1e-12)
 
     def test_finite_difference(self):
@@ -296,27 +314,30 @@ class TestVkd:
             for _ in range(10):
                 z = rng.uniform(-8, 8, size=rng.integers(2, 10))
                 t = int(rng.integers(0, z.size))
+                teacher = teacher_table(z.size, 0.01, temperature)
                 numeric = central_difference(
-                    lambda x: vkd_loss(x, t, temperature, 0.01).value, z
+                    lambda x: distill(x[None], [t], teacher, temperature).value[0], z
                 )
-                analytic = vkd_loss(z, t, temperature, 0.01).grad_logits
+                analytic = distill(z[None], [t], teacher, temperature).grad_logits[0]
                 assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_minimized_when_student_matches_teacher(self):
         rng = np.random.default_rng(14)
         t, C, T, eps = 2, 6, 4.0, 0.05
         v = virtual_teacher(t, C, eps)
-        base = vkd_loss(v, t, T, eps).value
+        teacher = teacher_table(C, eps, T)
+        base = distill(v[None], [t], teacher, T).value[0]
         assert base > 0.0  # the teacher's own entropy keeps it positive
         for _ in range(50):
             z = v + rng.normal(0, 0.5, size=C)
-            assert vkd_loss(z, t, T, eps).value >= base - 1e-9
+            assert distill(z[None], [t], teacher, T).value[0] >= base - 1e-9
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(15)
+        teacher = teacher_table(7, 0.01, 20.0)
         for _ in range(40):
             z = rng.uniform(-8, 8, size=7)
-            assert vkd_loss(z, int(rng.integers(0, 7)), 20.0, 0.01).value >= 0.0
+            assert distill(z[None], [int(rng.integers(0, 7))], teacher, 20.0).value[0] >= 0.0
 
     def test_high_temperature_linearization(self):
         # for zero-mean logits the unscaled gradient approaches
@@ -327,14 +348,15 @@ class TestVkd:
         v = virtual_teacher(target, C, 0.01)
         v_centered = v - v.mean()
         for T in (50.0, 100.0, 200.0):
-            exact = vkd_loss(z, target, T, 0.01).grad_logits / T**2
+            teacher = teacher_table(C, 0.01, T)
+            exact = distill(z[None], [target], teacher, T).grad_logits[0] / T**2
             approx = (z - v_centered) / (C * T**2)
             rel = np.abs(exact - approx) / np.abs(approx)
             assert rel.max() < 0.05
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(InvalidConfigError):
-            vkd_loss(np.zeros(4), 0, temperature=0.0)
+            distill(np.zeros((1, 4)), [0], teacher_table(4, 0.01, 0.0), 0.0)
 
 
 class TestLsr:
@@ -343,9 +365,12 @@ class TestLsr:
         for _ in range(50):
             z = rng.uniform(-8, 8, size=rng.integers(2, 12))
             t = int(rng.integers(0, z.size))
-            a = lsr_loss(z, t, epsilon=0.01)
-            b = vkd_loss(z, t, temperature=1.0, epsilon=0.01)
-            assert a.value == b.value
+            cfg = LossConfig(epsilon=0.01, num_classes=z.size)
+            lsr = make_objective("ce", "lsr", cfg)
+            vkd = make_objective("ce", "vkd", replace(cfg, temperature=1.0))
+            a = distill(z[None], [t], lsr.teacher, lsr.temperature)
+            b = distill(z[None], [t], vkd.teacher, vkd.temperature)
+            assert a.value[0] == b.value[0]
             assert np.array_equal(a.grad_logits, b.grad_logits)
 
     def test_finite_difference(self):
@@ -353,16 +378,23 @@ class TestLsr:
         for _ in range(20):
             z = rng.uniform(-8, 8, size=6)
             t = int(rng.integers(0, 6))
-            numeric = central_difference(lambda x: lsr_loss(x, t, 0.05).value, z)
-            assert_allclose(lsr_loss(z, t, 0.05).grad_logits, numeric, atol=1e-6)
+            teacher = teacher_table(6, 0.05, 1.0)
+            numeric = central_difference(
+                lambda x: distill(x[None], [t], teacher, 1.0).value[0], z
+            )
+            analytic = distill(z[None], [t], teacher, 1.0).grad_logits[0]
+            assert_allclose(analytic, numeric, atol=1e-6)
 
     def test_small_epsilon_approaches_peaked_teacher(self):
         # shrinking epsilon drives the teacher toward softmax of a one-hot,
         # the most confident distribution this loss can target
         z = np.array([2.0, -1.0, 0.5, 0.0])
-        values = [lsr_loss(z, 0, eps).value for eps in (0.3, 0.1, 0.01, 1e-6)]
-        limit_teacher = softmax_stable(np.eye(4)[0])
-        p = softmax_stable(z)
+        values = [
+            distill(z[None], [0], teacher_table(4, eps, 1.0), 1.0).value[0]
+            for eps in (0.3, 0.1, 0.01, 1e-6)
+        ]
+        limit_teacher = softmax_stable(np.eye(4)[:1])[0]
+        p = softmax_stable(z[None])[0]
         limit = -float(np.sum(limit_teacher * np.log(p)))
         assert abs(values[-1] - limit) < 1e-4
         assert abs(values[0] - limit) > abs(values[-1] - limit)
@@ -372,12 +404,14 @@ class TestAfsCombined:
     def test_additivity(self):
         rng = np.random.default_rng(18)
         cfg = LossConfig(num_classes=8)
+        afs = make_objective("rfl", "vkd", cfg)
+        teacher = teacher_table(8, cfg.epsilon, cfg.temperature)
         for _ in range(30):
             z = rng.uniform(-8, 8, size=8)
             t = int(rng.integers(0, 8))
-            combined = afs_loss(z, t, cfg)
-            cls = rfl_loss(z, t, alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
-            kd = vkd_loss(z, t, temperature=cfg.temperature, epsilon=cfg.epsilon)
+            combined = afs.rows(z[None], [t])
+            cls = weighted_ce(z[None], [t], "rfl", alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
+            kd = distill(z[None], [t], teacher, cfg.temperature)
             assert_allclose(combined.value, cls.value + cfg.beta * kd.value, atol=1e-12)
             assert_allclose(
                 combined.grad_logits,
@@ -388,9 +422,9 @@ class TestAfsCombined:
     def test_beta_zero_reduces_to_rfl(self):
         cfg = LossConfig(beta=0.0, num_classes=5)
         z = np.array([1.0, -2.0, 0.3, 0.0, 2.2])
-        combined = afs_loss(z, 4, cfg)
-        cls = rfl_loss(z, 4, alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
-        assert combined.value == cls.value
+        combined = make_objective("rfl", "vkd", cfg).rows(z[None], [4])
+        cls = weighted_ce(z[None], [4], "rfl", alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
+        assert combined.value[0] == cls.value[0]
         assert np.array_equal(combined.grad_logits, cls.grad_logits)
 
     def test_finite_difference(self):
@@ -400,12 +434,53 @@ class TestAfsCombined:
             cfg = LossConfig(num_classes=size)
             z = rng.uniform(-8, 8, size=size)
             t = int(rng.integers(0, size))
-            numeric = central_difference(lambda x: afs_loss(x, t, cfg).value, z)
-            assert_allclose(afs_loss(z, t, cfg).grad_logits, numeric, atol=1e-6)
+            afs = make_objective("rfl", "vkd", cfg).rows
+            numeric = central_difference(lambda x: afs(x[None], [t]).value[0], z)
+            assert_allclose(afs(z[None], [t]).grad_logits[0], numeric, atol=1e-6)
 
     def test_rejects_mismatched_width(self):
         with pytest.raises(InvalidInputError):
-            afs_loss(np.zeros(4), 0, LossConfig(num_classes=10))
+            objective = make_objective("rfl", "vkd", LossConfig(num_classes=10))
+            objective.rows(np.zeros((1, 4)), [0])
+
+
+@st.composite
+def objective_cases(draw):
+    """[n, C] logits, labels and a valid LossConfig, with C in 2-12."""
+    num_classes = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 4))
+    logits = draw(hnp.arrays(np.float64, (n, num_classes), elements=st.floats(-6.0, 6.0)))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1)))
+    cfg = LossConfig(
+        alpha=draw(st.floats(0.05, 2.0)),
+        gamma=draw(st.floats(0.0, 5.0)),
+        mu=draw(st.floats(0.0, 1.0)),
+        sigma=draw(st.floats(0.1, 2.0)),
+        beta=draw(st.floats(0.0, 1.0)),
+        temperature=draw(st.floats(0.5, 30.0)),
+        epsilon=draw(st.floats(0.001, 0.5)),
+        num_classes=num_classes,
+    )
+    return logits, labels, cfg
+
+
+class TestObjectiveGradientProperty:
+    """`Objective.rows` gradients against central differences of the summed row values."""
+
+    @pytest.mark.parametrize("reg_kind", REG_KINDS)
+    @pytest.mark.parametrize("cls_kind", CLS_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=objective_cases())
+    def test_gradients_match_finite_differences(self, cls_kind, reg_kind, case):
+        z, y, cfg = case
+        objective = make_objective(cls_kind, reg_kind, cfg)
+
+        def total(flat):
+            return float(objective.rows(flat.reshape(z.shape), y).value.sum())
+
+        numeric = central_difference(total, z.reshape(-1)).reshape(z.shape)
+        analytic = objective.rows(z, y).grad_logits
+        assert np.max(np.abs(analytic - numeric)) <= 1e-6
 
 
 class TestLossConfig:
@@ -434,20 +509,20 @@ class TestLossConfig:
 
 
 def test_extreme_logits_stay_finite():
-    z = np.array([-800.0, 800.0])
+    z = np.array([[-800.0, 800.0]])
     for out in (
-        ce_loss(z, 0),
-        focal_loss(z, 0),
-        rfl_loss(z, 0),
-        lsr_loss(z, 0),
-        vkd_loss(z, 0),
+        weighted_ce(z, [0], "ce"),
+        weighted_ce(z, [0], "fl"),
+        weighted_ce(z, [0], "rfl"),
+        distill(z, [0], teacher_table(2, 0.01, 1.0), 1.0),
+        distill(z, [0], teacher_table(2, 0.01, 20.0), 20.0),
     ):
-        assert math.isfinite(out.value)
+        assert math.isfinite(out.value[0])
         assert np.all(np.isfinite(out.grad_logits))
 
 
 class TestBatchedKernels:
-    """The [n, C] kernels row by row against the 1-d losses."""
+    """The [n, C] kernels row by row against one-row batches."""
 
     def rows(self, n=40, num_classes=6, seed=22):
         rng = np.random.default_rng(seed)
@@ -457,26 +532,27 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("reg_kind", REG_KINDS)
     @pytest.mark.parametrize("cls_kind", CLS_KINDS)
     def test_objective_rows_match_single_calls(self, cls_kind, reg_kind):
+        # each row of a batch equals the same row scored as a one-row batch
         z, y = self.rows()
         objective = make_objective(cls_kind, reg_kind, LossConfig(num_classes=6))
         batched = objective.rows(z, y)
         for i in range(len(z)):
-            single = objective(z[i], int(y[i]))
-            assert batched.value[i] == single.value
-            assert batched.p_target[i] == single.p_target
-            assert_array_equal(batched.grad_logits[i], single.grad_logits)
+            single = objective.rows(z[i : i + 1], y[i : i + 1])
+            assert batched.value[i] == single.value[0]
+            assert batched.p_target[i] == single.p_target[0]
+            assert_array_equal(batched.grad_logits[i], single.grad_logits[0])
 
     def test_ce_keeps_p_minus_onehot_below_floor(self):
         # p_t = e^-60 is below P_FLOOR: the value is clamped, the gradient
         # is not; a w = 1 weighted form would scale it by p_t / P_FLOOR
         z = np.array([0.0, 60.0, 0.0])
-        out = ce_loss(z, 0)
-        assert out.p_target < P_FLOOR
-        assert out.value == -math.log(P_FLOOR)
-        assert_array_equal(out.grad_logits, softmax_stable(z) - np.eye(3)[0])
-        assert_allclose(out.grad_logits, [-1.0, 1.0, 0.0], atol=1e-12)
+        out = weighted_ce(z[None], [0], "ce")
+        assert out.p_target[0] < P_FLOOR
+        assert out.value[0] == -math.log(P_FLOOR)
+        assert_array_equal(out.grad_logits[0], softmax_stable(z[None])[0] - np.eye(3)[0])
+        assert_allclose(out.grad_logits[0], [-1.0, 1.0, 0.0], atol=1e-12)
         batched = weighted_ce(np.stack([np.zeros(3), z]), [2, 0], "ce")
-        assert_array_equal(batched.grad_logits[1], out.grad_logits)
+        assert_array_equal(batched.grad_logits[1], out.grad_logits[0])
 
     def test_focal_gamma_zero_is_scaled_ce_in_a_batch(self):
         z, y = self.rows(seed=23)
@@ -485,8 +561,8 @@ class TestBatchedKernels:
         assert_allclose(fl.value, 0.25 * ce.value, rtol=1e-15)
         assert_allclose(fl.grad_logits, 0.25 * ce.grad_logits, rtol=1e-14, atol=1e-17)
         for i in range(len(z)):
-            single = focal_loss(z[i], int(y[i]), alpha=0.25, gamma=0.0)
-            assert_array_equal(fl.grad_logits[i], single.grad_logits)
+            single = weighted_ce(z[i : i + 1], y[i : i + 1], "fl", alpha=0.25, gamma=0.0)
+            assert_array_equal(fl.grad_logits[i], single.grad_logits[0])
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_focal_certain_target_row(self, gamma):
@@ -501,8 +577,8 @@ class TestBatchedKernels:
         assert out.value[1] == 0.0
         assert_allclose(out.grad_logits[1], 0.0, atol=0.0)
         for i, t in enumerate([1, 0]):
-            single = focal_loss(z[i], t, alpha=0.25, gamma=gamma)
-            assert_array_equal(out.grad_logits[i], single.grad_logits)
+            single = weighted_ce(z[i : i + 1], [t], "fl", alpha=0.25, gamma=gamma)
+            assert_array_equal(out.grad_logits[i], single.grad_logits[0])
 
     @pytest.mark.parametrize("kernel", ["weighted_ce", "distill", "objective"])
     def test_one_bad_row_or_label_rejects_the_batch(self, kernel):
@@ -531,7 +607,7 @@ class TestBatchedKernels:
     def test_teacher_table_rows_are_softened_virtual_teachers(self):
         table = teacher_table(7, 0.05, 3.0)
         for c in range(7):
-            expected = softmax_stable(virtual_teacher(c, 7, 0.05) / 3.0)
+            expected = softmax_stable(virtual_teacher(c, 7, 0.05)[None] / 3.0)[0]
             assert_allclose(table[c], expected, rtol=1e-15)
 
     def test_distill_rejects_mismatched_table(self):

@@ -15,7 +15,7 @@ from afslab.metrics import (
     bias_diagnostics,
     confidence_interval,
 )
-from afslab.losses import classify_difficulty, softmax_stable
+from afslab.losses import difficulty_counts, softmax_stable
 from afslab.model import SCORE_CHUNK_ROWS, NetworkSpec, NetworkState, init_network
 from helpers import traced_peak
 
@@ -182,7 +182,7 @@ def exact_p_logits(p, target, num_classes=4):
         a = math.log(p * rest / (1.0 - p))
         for j in range(-64, 65):
             z[target] = a + j * np.spacing(a)
-            if softmax_stable(z)[target] == p:
+            if softmax_stable(z[None])[0, target] == p:
                 return z
     raise AssertionError(f"no logits found for p = {p}")
 
@@ -236,7 +236,9 @@ class TestBiasDiagnostics:
         expected = {"HSI": 0, "ASI": 0, "ESI": 0}
         for z, lab in zip(rows, labels):
             if lab in (2, 3):
-                expected[classify_difficulty(float(softmax_stable(z)[lab]))] += 1
+                p_t = softmax_stable(z[None])[0, lab]
+                for bucket, count in difficulty_counts([p_t]).items():
+                    expected[bucket] += count
         assert rec.interval_counts == expected
         assert min(expected.values()) > 4
 

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
-from afslab.losses import LossConfig, afs_loss, ce_loss, focal_loss, lsr_loss, rfl_loss, vkd_loss
+from afslab.losses import LossConfig, distill, make_objective, teacher_table, weighted_ce
 from afslab.model import (
     SCORE_CHUNK_ROWS,
     Gradients,
@@ -20,7 +20,6 @@ from afslab.model import (
     forward,
     init_network,
     load_checkpoint,
-    predict,
     save_checkpoint,
     score_rows,
     sgd_step,
@@ -83,22 +82,29 @@ class TestInit:
 class TestForward:
     def test_hand_computed(self):
         state = tiny_state()
-        trace = forward(state, np.array([2.0, 1.0]))
+        trace = forward(state, np.array([[2.0, 1.0]]))
         # pre-relu hidden: [2, 0.5, 1]; all positive so relu passes them
-        assert_allclose(trace.pre_activations[0], [2.0, 0.5, 1.0])
-        assert_allclose(trace.activations[0], [2.0, 0.5, 1.0])
-        assert_allclose(trace.logits, [2.6, 2.0])
+        assert_allclose(trace.pre_activations[0][0], [2.0, 0.5, 1.0])
+        assert_allclose(trace.activations[0][0], [2.0, 0.5, 1.0])
+        assert_allclose(trace.logits[0], [2.6, 2.0])
 
     def test_relu_masks_negatives(self):
         state = tiny_state()
-        trace = forward(state, np.array([-1.0, 0.2]))
+        trace = forward(state, np.array([[-1.0, 0.2]]))
         # hidden pre: [-1, -0.3, -1.2] -> activations all zero
-        assert_allclose(trace.activations[0], [0.0, 0.0, 0.0])
-        assert_allclose(trace.logits, [0.1, 0.0])
+        assert_allclose(trace.activations[0][0], [0.0, 0.0, 0.0])
+        assert_allclose(trace.logits[0], [0.1, 0.0])
 
     def test_rejects_bad_width(self):
         with pytest.raises(InvalidInputError):
-            forward(tiny_state(), np.zeros(3))
+            forward(tiny_state(), np.zeros((1, 3)))
+
+    def test_rejects_a_vector(self):
+        state = tiny_state()
+        with pytest.raises(InvalidInputError, match=r"\[n, 2\]"):
+            forward(state, np.zeros(2))
+        with pytest.raises(InvalidInputError, match=r"\[n, 2\]"):
+            forward(state, np.zeros(2), Workspace())
 
     def test_batch_matches_single(self):
         state = init_network(NetworkSpec((6, 9, 4), seed=3))
@@ -107,10 +113,10 @@ class TestForward:
         batched = forward(state, X)
         assert batched.logits.shape == (11, 4)
         for i in range(len(X)):
-            single = forward(state, X[i])
-            assert_allclose(batched.logits[i], single.logits, atol=1e-12)
+            single = forward(state, X[i : i + 1])
+            assert_allclose(batched.logits[i], single.logits[0], atol=1e-12)
             assert_allclose(
-                batched.activations[0][i], single.activations[0], atol=1e-12
+                batched.activations[0][i], single.activations[0][0], atol=1e-12
             )
 
 
@@ -185,17 +191,18 @@ class TestBackward:
     def test_finite_difference_all_losses(self, widths):
         rng = np.random.default_rng(21)
         state = init_network(NetworkSpec(widths, seed=7))
-        cfg = LossConfig(num_classes=widths[-1])
+        C = widths[-1]
+        lsr, vkd = teacher_table(C, 0.01, 1.0), teacher_table(C, 0.01, 20.0)
         losses = {
-            "ce": lambda z, t: ce_loss(z, t),
-            "focal": lambda z, t: focal_loss(z, t),
-            "rfl": lambda z, t: rfl_loss(z, t),
-            "lsr": lambda z, t: lsr_loss(z, t),
-            "vkd": lambda z, t: vkd_loss(z, t),
-            "afs": lambda z, t: afs_loss(z, t, cfg),
+            "ce": lambda z, t: weighted_ce(z, t, "ce"),
+            "focal": lambda z, t: weighted_ce(z, t, "fl"),
+            "rfl": lambda z, t: weighted_ce(z, t, "rfl"),
+            "lsr": lambda z, t: distill(z, t, lsr, 1.0),
+            "vkd": lambda z, t: distill(z, t, vkd, 20.0),
+            "afs": make_objective("rfl", "vkd", LossConfig(num_classes=C)).rows,
         }
-        x = rng.normal(size=widths[0])
-        target = int(rng.integers(0, widths[-1]))
+        x = rng.normal(size=widths[0])[None]
+        target = [int(rng.integers(0, widths[-1]))]
         for name, loss in losses.items():
             trace = forward(state, x)
             grads = backward(state, trace, loss(trace.logits, target).grad_logits)
@@ -209,9 +216,9 @@ class TestBackward:
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + 1e-6
-                        up = loss(forward(state, x).logits, target).value
+                        up = loss(forward(state, x).logits, target).value[0]
                         flat[i] = orig - 1e-6
-                        down = loss(forward(state, x).logits, target).value
+                        down = loss(forward(state, x).logits, target).value[0]
                         flat[i] = orig
                         numeric[i] = (up - down) / 2e-6
                     # atol absorbs cancellation noise in the difference
@@ -229,7 +236,7 @@ class TestBackward:
         X = rng.normal(size=(9, widths[0]))
         G = rng.normal(size=(9, widths[-1]))
         got = backward(state, forward(state, X), G)
-        rows = [backward(state, forward(state, X[i]), G[i]) for i in range(9)]
+        rows = [backward(state, forward(state, X[i : i + 1]), G[i : i + 1]) for i in range(9)]
         for layer in range(len(state.weights)):
             assert_allclose(
                 got.weights[layer], sum(r.weights[layer] for r in rows), atol=1e-12
@@ -240,19 +247,19 @@ class TestBackward:
 
     def test_rejects_mismatched_grad(self):
         state = tiny_state()
-        trace = forward(state, np.array([1.0, 1.0]))
+        trace = forward(state, np.array([[1.0, 1.0]]))
         with pytest.raises(InvalidInputError):
-            backward(state, trace, np.zeros(3))
+            backward(state, trace, np.zeros((1, 3)))
         batch = forward(state, np.ones((4, 2)))
         with pytest.raises(InvalidInputError):
             backward(state, batch, np.zeros((3, 2)))
 
     def test_rejects_stale_trace(self):
         state = tiny_state()
-        trace = forward(state, np.array([1.0, 1.0]))
+        trace = forward(state, np.array([[1.0, 1.0]]))
         other = init_network(NetworkSpec((2, 5, 2), seed=0))
         with pytest.raises(InvalidInputError):
-            backward(other, trace, np.zeros(2))
+            backward(other, trace, np.zeros((1, 2)))
 
 
 class TestSgdStep:
@@ -303,15 +310,17 @@ class TestSgdStep:
 
 
 class TestPredict:
+    """The predicted class is the argmax of `score_rows`' logits."""
+
     def test_argmax(self):
         state = tiny_state()
-        assert predict(state, np.array([2.0, 1.0])) == 0
+        assert np.argmax(score_rows(state, np.array([[2.0, 1.0]]))[0]) == 0
 
     def test_tie_goes_to_lowest_index(self):
         state = NetworkState(
             weights=[np.zeros((3, 2))], biases=[np.zeros(3)]
         )
-        assert predict(state, np.array([1.0, -1.0])) == 0
+        assert np.argmax(score_rows(state, np.array([[1.0, -1.0]]))[0]) == 0
 
 
 class TestCheckpoint:
@@ -320,8 +329,8 @@ class TestCheckpoint:
         # push the values off the initializer grid with a couple of updates
         rng = np.random.default_rng(0)
         for _ in range(3):
-            trace = forward(state, rng.normal(size=6))
-            out = ce_loss(trace.logits, int(rng.integers(0, 4)))
+            trace = forward(state, rng.normal(size=6)[None])
+            out = weighted_ce(trace.logits, [int(rng.integers(0, 4))], "ce")
             sgd_step(state, backward(state, trace, out.grad_logits), 0.05)
         path = tmp_path / "model.json"
         save_checkpoint(state, str(path))
@@ -381,8 +390,8 @@ def test_gradients_via_logit_vector_oracle():
     # feed an arbitrary fixed logit gradient and compare against finite
     # differences of the scalar g . logits(x)
     state = init_network(NetworkSpec((3, 5, 4), seed=99))
-    x = np.array([0.4, -1.2, 2.0])
-    g = np.array([0.3, -0.7, 1.1, 0.2])
+    x = np.array([[0.4, -1.2, 2.0]])
+    g = np.array([[0.3, -0.7, 1.1, 0.2]])
 
     def scalar(weights_flat):
         probe = NetworkState(
@@ -390,7 +399,7 @@ def test_gradients_via_logit_vector_oracle():
             biases=[b.copy() for b in state.biases],
         )
         probe.weights[0] = weights_flat.reshape(state.weights[0].shape)
-        return float(g @ forward(probe, x).logits)
+        return float(np.sum(g * forward(probe, x).logits))
 
     trace = forward(state, x)
     grads = backward(state, trace, g)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
-from afslab.losses import ce_loss
 from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
     Dataset,

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
-from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, ce_loss, lsr_loss, rfl_loss
+from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, distill, teacher_table, weighted_ce
 from afslab.memory import MemoryBuffer, class_histogram, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
 from afslab.stream import (
@@ -66,10 +66,10 @@ class TestMakeObjective:
     def test_combined_is_weighted_sum(self):
         cfg = LossConfig(beta=0.3, epsilon=0.05, num_classes=3)
         obj = make_objective("ce", "lsr", cfg)
-        z = np.array([0.2, -1.0, 0.7])
-        got = obj(z, 2)
-        base = ce_loss(z, 2)
-        reg = lsr_loss(z, 2, epsilon=0.05)
+        z = np.array([[0.2, -1.0, 0.7]])
+        got = obj.rows(z, [2])
+        base = weighted_ce(z, [2], "ce")
+        reg = distill(z, [2], teacher_table(3, 0.05, 1.0), 1.0)
         assert_allclose(got.value, base.value + 0.3 * reg.value, rtol=1e-12)
         assert_allclose(
             got.grad_logits, base.grad_logits + 0.3 * reg.grad_logits, rtol=1e-12
@@ -78,8 +78,8 @@ class TestMakeObjective:
     def test_plain_kind_passes_through(self):
         cfg = LossConfig(num_classes=3)
         obj = make_objective("rfl", "none", cfg)
-        z = np.array([0.2, -1.0, 0.7])
-        assert_allclose(obj(z, 0).value, rfl_loss(z, 0).value, rtol=1e-15)
+        z = np.array([[0.2, -1.0, 0.7]])
+        assert_allclose(obj.rows(z, [0]).value, weighted_ce(z, [0], "rfl").value, rtol=1e-15)
 
 
 class TestEvaluate:
@@ -119,10 +119,10 @@ class TestHandSteppedTrace:
         W, b = state.weights[0].copy(), state.biases[0].copy()
         dW, db = np.zeros_like(W), np.zeros_like(b)
         for x, label in zip(features, labels):
-            g = rfl_loss(
-                W @ x + b, int(label),
+            g = weighted_ce(
+                (W @ x + b)[None], [label], "rfl",
                 alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma,
-            ).grad_logits
+            ).grad_logits[0]
             dW += np.outer(g, x)
             db += g
         n = len(features)
