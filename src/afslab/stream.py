@@ -19,6 +19,7 @@ from .errors import FormatError, InvalidConfigError, InvalidInputError
 IMAGE_MAGIC = 0x00000803  # unsigned bytes, 3 dimensions
 LABEL_MAGIC = 0x00000801  # unsigned bytes, 1 dimension
 AUGMENT_KINDS = ("none", "vector", "image")
+IMAGE_PAD = 4  # zero border of the "image" crop, so offsets run 0..8
 
 
 @dataclass
@@ -250,33 +251,60 @@ def augment(
     Kinds: "none" hands the input back unchanged, "image" applies a random
     horizontal flip plus a pad-4 random crop to square images, and "vector"
     adds Gaussian jitter with the given sigma. Labels are unchanged by every
-    kind, so only features go in and out.
+    kind, so only features go in and out. The random draws come first
+    (`draw_augment`), then their use (`apply_augment`), so the draws can be
+    made where the rows are not at hand.
+    """
+    draws = draw_augment(kind, features.shape, rng, jitter_sigma)
+    return apply_augment(features, kind, draws)
 
-    "image" draws, row by row, a flip coin (`rng.random() < 0.5`) and then
-    two crop offsets (`rng.integers(0, 9, size=2)` for dy, dx). It then cuts
-    all k crops out of one zero-padded [k, side+8, side+8] buffer with a
-    single gather; a flipped row reads its columns mirrored, so no flipped
-    copy is made.
+
+def draw_augment(
+    kind: str,
+    shape: tuple[int, int],
+    rng: np.random.Generator,
+    jitter_sigma: float = 0.1,
+):
+    """Every random number `augment` needs for rows of the given [k, dim] shape.
+
+    "none" draws nothing and returns None. "vector" returns the [k, dim]
+    jitter in one draw; a Generator fills it in the same order as one draw
+    per row. "image" draws, row by row, a flip coin (`rng.random() < 0.5`)
+    and then two crop offsets (`rng.integers(0, 9, size=2)` for dy, dx), and
+    returns the [k] flips and the [k, 2] offsets.
     """
     if kind == "none":
-        return features
+        return None
     if kind == "vector":
-        # one draw for the whole batch; a Generator fills it in the same
-        # order as one draw per row, so the stream of numbers is unchanged
-        return features + rng.normal(0.0, jitter_sigma, size=features.shape)
+        return rng.normal(0.0, jitter_sigma, size=shape)
     if kind not in AUGMENT_KINDS:
         raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
-    k, dim = features.shape
-    side = math.isqrt(dim)
-    if side * side != dim:
+    k, dim = shape
+    if math.isqrt(dim) ** 2 != dim:
         raise InvalidConfigError(f"image augmentation needs square features, got {dim}")
-    pad = 4
     flips = np.empty(k, dtype=bool)
     offsets = np.empty((k, 2), dtype=np.int64)
     for i in range(k):
         # the draw order per row (flip coin, then crop offsets) fixes seeded runs
         flips[i] = rng.random() < 0.5
-        offsets[i] = rng.integers(0, 2 * pad + 1, size=2)
+        offsets[i] = rng.integers(0, 2 * IMAGE_PAD + 1, size=2)
+    return flips, offsets
+
+
+def apply_augment(features: np.ndarray, kind: str, draws) -> np.ndarray:
+    """The [k, dim] rows transformed with the draws of `draw_augment`.
+
+    "image" cuts all k crops out of one zero-padded [k, side+8, side+8]
+    buffer with a single gather; a flipped row reads its columns mirrored,
+    so no flipped copy is made.
+    """
+    if kind == "none":
+        return features
+    if kind == "vector":
+        return features + draws
+    flips, offsets = draws
+    k, dim = features.shape
+    side, pad = math.isqrt(dim), IMAGE_PAD
     width = side + 2 * pad
     padded = np.zeros((k, width, width), dtype=features.dtype)
     padded[:, pad : pad + side, pad : pad + side] = features.reshape(k, side, side)

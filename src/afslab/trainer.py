@@ -9,6 +9,20 @@ fill one row of the accuracy matrix. Rows travel as arrays throughout: a
 stream batch is an index array into the `Dataset`, a replay batch an index
 array into the `MemoryBuffer`.
 
+Retrieval is random, so what a step replays, its augmentation and what
+the reservoir keeps never depend on the model. `run_stream` therefore
+splits in two: `replay_schedule`, a generator that owns the rng and the
+buffer and yields each step's replay rows as dataset indices plus their
+augmentation draws (and each review's order), and the training, which reads
+those rows from the dataset and steps. At each task boundary it hands the
+state of that moment to a scorer that runs `evaluate` and the bias
+diagnostics. When the process may use more CPUs than its BLAS runs
+threads (a one-thread pool worker on two CPUs), the schedule and each
+scorer run in forked helper processes (`sidecar`), overlapping the steps;
+otherwise, as under `taskset -c 0`, they run in this process in the
+serial order. Either way every draw and every BLAS call sees the same
+inputs in the same order, so the record is the same.
+
 Scoring never gathers the rows it scores: `evaluate` and the bias
 diagnostics over every row seen so far both go through `model.score_rows`,
 which reads rows by index in fixed chunks of `SCORE_CHUNK_ROWS`, so their
@@ -31,15 +45,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import AfslabError, InvalidConfigError, InvalidInputError
 from .losses import CLS_KINDS, REG_KINDS, LossConfig, Objective, make_objective
 from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
 from .model import NetworkState, Workspace, backward, forward, score_rows, sgd_step
-from .stream import Dataset, augment
+from .sidecar import Helpers
+from .stream import Dataset, apply_augment, draw_augment
 
 
 @dataclass(frozen=True)
@@ -121,8 +137,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.stream_batch < 1 or self.retrieve_batch < 0 or self.rv_batch < 1:
-            raise InvalidConfigError("batch sizes out of range")
+        for name, least in (("stream_batch", 1), ("retrieve_batch", 0), ("rv_batch", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise InvalidConfigError(f"{name} must be at least {least}, got {value}")
         if self.lr <= 0:
             raise InvalidConfigError(f"lr must be positive, got {self.lr}")
         if self.rv_lr < 0:
@@ -192,7 +210,7 @@ def review_pass(
     Uses the classification loss alone, with no augmentation and no
     distillation term. Memory itself is never modified. Returns the
     reviewed copy of `state`; a zero rv_lr or an empty buffer returns
-    `state` itself.
+    `state` itself and draws nothing.
     """
     if rv_batch < 1:
         raise InvalidConfigError(f"rv_batch must be positive, got {rv_batch}")
@@ -200,22 +218,121 @@ def review_pass(
         raise InvalidConfigError(f"rv_lr must be non-negative, got {rv_lr}")
     if rv_lr == 0 or len(memory) == 0:
         return state
+    order = rng.permutation(len(memory))
+    return review_rows(
+        state, memory.features, memory.labels, order, rv_lr, rv_batch, loss, cls_kind
+    )
+
+
+def review_rows(
+    state: NetworkState,
+    features: np.ndarray,
+    labels: np.ndarray,
+    order: np.ndarray,
+    rv_lr: float,
+    rv_batch: int,
+    loss: LossConfig,
+    cls_kind: str = "rfl",
+) -> NetworkState:
+    """The review epoch over `features[order]`, rv_batch rows to a step.
+
+    Returns a stepped copy of `state`, or `state` itself for an empty order.
+    """
+    if len(order) == 0:
+        return state
     objective = make_objective(cls_kind, "none", loss)
     state, workspace = state.copy(), Workspace()
-    order = rng.permutation(len(memory))
     for start in range(0, len(order), rv_batch):
         rows = order[start : start + rv_batch]
-        sgd_on_batch(
-            state, memory.features[rows], memory.labels[rows], objective, rv_lr,
-            workspace,
-        )
+        sgd_on_batch(state, features[rows], labels[rows], objective, rv_lr, workspace)
     return state
 
 
-def _review_step_count(memory: MemoryBuffer, config: TrainConfig) -> int:
-    if config.rv_lr == 0 or len(memory) == 0:
-        return 0
-    return math.ceil(len(memory) / config.rv_batch)
+def _review_due(recipe: Recipe, config: TrainConfig, steps: int | None = None) -> bool:
+    """Whether a review follows step number `steps`, or the task when None."""
+    if not recipe.review:
+        return False
+    if steps is None:
+        return not config.rv_every
+    return bool(config.rv_every) and steps % config.rv_every == 0
+
+
+def replay_schedule(
+    memory: MemoryBuffer,
+    dataset: Dataset,
+    streams: list[list[np.ndarray]],
+    config: TrainConfig,
+    recipe: Recipe,
+):
+    """The model-free half of `run_stream`: what each step replays, and how.
+
+    Owns the run's rng and `memory`, and makes the loop's draws in the
+    loop's order: per step `random_retrieve`, then the augmentation draws of
+    the replay rows, then `reservoir_update` with the incoming rows; per
+    review a permutation of the memory slots (none when rv_lr is 0 or the
+    buffer is empty). Yields, in loop order, `(replay, draws)` per step,
+    with the replay rows as dataset indices and `draws` None when nothing is
+    augmented, and the review order as dataset indices per review. The last
+    item is the buffer's final `(tot, labels, uids)`.
+    """
+    rng = np.random.default_rng(config.seed)
+    kind = config.augment_kind if recipe.augment_replay else "none"
+    width = dataset.features.shape[1]
+
+    def review_order() -> np.ndarray:
+        if config.rv_lr == 0 or len(memory) == 0:
+            return np.empty(0, dtype=np.int64)
+        return memory.uids[rng.permutation(len(memory))]
+
+    steps = 0
+    for stream in streams:
+        for batch in stream:
+            picks = random_retrieve(memory, config.retrieve_batch, rng)
+            draws = None
+            if len(picks) and kind != "none":
+                draws = draw_augment(kind, (len(picks), width), rng, config.jitter_sigma)
+            replay = memory.uids[picks]
+            reservoir_update(memory, dataset.features[batch], dataset.labels[batch], batch, rng)
+            yield replay, draws
+            steps += 1
+            if _review_due(recipe, config, steps):
+                yield review_order()
+        if _review_due(recipe, config):
+            yield review_order()
+    yield memory.tot, memory.labels, memory.uids
+
+
+def _score(state, test_sets, dataset, old_classes, new_classes, rows):
+    """A task boundary's accuracy row, and its bias diagnostics once there are old classes."""
+    accuracies = [evaluate(state, test_set) for test_set in test_sets]
+    if not old_classes:
+        return accuracies, None
+    return accuracies, bias_diagnostics(
+        state, dataset.features, dataset.labels, old_classes, new_classes, rows
+    )
+
+
+def _check_memory_rows(memory: MemoryBuffer, dataset: Dataset) -> None:
+    """Replay reads memory rows from the dataset by uid; they must agree."""
+    uids = memory.uids[: len(memory)]
+    if len(uids) and (
+        uids.min() < 0
+        or uids.max() >= len(dataset)
+        or not np.array_equal(memory.features[: len(uids)], dataset.features[uids])
+    ):
+        raise InvalidInputError("memory rows must be the dataset rows named by their uids")
+
+
+def _restore_memory(memory, dataset, tot, labels, uids) -> None:
+    """Set `memory` to the schedule's final buffer, reading its rows by uid."""
+    memory.tot, memory.labels, memory.uids = tot, labels, uids
+    filled = uids[: len(memory)]
+    if len(filled):
+        if memory.features is None:
+            memory.features = np.empty(
+                (memory.capacity, dataset.features.shape[1]), dataset.features.dtype
+            )
+        memory.features[: len(filled)] = dataset.features[filled]
 
 
 def run_stream(
@@ -230,66 +347,72 @@ def run_stream(
     """Train one recipe over the task streams (index arrays into `dataset`).
 
     `state` is copied on entry; the trained copy is the record's `final_state`.
+    `memory` may already hold rows, each the dataset row its uid names; it
+    ends as the reservoir left it.
     """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
+    _check_memory_rows(memory, dataset)
     state, workspace = state.copy(), Workspace()
-    rng = np.random.default_rng(config.seed)
     objective = make_objective(recipe.cls, recipe.reg, config.loss)
-    augment_replay = recipe.augment_replay and config.augment_kind != "none"
     matrix = AccuracyMatrix()
     diagnostics: dict[int, DiagnosticsRecord] = {}
     steps = 0
     review_steps = 0
     seen = np.empty(0, dtype=np.int64)  # dataset rows of the finished tasks
     seen_classes: set[int] = set()
+    scores = []  # per finished task, a call returning its `_score`
     started = time.perf_counter()
 
-    def review(state: NetworkState) -> NetworkState:
+    def review(state: NetworkState, order: np.ndarray) -> NetworkState:
         nonlocal review_steps
-        review_steps += _review_step_count(memory, config)
-        return review_pass(
-            state, memory, config.rv_lr, config.rv_batch,
-            config.loss, rng, cls_kind=recipe.cls,
+        review_steps += math.ceil(len(order) / config.rv_batch)
+        return review_rows(
+            state, dataset.features, dataset.labels, order,
+            config.rv_lr, config.rv_batch, config.loss, recipe.cls,
         )
 
-    for task_number, stream in enumerate(streams, start=1):
-        for batch in stream:
-            x, y = dataset.features[batch], dataset.labels[batch]
-            # step rows: incoming, then replay, then augmented replay
-            step_x, step_y = [x], [y]
-            picks = random_retrieve(memory, config.retrieve_batch, rng)
-            if len(picks):
-                replay_x, replay_y = memory.features[picks], memory.labels[picks]
-                step_x.append(replay_x)
-                step_y.append(replay_y)
-                if augment_replay:
-                    step_x.append(
-                        augment(replay_x, config.augment_kind, rng, config.jitter_sigma)
-                    )
-                    step_y.append(replay_y)
-            sgd_on_batch(
-                state, np.concatenate(step_x), np.concatenate(step_y),
-                objective, config.lr, workspace,
-            )
-            steps += 1
-            reservoir_update(memory, x, y, batch, rng)
-            if recipe.review and config.rv_every and steps % config.rv_every == 0:
-                state = review(state)
-        if recipe.review and not config.rv_every:
-            state = review(state)
-        matrix.append_row(
-            [evaluate(state, test_sets[j]) for j in range(task_number)]
+    with Helpers() as helpers:
+        plan = helpers.stream(
+            lambda: replay_schedule(memory, dataset, streams, config, recipe)
         )
-        rows = np.concatenate([seen, *stream])
-        new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
-        if seen_classes:
-            diagnostics[task_number] = bias_diagnostics(
-                state, dataset.features, dataset.labels,
-                seen_classes, new_classes, rows,
-            )
-        seen = rows
-        seen_classes |= new_classes
+        try:
+            for task_number, stream in enumerate(streams, start=1):
+                for batch in stream:
+                    replay, draws = next(plan)
+                    rows = np.concatenate([batch, replay])
+                    x, y = dataset.features[rows], dataset.labels[rows]
+                    if draws is not None:
+                        # step rows: incoming, then replay, then augmented replay
+                        augmented = apply_augment(x[len(batch):], config.augment_kind, draws)
+                        x = np.concatenate([x, augmented])
+                        y = np.concatenate([y, y[len(batch):]])
+                    sgd_on_batch(state, x, y, objective, config.lr, workspace)
+                    steps += 1
+                    if _review_due(recipe, config, steps):
+                        state = review(state, next(plan))
+                if _review_due(recipe, config):
+                    state = review(state, next(plan))
+                rows = np.concatenate([seen, *stream])
+                new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
+                scores.append(helpers.call(partial(
+                    _score, state, test_sets[:task_number], dataset,
+                    seen_classes, new_classes, rows,
+                )))
+                seen = rows
+                seen_classes |= new_classes
+            tot, labels, uids = next(plan)
+        except AfslabError:
+            for score in scores:
+                score()  # a scoring failure comes first in the loop's order
+            raise
+        for task_number, score in enumerate(scores, start=1):
+            accuracies, diagnosed = score()
+            matrix.append_row(accuracies)
+            if diagnosed is not None:
+                diagnostics[task_number] = diagnosed
+        if helpers.forked:  # the schedule filled its own copy of the buffer
+            _restore_memory(memory, dataset, tot, labels, uids)
 
     return RunRecord(
         accuracy_matrix=matrix,

@@ -1,11 +1,19 @@
 """Shared numeric oracles for the test suite."""
 
 import math
+import os
+import time
 import tracemalloc
 
 import numpy as np
 
-from afslab.model import Gradients, NetworkState, backward, forward, sgd_step
+from afslab import sidecar
+from afslab.losses import make_objective
+from afslab.memory import random_retrieve, reservoir_update
+from afslab.metrics import AccuracyMatrix, bias_diagnostics
+from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
+from afslab.stream import augment
+from afslab.trainer import RunRecord, evaluate, review_pass, sgd_on_batch
 
 
 def central_difference(f, x, h=1e-5):
@@ -153,3 +161,83 @@ def traced_peak(fn, *args, **kwargs):
         if not already:
             tracemalloc.stop()
     return result, peak - before
+
+
+def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, recipe):
+    """Reference for trainer.run_stream: the loop before the replay schedule.
+
+    One loop does everything in order: per step retrieve from `memory`,
+    augment the replay rows, take the SGD step, offer the incoming rows to
+    the reservoir, and review when due; per task review, evaluate and
+    diagnose. Memory rows are read from the buffer, not from the dataset.
+    """
+    state, workspace = state.copy(), Workspace()
+    rng = np.random.default_rng(config.seed)
+    objective = make_objective(recipe.cls, recipe.reg, config.loss)
+    augment_replay = recipe.augment_replay and config.augment_kind != "none"
+    matrix, diagnostics = AccuracyMatrix(), {}
+    steps = review_steps = 0
+    seen = np.empty(0, dtype=np.int64)
+    seen_classes = set()
+    started = time.perf_counter()
+
+    def review(state):
+        nonlocal review_steps
+        if config.rv_lr != 0 and len(memory):
+            review_steps += math.ceil(len(memory) / config.rv_batch)
+        return review_pass(
+            state, memory, config.rv_lr, config.rv_batch, config.loss, rng,
+            cls_kind=recipe.cls,
+        )
+
+    for task_number, stream in enumerate(streams, start=1):
+        for batch in stream:
+            x, y = dataset.features[batch], dataset.labels[batch]
+            step_x, step_y = [x], [y]
+            picks = random_retrieve(memory, config.retrieve_batch, rng)
+            if len(picks):
+                replay_x, replay_y = memory.features[picks], memory.labels[picks]
+                step_x.append(replay_x)
+                step_y.append(replay_y)
+                if augment_replay:
+                    step_x.append(
+                        augment(replay_x, config.augment_kind, rng, config.jitter_sigma)
+                    )
+                    step_y.append(replay_y)
+            sgd_on_batch(
+                state, np.concatenate(step_x), np.concatenate(step_y),
+                objective, config.lr, workspace,
+            )
+            steps += 1
+            reservoir_update(memory, x, y, batch, rng)
+            if recipe.review and config.rv_every and steps % config.rv_every == 0:
+                state = review(state)
+        if recipe.review and not config.rv_every:
+            state = review(state)
+        matrix.append_row([evaluate(state, test_sets[j]) for j in range(task_number)])
+        rows = np.concatenate([seen, *stream])
+        new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
+        if seen_classes:
+            diagnostics[task_number] = bias_diagnostics(
+                state, dataset.features, dataset.labels, seen_classes, new_classes, rows,
+            )
+        seen = rows
+        seen_classes |= new_classes
+
+    return RunRecord(
+        accuracy_matrix=matrix,
+        diagnostics=diagnostics,
+        wall_time=time.perf_counter() - started,
+        steps=steps,
+        review_steps=review_steps,
+        final_state=state,
+    )
+
+
+def fork_helpers(monkeypatch, forked):
+    """Make `run_stream` fork its helpers, or keep them in-process, on any host.
+
+    Forking needs more allowed CPUs than BLAS threads, so both are set.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
+    monkeypatch.setattr(sidecar, "blas_threads", lambda: 1)

@@ -254,6 +254,21 @@ class TestMainCommand:
         captured = capsys.readouterr()
         assert "metrics.csv" in captured.out
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_summary_line(self, runs, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(out), "--runs", str(runs)]) == 0
+        records = json.loads((out / "records.json").read_text())
+        if runs == 1:
+            value = f"{records['runs'][0]['metrics'][-1]['A_T']:.4f}"
+        else:  # the mean over runs, not the last run's value
+            (a_t,) = [item for item in records["summary"] if item["metric"] == "A_T"]
+            value = f"{a_t['mean']:.4f} +/- {a_t['ci_half_width']:.4f}"
+            assert not value.startswith(f"{records['runs'][-1]['metrics'][-1]['A_T']:.4f} ")
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line == f"afs: runs={runs} A_T={value} (final task 2)"
+
     def test_determinism_excluding_wall_time(self, tmp_path):
         cfg = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

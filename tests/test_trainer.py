@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
@@ -26,7 +30,14 @@ from afslab.trainer import (
     train_offline,
     train_reference,
 )
-from helpers import allocating_step, max_param_diff, per_sample_step, traced_peak
+from helpers import (
+    allocating_step,
+    fork_helpers,
+    interleaved_run_stream,
+    max_param_diff,
+    per_sample_step,
+    traced_peak,
+)
 
 
 def one_task_stream(features, labels, batch_size):
@@ -54,6 +65,15 @@ class TestTrainConfig:
             TrainConfig(stream_batch=0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(rv_every=0)
+
+    @pytest.mark.parametrize(
+        "key,value,least",
+        [("stream_batch", 0, 1), ("rv_batch", 0, 1), ("retrieve_batch", -1, 0)],
+    )
+    def test_batch_size_error_names_the_field(self, key, value, least):
+        with pytest.raises(InvalidConfigError) as info:
+            TrainConfig(**{key: value})
+        assert str(info.value) == f"{key} must be at least {least}, got {value}"
 
 
 class TestMakeObjective:
@@ -502,9 +522,11 @@ class TestLoopsLeaveCallerStateUnchanged:
         assert_states_equal(self.state, self.before)
 
 
-def test_run_stream_diagnostics_read_seen_rows_by_index():
+def test_run_stream_diagnostics_read_seen_rows_by_index(monkeypatch):
     # 4,000 seen rows of 784 floats: a gather of them before the task-2
-    # diagnostics would be 25 MB; chunked scoring by index needs one chunk
+    # diagnostics would be 25 MB; chunked scoring by index needs one chunk.
+    # One CPU keeps the scoring in this process, where tracemalloc sees it.
+    fork_helpers(monkeypatch, False)
     train, streams, tests = small_benchmark(dim=784, per_class=1000)
     state = init_network(NetworkSpec((784, 8, 4), seed=0))
     config = TrainConfig(retrieve_batch=10, loss=LossConfig(num_classes=4))
@@ -513,3 +535,107 @@ def test_run_stream_diagnostics_read_seen_rows_by_index():
     )
     assert sum(record.diagnostics[2].interval_counts.values()) == 2000
     assert peak < train.features.nbytes / 2
+
+
+def assert_memories_equal(a, b):
+    assert (a.tot, len(a)) == (b.tot, len(b))
+    assert_array_equal(a.labels, b.labels)
+    assert_array_equal(a.uids, b.uids)
+    if len(a):
+        assert_array_equal(a.features[: len(a)], b.features[: len(b)])
+
+
+class TestScheduleMatchesInterleavedLoop:
+    """`run_stream` against the one interleaved loop it was split from.
+
+    The schedule makes the same draws in the same order and the trainer
+    reads the same rows, so the record, the final state and the caller's
+    buffer must be identical, whether the helpers are forked or not.
+    """
+
+    RECIPES = (AFS, ER, Recipe("fl", "lsr", review=True), Recipe("ce", "vkd", review=False))
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(("none", "vector", "image")),
+        recipe=st.sampled_from(RECIPES),
+        rv_every=st.sampled_from((None, 2)),
+        rv_lr=st.sampled_from((0.0, 0.05)),
+        retrieve_batch=st.sampled_from((0, 3, 7)),
+        capacity=st.integers(1, 80),
+        stream_batch=st.integers(2, 5),
+        num_tasks=st.sampled_from((2, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_record_state_and_memory(
+        self, forked, kind, recipe, rv_every, rv_lr, retrieve_batch, capacity,
+        stream_batch, num_tasks, seed,
+    ):
+        # 2 classes per task x 6 rows: 24 or 36 stream rows, below and
+        # above which the capacity range reaches
+        train, test = gen_synthetic(2 * num_tasks, 9, 6, 0.5, seed, test_per_class=3)
+        split = split_tasks(train, num_tasks)
+        streams = task_streams(train, split, stream_batch, seed + 1)
+        tests = task_test_sets(test, split)
+        config = TrainConfig(
+            stream_batch=stream_batch, retrieve_batch=retrieve_batch, lr=0.2,
+            rv_lr=rv_lr, rv_batch=4, rv_every=rv_every,
+            loss=LossConfig(num_classes=2 * num_tasks),
+            augment_kind=kind, jitter_sigma=0.3, seed=seed,
+        )
+        state = init_network(NetworkSpec((9, 7, 2 * num_tasks), seed=seed))
+        ref_memory, memory = MemoryBuffer(capacity), MemoryBuffer(capacity)
+        expected = interleaved_run_stream(
+            state, ref_memory, train, streams, tests, config, recipe
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            fork_helpers(patch, forked)
+            got = run_stream(state, memory, train, streams, tests, config, recipe)
+        assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
+        assert got.diagnostics == expected.diagnostics
+        assert (got.steps, got.review_steps) == (expected.steps, expected.review_steps)
+        assert_states_equal(got.final_state, expected.final_state)
+        assert_memories_equal(memory, ref_memory)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestPrefilledMemory:
+    """Replay reads memory rows from the dataset by uid, so rows held on entry
+    must be the dataset rows their uids name."""
+
+    def setup_method(self):
+        self.train, self.streams, self.tests = small_benchmark(seed=9)
+        self.state = init_network(NetworkSpec((8, 6, 4), seed=4))
+        self.config = TrainConfig(
+            loss=LossConfig(num_classes=4), augment_kind="vector", seed=5, retrieve_batch=6,
+        )
+
+    def prefilled(self, features=None):
+        rows = np.arange(0, 60, 3)
+        memory = MemoryBuffer(capacity=15)
+        x = self.train.features[rows] if features is None else features
+        reservoir_update(memory, x, self.train.labels[rows], rows, np.random.default_rng(2))
+        return memory
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+    def test_dataset_rows_train_like_the_interleaved_loop(self, forked, monkeypatch):
+        ref_memory, memory = self.prefilled(), self.prefilled()
+        expected = interleaved_run_stream(
+            self.state, ref_memory, self.train, self.streams, self.tests, self.config, AFS
+        )
+        fork_helpers(monkeypatch, forked)
+        got = run_stream(
+            self.state, memory, self.train, self.streams, self.tests, self.config, AFS
+        )
+        assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
+        assert_states_equal(got.final_state, expected.final_state)
+        assert_memories_equal(memory, ref_memory)
+
+    def test_rows_that_are_not_the_dataset_rows_are_rejected(self):
+        memory = self.prefilled(features=np.zeros((20, 8)))
+        with pytest.raises(InvalidInputError, match="dataset rows named by their uids"):
+            run_stream(
+                self.state, memory, self.train, self.streams, self.tests, self.config, AFS
+            )
