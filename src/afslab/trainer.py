@@ -118,7 +118,7 @@ class TrainConfig:
     """Knobs for the stream loop.
 
     Batch sizes, step sizes and loss settings default to the values of
-    `cli.ExperimentConfig`. Replay augmentation defaults to off
+    `runner.ExperimentConfig`. Replay augmentation defaults to off
     (`augment_kind="none"`; `jitter_sigma=0.1` applies once "vector" is
     chosen). The recipe's "vector" augmentation at sigma 1.2 is set by the
     caller: `ExperimentConfig` (`augment`, `jitter_sigma`) and the

@@ -39,8 +39,7 @@ from afslab.metrics import (
     confidence_interval,
 )
 from afslab.model import NetworkSpec, backward, forward, init_network
-from afslab.stream import gen_synthetic, split_tasks, task_streams, task_test_sets
-from afslab.trainer import AFS, ER, Recipe, TrainConfig, run_stream
+from afslab.runner import ExperimentConfig, Job, run_jobs
 
 # Benchmark constants, frozen; the 06/07 docstrings give what they measure.
 NUM_CLASSES = 10
@@ -286,47 +285,39 @@ class TestMetricHandChecks:
 # --- 06/07: directional benchmark at the frozen constants ------------------
 
 
-def _benchmark_run(method, seed):
-    train, test = gen_synthetic(
-        NUM_CLASSES, DIM, PER_CLASS, SPREAD, 1000 + seed,
-        test_per_class=TEST_PER_CLASS,
-    )
-    split = split_tasks(train, NUM_TASKS)
-    keys = np.random.SeedSequence(seed).spawn(4)
-    streams = task_streams(train, split, 10, keys[1])
-    tests = task_test_sets(test, split)
-    state = init_network(
-        NetworkSpec((DIM, *HIDDEN, NUM_CLASSES), seed=int(keys[0].generate_state(1)[0]))
-    )
-    config = TrainConfig(
+def _benchmark_config(method, seed):
+    return ExperimentConfig(
+        dataset="synthetic", method=method, runs=1, seed=seed, data_seed=1000 + seed,
+        memory=MEMORY, num_tasks=NUM_TASKS, hidden=HIDDEN,
+        synth_classes=NUM_CLASSES, synth_dim=DIM, synth_per_class=PER_CLASS,
+        synth_test_per_class=TEST_PER_CLASS, synth_spread=SPREAD,
         stream_batch=10, retrieve_batch=100, lr=0.1, rv_lr=0.01, rv_batch=10,
-        loss=LossConfig(num_classes=NUM_CLASSES, beta=BETA),
-        augment_kind="vector", jitter_sigma=JITTER,
-        seed=int(keys[2].generate_state(1)[0]),
+        rv_every=None, augment="vector", jitter_sigma=JITTER,
+        alpha=0.25, gamma=2.0, mu=0.3, sigma=0.5, beta=BETA,
+        temperature=20.0, epsilon=0.01,
     )
-    if method == "afs":
-        recipe = AFS
-    elif method == "er":
-        recipe = ER
-    else:
-        cls_kind, reg_kind = method
-        recipe = Recipe(cls_kind, reg_kind, review=False)
-    record = run_stream(state, MemoryBuffer(MEMORY), train, streams, tests, config, recipe)
-    diag = record.diagnostics[NUM_TASKS]
-    return {
-        "accuracy": float(np.mean(record.accuracy_matrix.rows[-1])),
-        "weight_gap": diag.mean_weight_new - diag.mean_weight_old,
-        "hard_count": diag.interval_counts["HSI"],
-    }
+
+
+def _benchmark_runs(methods, seeds):
+    """Per method, the final accuracy, head weight gap and hard-sample count
+    at each seed; every run is a job of one `run_jobs` call."""
+    jobs = {(m, s): Job(_benchmark_config(m, s), 0, "method") for m in methods for s in seeds}
+    results = run_jobs(list(jobs.values()))
+    runs = {m: [] for m, _ in jobs}
+    for (method, _), job in jobs.items():
+        diag = results[job]["diagnostics"][str(NUM_TASKS)]
+        runs[method].append({
+            "accuracy": float(np.mean(results[job]["matrix"][-1])),
+            "weight_gap": diag["mean_weight_new"] - diag["mean_weight_old"],
+            "hard_count": diag["hsi"],
+        })
+    return runs
 
 
 @pytest.fixture(scope="module")
 def comparison_runs():
     start = time.monotonic()
-    runs = {
-        method: [_benchmark_run(method, seed) for seed in COMPARISON_SEEDS]
-        for method in ("afs", "er")
-    }
+    runs = _benchmark_runs(("afs", "er"), COMPARISON_SEEDS)
     runs["elapsed"] = time.monotonic() - start
     return runs
 
@@ -334,14 +325,12 @@ def comparison_runs():
 @pytest.fixture(scope="module")
 def ablation_runs():
     arms = {
-        "base": ("ce", "none"),
-        "rfl": ("rfl", "none"),
-        "rfl_vkd": ("rfl", "vkd"),
+        "base": "ablation:ce+none+norv",
+        "rfl": "ablation:rfl+none+norv",
+        "rfl_vkd": "ablation:rfl+vkd+norv",
     }
-    return {
-        name: [_benchmark_run(arm, seed)["accuracy"] for seed in ABLATION_SEEDS]
-        for name, arm in arms.items()
-    }
+    runs = _benchmark_runs(arms.values(), ABLATION_SEEDS)
+    return {name: [r["accuracy"] for r in runs[arm]] for name, arm in arms.items()}
 
 
 class TestMethodComparison:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -12,20 +13,19 @@ import numpy as np
 import pytest
 
 import afslab
-import afslab.cli as cli
+import afslab.runner as runner
 from afslab.cli import (
     DIAGNOSTICS_HEADER,
     METRICS_HEADER,
     SUMMARY_HEADER,
-    ExperimentConfig,
     emit_report,
     main,
     parse_config,
-    parse_method,
     run_experiment,
 )
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.losses import CLS_KINDS, REG_KINDS
+from afslab.runner import ExperimentConfig, Job, parse_method
 from afslab.trainer import AFS, ER, Recipe
 
 MICRO_CONFIG = """
@@ -358,14 +358,14 @@ class TestJobPool:
     def test_pool_matches_serial(self, method, runs, tmp_path, monkeypatch):
         # every job builds its network once; log which process did it
         pids = tmp_path / "pids"
-        real_init = cli.init_network
+        real_init = runner.init_network
 
         def logged_init(spec):
             with open(pids, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
             return real_init(spec)
 
-        monkeypatch.setattr(cli, "init_network", logged_init)
+        monkeypatch.setattr(runner, "init_network", logged_init)
         config = micro_experiment(method=method, runs=runs)
         allow_cpus(monkeypatch, 2)
         pooled = run_experiment(config)
@@ -388,7 +388,7 @@ class TestJobPool:
                 time.sleep(0.5)
             raise InvalidInputError(f"trainer seed {config.seed}")
 
-        monkeypatch.setattr(cli, "run_stream", failing_stream)
+        monkeypatch.setattr(runner, "run_stream", failing_stream)
         allow_cpus(monkeypatch, 2)
         with pytest.raises(RunFailedError, match=r"^run 0 \(seed 0\): trainer seed"):
             run_experiment(micro_experiment(runs=2))
@@ -408,7 +408,7 @@ class TestJobPool:
         assert not (out / "records.json").exists()
 
     def test_dead_worker_exits_one_with_marker(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_stream", lambda *args: os._exit(1))
+        monkeypatch.setattr(runner, "run_stream", lambda *args: os._exit(1))
         allow_cpus(monkeypatch, 2)
         out = tmp_path / "dead"
         cfg = write_config(tmp_path)
@@ -418,6 +418,40 @@ class TestJobPool:
         assert "run 0 (seed 0)" in text and "run 1 (seed 1)" in text
         assert not (out / "records.json").exists()
         assert "INCOMPLETE" in capsys.readouterr().err
+
+    @staticmethod
+    def mixed_configs():
+        """Two configs that differ in seed, data seed and method."""
+        return [
+            dataclasses.replace(micro_experiment(method="afs", seed=0), data_seed=7),
+            dataclasses.replace(micro_experiment(method="er", runs=2, seed=5), data_seed=11),
+        ]
+
+    def test_mixed_configs_match_each_config_alone(self, monkeypatch):
+        configs = self.mixed_configs()
+        jobs = [job for config in configs for job in runner.jobs_for(config)]
+        allow_cpus(monkeypatch, 2)
+        mixed = runner.run_jobs(jobs)
+        allow_cpus(monkeypatch, 1)
+        alone = {}
+        for config in configs:
+            alone.update(runner.run_jobs(runner.jobs_for(config)))
+        assert list(mixed) == jobs and list(alone) == jobs
+
+        def values(result):
+            return json.dumps({k: v for k, v in result.items() if k != "wall_time"}, sort_keys=True)
+
+        for job in jobs:
+            assert values(mixed[job]) == values(alone[job]), job.name
+
+    def test_dead_worker_names_the_seed_of_each_config(self, monkeypatch):
+        monkeypatch.setattr(runner, "run_stream", lambda *args: os._exit(1))
+        allow_cpus(monkeypatch, 2)
+        jobs = [Job(config, 0, "method") for config in self.mixed_configs()]
+        with pytest.raises(RunFailedError, match="worker process died") as failure:
+            runner.run_jobs(jobs)
+        assert "run 0 (seed 0)" in str(failure.value)
+        assert "run 0 (seed 5)" in str(failure.value)
 
 
 def blas_threads():
@@ -439,7 +473,7 @@ def blas_threads():
 class TestPinBlas:
     def test_pins_openblas_to_one_thread(self):
         script = inspect.getsource(blas_threads) + textwrap.dedent("""
-            from afslab.cli import _pin_blas_to_one_thread
+            from afslab.runner import _pin_blas_to_one_thread
 
             before = blas_threads()
             _pin_blas_to_one_thread()
@@ -459,10 +493,11 @@ class TestPinBlas:
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         if blas_threads() is None:
             pytest.skip("NumPy is not linked against OpenBLAS")
-        monkeypatch.setattr(cli, "_run_job", lambda inputs, run, part: blas_threads())
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs: blas_threads())
         allow_cpus(monkeypatch, 2)
-        jobs = [(0, "method"), (0, "reference"), (1, "method")]
-        assert cli._run_jobs(None, jobs) == {job: 1 for job in jobs}
+        config = micro_experiment(runs=2)
+        jobs = [Job(config, 0, "method"), Job(config, 0, "reference"), Job(config, 1, "method")]
+        assert runner.run_jobs(jobs) == {job: 1 for job in jobs}
 
     def test_silent_without_openblas(self, tmp_path):
         maps = tmp_path / "maps"
@@ -470,5 +505,5 @@ class TestPinBlas:
             "7f00-7f01 r-xp 00000000 08:01 1 /usr/lib/libc.so.6\n"
             "7f02-7f03 rw-p 00000000 00:00 0 [heap]\n"
         )
-        assert cli._pin_blas_to_one_thread(str(maps)) is None
-        assert cli._pin_blas_to_one_thread(str(tmp_path / "missing")) is None
+        assert runner._pin_blas_to_one_thread(str(maps)) is None
+        assert runner._pin_blas_to_one_thread(str(tmp_path / "missing")) is None

@@ -164,8 +164,8 @@ def test_blas_threads_reads_a_pinned_pool_worker():
     if sidecar.openblas_function("get") is None:
         pytest.skip("NumPy is not linked against OpenBLAS")
     script = (
-        "from afslab import cli, sidecar\n"
-        "cli._pin_blas_to_one_thread()\n"
+        "from afslab import runner, sidecar\n"
+        "runner._pin_blas_to_one_thread()\n"
         "print(sidecar.blas_threads())\n"
     )
     src = os.path.dirname(os.path.dirname(sidecar.__file__))
