@@ -47,7 +47,6 @@ from .trainer import (
     RunRecord,
     TrainConfig,
     evaluate,
-    review_pass,
     run_stream,
     train_offline,
     train_reference,

@@ -1,11 +1,11 @@
 """Bounded episodic memory with reservoir insertion and uniform retrieval.
 
-The buffer is three arrays with one row per slot: features `[capacity,
-dim]`, labels and uids (a row's dataset index). Rows are copied in by value,
-so later changes to the source cannot reach memory. Reservoir sampling keeps
-each stream row in the buffer with probability capacity / rows_seen, without
-knowing the stream length in advance. Only stream rows count toward `tot`;
-retrieval never mutates the buffer.
+The buffer is two arrays with one entry per slot: a stored row's dataset
+index (its uid) and its label. It keeps no copy of the row; readers take
+the row from the dataset by uid. Reservoir sampling keeps each stream row in
+the buffer with probability capacity / rows_seen, without knowing the
+stream length in advance. Only stream rows count toward `tot`; retrieval
+never mutates the buffer.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .errors import InvalidConfigError, InvalidInputError
 class MemoryBuffer:
     capacity: int
     tot: int = 0  # stream rows offered so far
-    # allocated on the first insert, once the row width is known
-    features: np.ndarray | None = field(default=None, init=False)
     labels: np.ndarray = field(init=False)
     uids: np.ndarray = field(init=False)
 
@@ -39,12 +37,11 @@ class MemoryBuffer:
 
 def reservoir_update(
     buffer: MemoryBuffer,
-    features: np.ndarray,
     labels: np.ndarray,
     uids: np.ndarray,
     rng: np.random.Generator,
 ) -> None:
-    """Offer k stream rows to the buffer, in order.
+    """Offer k stream rows, as their labels and uids, to the buffer, in order.
 
     While the buffer has room a row goes to the next free slot; afterwards
     the row offered as number tot (0-based) replaces slot j drawn uniformly
@@ -52,9 +49,7 @@ def reservoir_update(
     the fill point takes one draw, in offer order, and when two offers of
     the batch land on the same slot the later one wins.
     """
-    if buffer.features is None:
-        buffer.features = np.empty((buffer.capacity, features.shape[1]), features.dtype)
-    tots = buffer.tot + np.arange(len(features))
+    tots = buffer.tot + np.arange(len(labels))
     slots = tots.copy()
     full = tots >= buffer.capacity
     if full.any():
@@ -64,10 +59,9 @@ def reservoir_update(
         # keep each slot's last offer: unique over the reversed order finds it
         _, last = np.unique(slots[rows][::-1], return_index=True)
         rows = rows[len(rows) - 1 - last]
-    buffer.features[slots[rows]] = features[rows]
     buffer.labels[slots[rows]] = labels[rows]
     buffer.uids[slots[rows]] = uids[rows]
-    buffer.tot += len(features)
+    buffer.tot += len(labels)
 
 
 def random_retrieve(

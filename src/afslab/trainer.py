@@ -5,9 +5,9 @@ it, takes one SGD step on the mean per-row loss over the incoming rows plus
 the replay rows, then offers the incoming rows to the reservoir. After each
 task boundary an optional review pass fine-tunes on the memory contents at
 a low learning rate, and the model is scored on every task seen so far to
-fill one row of the accuracy matrix. Rows travel as arrays throughout: a
-stream batch is an index array into the `Dataset`, a replay batch an index
-array into the `MemoryBuffer`.
+fill one row of the accuracy matrix. Rows travel as index arrays into the
+`Dataset` throughout: a stream batch, a replay batch and a review order all
+name dataset rows, and the `MemoryBuffer` holds dataset indices, not rows.
 
 Retrieval is random, so what a step replays, its augmentation and what
 the reservoir keeps never depend on the model. `run_stream` therefore
@@ -28,7 +28,7 @@ diagnostics over every row seen so far both go through `model.score_rows`,
 which reads rows by index in fixed chunks of `SCORE_CHUNK_ROWS`, so their
 peak is chunk rows x the widest layers plus the `[n, C]` logits.
 
-Every loop here (`run_stream`, `review_pass`, `train_reference`,
+Every loop here (`run_stream`, `review_rows`, `train_reference`,
 `train_offline`) copies the caller's `NetworkState` once on entry and steps
 that copy in place through one `Workspace`, so the caller's state is never
 changed and a step allocates no parameter or activation arrays.
@@ -196,34 +196,6 @@ def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> fl
     return float(np.mean(predictions == labels))
 
 
-def review_pass(
-    state: NetworkState,
-    memory: MemoryBuffer,
-    rv_lr: float,
-    rv_batch: int,
-    loss: LossConfig,
-    rng: np.random.Generator,
-    cls_kind: str = "rfl",
-) -> NetworkState:
-    """One low-rate epoch over a shuffled copy of the memory contents.
-
-    Uses the classification loss alone, with no augmentation and no
-    distillation term. Memory itself is never modified. Returns the
-    reviewed copy of `state`; a zero rv_lr or an empty buffer returns
-    `state` itself and draws nothing.
-    """
-    if rv_batch < 1:
-        raise InvalidConfigError(f"rv_batch must be positive, got {rv_batch}")
-    if rv_lr < 0:
-        raise InvalidConfigError(f"rv_lr must be non-negative, got {rv_lr}")
-    if rv_lr == 0 or len(memory) == 0:
-        return state
-    order = rng.permutation(len(memory))
-    return review_rows(
-        state, memory.features, memory.labels, order, rv_lr, rv_batch, loss, cls_kind
-    )
-
-
 def review_rows(
     state: NetworkState,
     features: np.ndarray,
@@ -292,7 +264,7 @@ def replay_schedule(
             if len(picks) and kind != "none":
                 draws = draw_augment(kind, (len(picks), width), rng, config.jitter_sigma)
             replay = memory.uids[picks]
-            reservoir_update(memory, dataset.features[batch], dataset.labels[batch], batch, rng)
+            reservoir_update(memory, dataset.labels[batch], batch, rng)
             yield replay, draws
             steps += 1
             if _review_due(recipe, config, steps):
@@ -312,29 +284,6 @@ def _score(state, test_sets, dataset, old_classes, new_classes, rows):
     )
 
 
-def _check_memory_rows(memory: MemoryBuffer, dataset: Dataset) -> None:
-    """Replay reads memory rows from the dataset by uid; they must agree."""
-    uids = memory.uids[: len(memory)]
-    if len(uids) and (
-        uids.min() < 0
-        or uids.max() >= len(dataset)
-        or not np.array_equal(memory.features[: len(uids)], dataset.features[uids])
-    ):
-        raise InvalidInputError("memory rows must be the dataset rows named by their uids")
-
-
-def _restore_memory(memory, dataset, tot, labels, uids) -> None:
-    """Set `memory` to the schedule's final buffer, reading its rows by uid."""
-    memory.tot, memory.labels, memory.uids = tot, labels, uids
-    filled = uids[: len(memory)]
-    if len(filled):
-        if memory.features is None:
-            memory.features = np.empty(
-                (memory.capacity, dataset.features.shape[1]), dataset.features.dtype
-            )
-        memory.features[: len(filled)] = dataset.features[filled]
-
-
 def run_stream(
     state: NetworkState,
     memory: MemoryBuffer,
@@ -347,12 +296,15 @@ def run_stream(
     """Train one recipe over the task streams (index arrays into `dataset`).
 
     `state` is copied on entry; the trained copy is the record's `final_state`.
-    `memory` may already hold rows, each the dataset row its uid names; it
-    ends as the reservoir left it.
+    `memory` may already hold rows, as uids into `dataset`; a uid outside it
+    raises `InvalidInputError` before the first step. `memory` ends as the
+    reservoir left it.
     """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
-    _check_memory_rows(memory, dataset)
+    held = memory.uids[: len(memory)]
+    if len(held) and (held.min() < 0 or held.max() >= len(dataset)):
+        raise InvalidInputError(f"memory uids must index the dataset's {len(dataset)} rows")
     state, workspace = state.copy(), Workspace()
     objective = make_objective(recipe.cls, recipe.reg, config.loss)
     matrix = AccuracyMatrix()
@@ -411,8 +363,8 @@ def run_stream(
             matrix.append_row(accuracies)
             if diagnosed is not None:
                 diagnostics[task_number] = diagnosed
-        if helpers.forked:  # the schedule filled its own copy of the buffer
-            _restore_memory(memory, dataset, tot, labels, uids)
+        # the schedule's final buffer: `memory`'s own arrays, or a forked child's
+        memory.tot, memory.labels, memory.uids = tot, labels, uids
 
     return RunRecord(
         accuracy_matrix=matrix,

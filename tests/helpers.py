@@ -13,7 +13,7 @@ from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
 from afslab.stream import augment
-from afslab.trainer import RunRecord, evaluate, review_pass, sgd_on_batch
+from afslab.trainer import RunRecord, evaluate, review_rows, sgd_on_batch
 
 
 def central_difference(f, x, h=1e-5):
@@ -83,7 +83,7 @@ def allocating_step(state, features, labels, objective, lr):
 
 
 class ListReservoir:
-    """Reference for memory.reservoir_update: a list of (features, label, uid) slots.
+    """Reference for memory.reservoir_update: a list of (label, uid) slots.
 
     This is the per-offer loop the array buffer replaced: append while
     there is room, then one rng.integers(0, tot + 1) draw per offer, kept
@@ -95,9 +95,9 @@ class ListReservoir:
         self.slots = []
         self.tot = 0
 
-    def update(self, features, labels, uids, rng):
-        for x, label, uid in zip(features, labels, uids):
-            stored = (np.array(x, copy=True), int(label), int(uid))
+    def update(self, labels, uids, rng):
+        for label, uid in zip(labels, uids):
+            stored = (int(label), int(uid))
             if self.tot < self.capacity:
                 self.slots.append(stored)
             else:
@@ -163,13 +163,30 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak - before
 
 
+def review_pass(state, memory, dataset, rv_lr, rv_batch, loss, rng, cls_kind="rfl"):
+    """Reference for the review in trainer.run_stream: one pass over `memory`.
+
+    One low-rate epoch over the held rows, read from `dataset` by uid in
+    the order of one permutation of the memory slots, with the
+    classification loss alone. Memory itself is never modified. Returns the
+    reviewed copy of `state`; a zero rv_lr or an empty buffer returns
+    `state` itself and draws nothing.
+    """
+    if rv_lr == 0 or len(memory) == 0:
+        return state
+    order = memory.uids[rng.permutation(len(memory))]
+    return review_rows(
+        state, dataset.features, dataset.labels, order, rv_lr, rv_batch, loss, cls_kind
+    )
+
+
 def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, recipe):
     """Reference for trainer.run_stream: the loop before the replay schedule.
 
     One loop does everything in order: per step retrieve from `memory`,
     augment the replay rows, take the SGD step, offer the incoming rows to
     the reservoir, and review when due; per task review, evaluate and
-    diagnose. Memory rows are read from the buffer, not from the dataset.
+    diagnose. Replay and review read memory rows from `dataset` by uid.
     """
     state, workspace = state.copy(), Workspace()
     rng = np.random.default_rng(config.seed)
@@ -186,7 +203,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
         if config.rv_lr != 0 and len(memory):
             review_steps += math.ceil(len(memory) / config.rv_batch)
         return review_pass(
-            state, memory, config.rv_lr, config.rv_batch, config.loss, rng,
+            state, memory, dataset, config.rv_lr, config.rv_batch, config.loss, rng,
             cls_kind=recipe.cls,
         )
 
@@ -196,7 +213,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
             step_x, step_y = [x], [y]
             picks = random_retrieve(memory, config.retrieve_batch, rng)
             if len(picks):
-                replay_x, replay_y = memory.features[picks], memory.labels[picks]
+                replay_x, replay_y = dataset.features[memory.uids[picks]], memory.labels[picks]
                 step_x.append(replay_x)
                 step_y.append(replay_y)
                 if augment_replay:
@@ -209,7 +226,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
                 objective, config.lr, workspace,
             )
             steps += 1
-            reservoir_update(memory, x, y, batch, rng)
+            reservoir_update(memory, y, batch, rng)
             if recipe.review and config.rv_every and steps % config.rv_every == 0:
                 state = review(state)
         if recipe.review and not config.rv_every:

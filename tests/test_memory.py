@@ -11,9 +11,8 @@ from helpers import ListReservoir
 
 
 def make_samples(n, label=0, start_uid=0):
-    """(features [n, 1], labels, uids) of n rows whose feature is their position."""
-    features = np.arange(n, dtype=np.float64)[:, None]
-    return features, np.full(n, label, dtype=np.int64), start_uid + np.arange(n)
+    """(labels, uids) of n rows of one label with consecutive uids."""
+    return np.full(n, label, dtype=np.int64), start_uid + np.arange(n)
 
 
 def held_uids(buf):
@@ -44,14 +43,6 @@ def test_overflow_never_exceeds_capacity():
     assert buf.tot == 50
 
 
-def test_stores_by_value():
-    buf = MemoryBuffer(capacity=2)
-    src = np.array([[1.0, 2.0]])
-    reservoir_update(buf, src, np.array([1]), np.array([7]), np.random.default_rng(0))
-    src[0, 0] = 99.0
-    assert buf.features[0, 0] == 1.0
-
-
 def test_uniform_inclusion_small_case():
     # capacity 2, stream of 4: every sample should be retained with
     # probability 2/4 in the long run
@@ -80,10 +71,10 @@ def test_retrieve_caps_at_buffer_size_and_leaves_buffer_alone():
     buf = MemoryBuffer(capacity=8)
     rng = np.random.default_rng(4)
     reservoir_update(buf, *make_samples(3), rng)
-    before = (buf.features.copy(), buf.labels.copy(), buf.uids.copy())
+    before = (buf.labels.copy(), buf.uids.copy())
     got = random_retrieve(buf, 100, rng)
     assert sorted(buf.uids[got].tolist()) == [0, 1, 2]
-    for now, then in zip((buf.features, buf.labels, buf.uids), before):
+    for now, then in zip((buf.labels, buf.uids), before):
         assert np.array_equal(now, then)
     assert buf.tot == 3
 
@@ -130,23 +121,17 @@ def test_matches_list_reservoir(capacity, batch_sizes, seed):
     lengths = np.cumsum(batch_sizes)
     lengths = lengths[lengths <= 200]
     data = np.random.default_rng(seed)
-    features = data.normal(size=(int(lengths[-1]), 3))
-    labels = data.integers(0, 5, size=len(features))
-    uids = data.permutation(1000)[: len(features)]
+    labels = data.integers(0, 5, size=int(lengths[-1]))
+    uids = data.permutation(1000)[: len(labels)]
     buf, ref = MemoryBuffer(capacity), ListReservoir(capacity)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for start, stop in zip(np.concatenate([[0], lengths[:-1]]), lengths):
         rows = slice(start, stop)
-        reservoir_update(buf, features[rows], labels[rows], uids[rows], rng)
-        ref.update(features[rows], labels[rows], uids[rows], ref_rng)
+        reservoir_update(buf, labels[rows], uids[rows], rng)
+        ref.update(labels[rows], uids[rows], ref_rng)
         assert buf.tot == ref.tot
         assert len(buf) == min(buf.tot, capacity) == len(ref.slots)
         held = slice(0, len(buf))
-        assert buf.uids[held].tolist() == [uid for _, _, uid in ref.slots]
-        assert buf.labels[held].tolist() == [label for _, label, _ in ref.slots]
-        assert buf.features[held].tobytes() == b"".join(x.tobytes() for x, _, _ in ref.slots)
+        assert buf.uids[held].tolist() == [uid for _, uid in ref.slots]
+        assert buf.labels[held].tolist() == [label for label, _ in ref.slots]
     assert rng.random() == ref_rng.random()  # both generators end in step
-    if len(buf):
-        snapshot = buf.features[held].copy()
-        features += 1.0  # the source changes; memory must not
-        assert np.array_equal(buf.features[held], snapshot)

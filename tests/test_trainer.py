@@ -24,7 +24,6 @@ from afslab.trainer import (
     TrainConfig,
     evaluate,
     make_objective,
-    review_pass,
     run_stream,
     sgd_on_batch,
     train_offline,
@@ -36,6 +35,7 @@ from helpers import (
     interleaved_run_stream,
     max_param_diff,
     per_sample_step,
+    review_pass,
     traced_peak,
 )
 
@@ -187,31 +187,34 @@ class TestHandSteppedTrace:
 
 class TestReviewPass:
     def build_memory(self, n, dim=3, num_classes=2, seed=0):
+        """A dataset of n rows and a buffer holding all of them."""
         rng = np.random.default_rng(seed)
-        buf = MemoryBuffer(capacity=n)
         labels = np.arange(n) % num_classes
+        dataset = Dataset(rng.normal(size=(n, dim)), labels, num_classes)
+        buf = MemoryBuffer(capacity=n)
         # n rows into n slots: the fill phase, which draws nothing
-        reservoir_update(buf, rng.normal(size=(n, dim)), labels, np.arange(n), rng)
-        return buf
+        reservoir_update(buf, labels, np.arange(n), rng)
+        return dataset, buf
 
     def test_zero_rate_and_empty_buffer_are_identity(self):
         state = init_network(NetworkSpec((3, 2), seed=1))
         rng = np.random.default_rng(0)
-        buf = self.build_memory(5)
-        assert review_pass(state, buf, 0.0, 10, LossConfig(num_classes=2), rng) is state
+        dataset, buf = self.build_memory(5)
+        cfg = LossConfig(num_classes=2)
+        assert review_pass(state, buf, dataset, 0.0, 10, cfg, rng) is state
         empty = MemoryBuffer(capacity=4)
-        assert review_pass(state, empty, 0.01, 10, LossConfig(num_classes=2), rng) is state
+        assert review_pass(state, empty, dataset, 0.01, 10, cfg, rng) is state
 
     def test_changes_model_but_not_memory(self):
         state = init_network(NetworkSpec((3, 2), seed=1))
-        buf = self.build_memory(8)
-        before = (buf.features.copy(), buf.labels.copy(), buf.uids.copy())
+        dataset, buf = self.build_memory(8)
+        before = (buf.labels.copy(), buf.uids.copy())
         before_hist = class_histogram(buf)
         out = review_pass(
-            state, buf, 0.05, 4, LossConfig(num_classes=2), np.random.default_rng(2)
+            state, buf, dataset, 0.05, 4, LossConfig(num_classes=2), np.random.default_rng(2)
         )
         assert not np.array_equal(out.weights[0], state.weights[0])
-        for now, then in zip((buf.features, buf.labels, buf.uids), before):
+        for now, then in zip((buf.labels, buf.uids), before):
             assert_array_equal(now, then)
         assert class_histogram(buf) == before_hist
         assert buf.tot == 8
@@ -434,10 +437,11 @@ class TestBatchedStepMatchesPerSample:
         rng = np.random.default_rng(33)
         memory = MemoryBuffer(capacity=12)
         x, y = self.draw(rng, 12)
-        reservoir_update(memory, x, y, np.arange(12), rng)  # fill phase: no draws
+        reservoir_update(memory, y, np.arange(12), rng)  # fill phase: no draws
         cfg = LossConfig(num_classes=self.C)
         state = init_network(NetworkSpec((self.D, 8, self.C), seed=7))
-        got = review_pass(state, memory, 0.2, 12, cfg, np.random.default_rng(4))
+        dataset = Dataset(x, y, self.C)
+        got = review_pass(state, memory, dataset, 0.2, 12, cfg, np.random.default_rng(4))
         order = np.random.default_rng(4).permutation(12)
         expected = per_sample_step(
             state, x[order], y[order], make_objective("rfl", "none", cfg), 0.2,
@@ -505,9 +509,8 @@ class TestLoopsLeaveCallerStateUnchanged:
     def test_review_pass(self):
         memory = MemoryBuffer(capacity=25)
         rows = np.arange(25)
-        reservoir_update(memory, self.train.features[rows], self.train.labels[rows], rows,
-                         np.random.default_rng(0))
-        got = review_pass(self.state, memory, 0.1, 10, LossConfig(num_classes=4),
+        reservoir_update(memory, self.train.labels[rows], rows, np.random.default_rng(0))
+        got = review_pass(self.state, memory, self.train, 0.1, 10, LossConfig(num_classes=4),
                           np.random.default_rng(1))
         assert max_param_diff(got, self.before) > 1e-4
         assert_states_equal(self.state, self.before)
@@ -541,8 +544,6 @@ def assert_memories_equal(a, b):
     assert (a.tot, len(a)) == (b.tot, len(b))
     assert_array_equal(a.labels, b.labels)
     assert_array_equal(a.uids, b.uids)
-    if len(a):
-        assert_array_equal(a.features[: len(a)], b.features[: len(b)])
 
 
 class TestScheduleMatchesInterleavedLoop:
@@ -602,8 +603,9 @@ class TestScheduleMatchesInterleavedLoop:
 
 
 class TestPrefilledMemory:
-    """Replay reads memory rows from the dataset by uid, so rows held on entry
-    must be the dataset rows their uids name."""
+    """Replay reads memory rows from the dataset by uid, so every uid held on
+    entry must index the dataset; `run_stream` rejects one that does not
+    before its first step, and before it forks any helper."""
 
     def setup_method(self):
         self.train, self.streams, self.tests = small_benchmark(seed=9)
@@ -612,11 +614,10 @@ class TestPrefilledMemory:
             loss=LossConfig(num_classes=4), augment_kind="vector", seed=5, retrieve_batch=6,
         )
 
-    def prefilled(self, features=None):
+    def prefilled(self):
         rows = np.arange(0, 60, 3)
         memory = MemoryBuffer(capacity=15)
-        x = self.train.features[rows] if features is None else features
-        reservoir_update(memory, x, self.train.labels[rows], rows, np.random.default_rng(2))
+        reservoir_update(memory, self.train.labels[rows], rows, np.random.default_rng(2))
         return memory
 
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
@@ -633,9 +634,15 @@ class TestPrefilledMemory:
         assert_states_equal(got.final_state, expected.final_state)
         assert_memories_equal(memory, ref_memory)
 
-    def test_rows_that_are_not_the_dataset_rows_are_rejected(self):
-        memory = self.prefilled(features=np.zeros((20, 8)))
-        with pytest.raises(InvalidInputError, match="dataset rows named by their uids"):
+    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+    @pytest.mark.parametrize("outside", ["neg", "len"])
+    def test_uids_outside_the_dataset_are_rejected(self, outside, forked, monkeypatch):
+        memory = self.prefilled()
+        memory.uids[4] = -1 if outside == "neg" else len(self.train)
+        fork_helpers(monkeypatch, forked)
+        with pytest.raises(InvalidInputError, match="memory uids must index the dataset"):
             run_stream(
                 self.state, memory, self.train, self.streams, self.tests, self.config, AFS
             )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
