@@ -18,7 +18,7 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import fields
 
-from .errors import AfslabError, InvalidConfigError, RunFailedError
+from .errors import AfslabError, FormatError, InvalidConfigError, RunFailedError
 from .metrics import confidence_interval
 from .runner import ExperimentConfig, assemble, jobs_for, parse_method, run_jobs
 
@@ -243,7 +243,10 @@ def _cmd_report(args) -> int:
         print(f"error: no records.json under {args.in_dir}", file=sys.stderr)
         return 2
     with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path} is not a JSON record store: {exc}") from exc
     for written in emit_report(records, args.in_dir, args.format):
         print(written)
     return 0

@@ -29,7 +29,7 @@ from .errors import FormatError, InvalidConfigError, InvalidInputError
 
 CHECKPOINT_FORMAT = "afslab-mlp"
 CHECKPOINT_VERSION = 1
-SCORE_CHUNK_ROWS = 1024  # rows per forward pass in score_rows
+SCORE_CHUNK_ROWS = 512  # rows per forward pass in score_rows (see its docstring)
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,10 @@ def score_rows(
     `Workspace`, and each chunk's logits are copied into the one returned
     array. Beyond that array the peak is one chunk: its input rows plus a
     pre-activation and an activation row per hidden layer, i.e. chunk rows
-    x (fan_in + 2 x hidden widths + C) floats. Each row's logits match an
-    unchunked `forward` to float rounding; with OpenBLAS they were bit for
-    bit equal for chunks of 512 rows or more.
+    x (fan_in + 2 x hidden widths + C) floats, about 4.4 MB at the pinned
+    32 -> 512 -> 10 widths. Each row's logits match an unchunked `forward`
+    to float rounding; with OpenBLAS they were bit for bit equal for chunks
+    of 512 rows or more, so `SCORE_CHUNK_ROWS` is the least of those.
     """
     features = np.asarray(features)
     if features.ndim != 2:

@@ -7,15 +7,16 @@ memory-free "reference" pass (`train_reference`), a `reference` or
 `config.seed + run`.
 
 `run_jobs` takes the jobs of any mix of configs and loads each config's
-data once, in this process. Then it runs them on forked workers that
-inherit that data unpickled, one per CPU this process may use
-(`os.sched_getaffinity`), each held to one OpenBLAS thread; with one CPU
-they run here. One BLAS thread sums some products in another order, which
-moves the `mean_weight_*`/`mean_logit_*` diagnostics of a 784-pixel image
-stream by at most 1.3e-15; all else is identical. In a worker, `run_stream`
-forks helpers onto the CPU time its BLAS thread leaves (see `sidecar`), and
-a tracer in the job's process sees none of their calls; under
-`taskset -c 0` the jobs and their helpers all run in this process.
+data once, in this process, and checks each config against it. Then it
+runs them on forked workers that inherit that data unpickled, one per CPU
+this process may use (`os.sched_getaffinity`), each held to one OpenBLAS
+thread; with one CPU they run here. One BLAS thread sums some products in
+another order, which moves the `mean_weight_*`/`mean_logit_*` diagnostics
+of a 784-pixel image stream by at most 1.3e-15; all else is identical.
+`run_jobs` also decides whether `run_stream` forks its helpers (`sidecar`):
+only on the pool, and only when no job waits for a worker, so that the
+helpers take the CPU time a job's one BLAS thread leaves. A full pool, and
+`taskset -c 0`, leave none, so there they run in the job's process.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ from .metrics import (
     average_intransigence,
 )
 from .model import NetworkSpec, init_network
-from .sidecar import openblas_function
 from .stream import (
     AUGMENT_KINDS,
     Dataset,
     TaskSplit,
+    check_augment,
     gen_synthetic,
     load_idx,
     split_tasks,
@@ -205,7 +206,18 @@ def _diagnostics(d: DiagnosticsRecord) -> dict:
     return out
 
 
-def _run_job(job: Job, inputs: _Inputs) -> dict:
+def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
+    """Raise InvalidConfigError if `config` cannot run on its loaded data."""
+    _train_config(config, config.seed, inputs.train_ds.num_classes)
+    for task, (features, _) in enumerate(inputs.tests, start=1):
+        if len(features) == 0:
+            raise InvalidConfigError(f"task {task} has an empty test set")
+    method = parse_method(config.method)
+    if isinstance(method, Recipe) and method.augment_replay:
+        check_augment(config.augment, inputs.train_ds.features.shape[1])
+
+
+def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
     """One pass of one run; returns the plain values its record needs."""
     config, run_index, part = job
     method = parse_method(config.method)
@@ -232,7 +244,7 @@ def _run_job(job: Job, inputs: _Inputs) -> dict:
             return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         record = run_stream(
             init_network(spec), MemoryBuffer(config.memory), train_ds,
-            streams, tests, tcfg, method,
+            streams, tests, tcfg, method, forked,
         )
         return {
             "matrix": record.accuracy_matrix.rows,
@@ -276,10 +288,10 @@ def assemble(config: ExperimentConfig, run_index: int, results: dict) -> dict:
     return out
 
 
-_WORKER_JOBS: list[tuple[Job, _Inputs]] | None = None  # set only inside pool workers
+_WORKER_JOBS: list[tuple[Job, _Inputs, bool]] | None = None  # set only inside pool workers
 
 
-def _start_worker(jobs: list[tuple[Job, _Inputs]]) -> None:
+def _start_worker(jobs: list[tuple[Job, _Inputs, bool]]) -> None:
     global _WORKER_JOBS
     _pin_blas_to_one_thread()
     _WORKER_JOBS = jobs
@@ -289,31 +301,48 @@ def _worker_job(index: int) -> dict:
     return _run_job(*_WORKER_JOBS[index])
 
 
+# Names of the OpenBLAS set-thread-count function across builds.
+OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+
+
 def _pin_blas_to_one_thread(maps_path: str = "/proc/self/maps") -> None:
-    """Cap the OpenBLAS mapped into this process at one thread, if any."""
+    """Cap the OpenBLAS libraries named in this process's memory map at one thread."""
     import ctypes
 
-    fn = openblas_function("set", maps_path)
-    if fn is not None:
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        fn(1)
+    try:
+        with open(maps_path, encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
+    except OSError:
+        return
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for name in OPENBLAS_SETTERS:
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                fn(1)
+                return
 
 
 def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
     """The result of every job, keyed by job.
 
-    Each config's data is loaded once, here, before the pool forks. Every
-    job finishes before the first failure in the order of `jobs` is raised.
+    Each config's data is loaded and checked once, here, before the pool
+    forks. Every job finishes before the first failure in the order of
+    `jobs` is raised.
     """
     loaded: dict[ExperimentConfig, _Inputs] = {}
     for config in dict.fromkeys(job.config for job in jobs):
         train_ds, test_ds = _load_data(config)
         split = split_tasks(train_ds, config.num_tasks)
         loaded[config] = _Inputs(train_ds, split, task_test_sets(test_ds, split))
-    work = [(job, loaded[job.config]) for job in jobs]
+        _check_inputs(config, loaded[config])
     workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers < 2:
-        return {job: _run_job(job, inputs) for job, inputs in work}
+        return {job: _run_job(job, loaded[job.config], False) for job in jobs}
+    forked = len(jobs) <= workers  # every job has a worker, so helpers get idle CPU time
+    work = [(job, loaded[job.config], forked) for job in jobs]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool

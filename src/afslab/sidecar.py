@@ -2,15 +2,11 @@
 
 `run_stream` hands a `Helpers` two kinds of work that never change the
 model: the replay schedule (a generator) and one scoring call per task
-boundary. When this process may use more CPUs (`os.sched_getaffinity`)
-than its BLAS runs threads, as a one-thread pool worker on two CPUs does,
-the schedule runs in one forked child that sends its items through a
-pipe, `CHUNK_STEPS` to a message, and each scoring call runs in a forked
-child of its own on a copy-on-write snapshot of the state. Otherwise both
-run in this process, in order, so a profiler sees them: under
-`taskset -c 0`, and also where BLAS threads already fill every CPU, since
-helpers there only contend with them (with two-thread BLAS on a 2-core
-Xeon, forked helpers made the acceptance runs about 50% slower).
+boundary. Whether they fork is the caller's choice (`runner.run_jobs` makes
+it from its job list). Forked, the schedule runs in one child that sends
+its items through a pipe, `CHUNK_STEPS` to a message, and each scoring call
+runs in a child of its own on a copy-on-write snapshot of the state. Not
+forked, both run in this process, in order, so a profiler sees them.
 
 Each child closes the pipes of the other helpers, so a pipe ends as soon as
 its own child does, and leaving the `with` block kills and reaps every
@@ -28,46 +24,6 @@ import signal
 from .errors import RunFailedError
 
 CHUNK_STEPS = 32  # schedule items per pipe message
-# Name forms of the OpenBLAS thread-count functions across builds.
-OPENBLAS_FORMS = (
-    "openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-)
-
-
-def openblas_function(verb: str, maps_path: str = "/proc/self/maps"):
-    """OpenBLAS's `get` or `set` thread-count function, or None.
-
-    Looks in the OpenBLAS libraries named in this process's memory map and
-    returns the first of `OPENBLAS_FORMS` one of them exports.
-    """
-    import ctypes
-
-    try:
-        with open(maps_path, encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for form in OPENBLAS_FORMS:
-            fn = getattr(handle, form.format(verb), None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def blas_threads() -> int:
-    """Threads the OpenBLAS of this process runs; 1 without OpenBLAS."""
-    import ctypes
-
-    fn = openblas_function("get")
-    if fn is None:
-        return 1
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn()
 
 
 def _send(out, kind: str, value) -> None:
@@ -85,10 +41,10 @@ def _portable(exc: BaseException) -> BaseException:
 
 
 class Helpers:
-    """The helper children of one run; forked only when a CPU is left idle."""
+    """The helper children of one run, or this process when not `forked`."""
 
-    def __init__(self) -> None:
-        self.forked = len(os.sched_getaffinity(0)) > blas_threads()
+    def __init__(self, forked: bool) -> None:
+        self.forked = forked
         self._readers: dict[int, object] = {}  # child pid -> read end of its pipe
 
     def __enter__(self) -> Helpers:

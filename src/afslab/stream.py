@@ -259,6 +259,14 @@ def augment(
     return apply_augment(features, kind, draws)
 
 
+def check_augment(kind: str, dim: int) -> None:
+    """Raise InvalidConfigError unless `kind` can augment rows of `dim` features."""
+    if kind not in AUGMENT_KINDS:
+        raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
+    if kind == "image" and math.isqrt(dim) ** 2 != dim:
+        raise InvalidConfigError(f"image augmentation needs square features, got {dim}")
+
+
 def draw_augment(
     kind: str,
     shape: tuple[int, int],
@@ -273,15 +281,12 @@ def draw_augment(
     and then two crop offsets (`rng.integers(0, 9, size=2)` for dy, dx), and
     returns the [k] flips and the [k, 2] offsets.
     """
+    k, dim = shape
+    check_augment(kind, dim)
     if kind == "none":
         return None
     if kind == "vector":
         return rng.normal(0.0, jitter_sigma, size=shape)
-    if kind not in AUGMENT_KINDS:
-        raise InvalidConfigError(f"unknown augmentation kind {kind!r}")
-    k, dim = shape
-    if math.isqrt(dim) ** 2 != dim:
-        raise InvalidConfigError(f"image augmentation needs square features, got {dim}")
     flips = np.empty(k, dtype=bool)
     offsets = np.empty((k, 2), dtype=np.int64)
     for i in range(k):

@@ -16,12 +16,12 @@ buffer and yields each step's replay rows as dataset indices plus their
 augmentation draws (and each review's order), and the training, which reads
 those rows from the dataset and steps. At each task boundary it hands the
 state of that moment to a scorer that runs `evaluate` and the bias
-diagnostics. When the process may use more CPUs than its BLAS runs
-threads (a one-thread pool worker on two CPUs), the schedule and each
-scorer run in forked helper processes (`sidecar`), overlapping the steps;
-otherwise, as under `taskset -c 0`, they run in this process in the
-serial order. Either way every draw and every BLAS call sees the same
-inputs in the same order, so the record is the same.
+diagnostics. With `forked=True`, which `runner.run_jobs` passes when every
+job has a pool worker of its own, the schedule and each scorer run in
+forked helper processes (`sidecar`), overlapping the steps; by default
+they run in this process in the serial order. Either way every draw and
+every BLAS call sees the same inputs in the same order, so the record is
+the same.
 
 Scoring never gathers the rows it scores: `evaluate` and the bias
 diagnostics over every row seen so far both go through `model.score_rows`,
@@ -147,6 +147,8 @@ class TrainConfig:
             raise InvalidConfigError(f"rv_lr must be non-negative, got {self.rv_lr}")
         if self.rv_every is not None and self.rv_every < 1:
             raise InvalidConfigError(f"rv_every must be positive, got {self.rv_every}")
+        if self.jitter_sigma < 0:
+            raise InvalidConfigError(f"jitter_sigma must be non-negative, got {self.jitter_sigma}")
 
 
 @dataclass
@@ -292,13 +294,15 @@ def run_stream(
     test_sets: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
     recipe: Recipe,
+    forked: bool = False,
 ) -> RunRecord:
     """Train one recipe over the task streams (index arrays into `dataset`).
 
     `state` is copied on entry; the trained copy is the record's `final_state`.
     `memory` may already hold rows, as uids into `dataset`; a uid outside it
     raises `InvalidInputError` before the first step. `memory` ends as the
-    reservoir left it.
+    reservoir left it. `forked` runs the replay schedule and the scoring in
+    helper processes (`sidecar.Helpers`); the record is the same either way.
     """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
@@ -324,7 +328,7 @@ def run_stream(
             config.rv_lr, config.rv_batch, config.loss, recipe.cls,
         )
 
-    with Helpers() as helpers:
+    with Helpers(forked) as helpers:
         plan = helpers.stream(
             lambda: replay_schedule(memory, dataset, streams, config, recipe)
         )

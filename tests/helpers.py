@@ -1,13 +1,11 @@
 """Shared numeric oracles for the test suite."""
 
 import math
-import os
 import time
 import tracemalloc
 
 import numpy as np
 
-from afslab import sidecar
 from afslab.losses import make_objective
 from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
@@ -250,11 +248,3 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
         final_state=state,
     )
 
-
-def fork_helpers(monkeypatch, forked):
-    """Make `run_stream` fork its helpers, or keep them in-process, on any host.
-
-    Forking needs more allowed CPUs than BLAS threads, so both are set.
-    """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if forked else {0})
-    monkeypatch.setattr(sidecar, "blas_threads", lambda: 1)

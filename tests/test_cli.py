@@ -300,9 +300,32 @@ class TestMainCommand:
         assert "offline_epochs" in capsys.readouterr().err
         assert not (out / "INCOMPLETE").exists()
 
+    @pytest.mark.parametrize("extra,message", [
+        ("jitter_sigma = -1\n", "jitter_sigma must be non-negative, got -1.0"),
+        ("synth_test_per_class = 0\n", "task 1 has an empty test set"),
+        ("augment = image\n", "image augmentation needs square features, got 6"),
+    ], ids=["negative_jitter", "empty_test_set", "image_augment_of_6_features"])
+    def test_config_errors_exit_two_without_a_marker(self, extra, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, MICRO_CONFIG + extra)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "INCOMPLETE").exists()
+
+    def test_plain_replay_runs_with_image_augment_of_non_square_rows(self, tmp_path):
+        # ER augments no replay rows, so the augmentation kind is never used
+        cfg = write_config(tmp_path, MICRO_CONFIG + "augment = image\nmethod = er\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "er")]) == 0
+
     def test_report_without_records_exits_two(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
         assert "records.json" in capsys.readouterr().err
+
+    def test_report_on_malformed_records_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "records.json"
+        path.write_text("{bad")
+        assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
+        assert f"error: {path} is not a JSON record store" in capsys.readouterr().err
 
     def test_out_env_var_used(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -383,7 +406,7 @@ class TestJobPool:
         # run 1's method pass fails at once and run 0's later: run 0 is named
         run0_trainer_seed = int(np.random.SeedSequence(0).spawn(4)[2].generate_state(1)[0])
 
-        def failing_stream(state, memory, dataset, streams, tests, config, recipe):
+        def failing_stream(state, memory, dataset, streams, tests, config, recipe, forked):
             if config.seed == run0_trainer_seed:
                 time.sleep(0.5)
             raise InvalidInputError(f"trainer seed {config.seed}")
@@ -444,6 +467,42 @@ class TestJobPool:
         for job in jobs:
             assert values(mixed[job]) == values(alone[job]), job.name
 
+    @pytest.mark.parametrize(
+        "cpus,count,expected",
+        [(2, 1, False), (2, 2, True), (2, 3, False), (1, 2, False), (1, 3, False)],
+    )
+    def test_helpers_fork_only_when_no_job_waits_for_a_worker(
+        self, cpus, count, expected, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: forked)
+        allow_cpus(monkeypatch, cpus)
+        jobs = runner.jobs_for(micro_experiment(runs=2))[:count]
+        assert runner.run_jobs(jobs) == {job: expected for job in jobs}
+
+    @pytest.mark.parametrize("runs,expected", [(1, True), (2, False)])
+    def test_run_stream_gets_the_fork_decision(self, runs, expected, monkeypatch):
+        def failing_stream(*args):
+            raise InvalidInputError(f"forked={args[-1]}")
+
+        monkeypatch.setattr(runner, "run_stream", failing_stream)
+        allow_cpus(monkeypatch, 2)
+        with pytest.raises(RunFailedError, match=rf"^run 0 \(seed 0\): forked={expected}$"):
+            runner.run_jobs(runner.jobs_for(micro_experiment(runs=runs)))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("change", [
+        {"synth_test_per_class": 0}, {"augment": "image"}, {"jitter_sigma": -0.5},
+    ], ids=["empty_test_set", "image_augment_of_6_features", "negative_jitter"])
+    def test_config_errors_raise_before_any_job_runs(self, change, cpus, monkeypatch):
+        started = []
+        monkeypatch.setattr(runner, "_run_job", lambda *args: started.append(args))
+        allow_cpus(monkeypatch, cpus)
+        bad = dataclasses.replace(micro_experiment(seed=3), **change)
+        jobs = runner.jobs_for(micro_experiment(runs=2)) + runner.jobs_for(bad)
+        with pytest.raises(InvalidConfigError):
+            runner.run_jobs(jobs)
+        assert started == []
+
     def test_dead_worker_names_the_seed_of_each_config(self, monkeypatch):
         monkeypatch.setattr(runner, "run_stream", lambda *args: os._exit(1))
         allow_cpus(monkeypatch, 2)
@@ -493,7 +552,7 @@ class TestPinBlas:
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         if blas_threads() is None:
             pytest.skip("NumPy is not linked against OpenBLAS")
-        monkeypatch.setattr(runner, "_run_job", lambda job, inputs: blas_threads())
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: blas_threads())
         allow_cpus(monkeypatch, 2)
         config = micro_experiment(runs=2)
         jobs = [Job(config, 0, "method"), Job(config, 0, "reference"), Job(config, 1, "method")]

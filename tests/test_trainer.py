@@ -31,7 +31,6 @@ from afslab.trainer import (
 )
 from helpers import (
     allocating_step,
-    fork_helpers,
     interleaved_run_stream,
     max_param_diff,
     per_sample_step,
@@ -65,6 +64,9 @@ class TestTrainConfig:
             TrainConfig(stream_batch=0)
         with pytest.raises(InvalidConfigError):
             TrainConfig(rv_every=0)
+        with pytest.raises(InvalidConfigError, match="jitter_sigma must be non-negative"):
+            TrainConfig(jitter_sigma=-1.0)
+        TrainConfig(jitter_sigma=0.0)
 
     @pytest.mark.parametrize(
         "key,value,least",
@@ -525,11 +527,11 @@ class TestLoopsLeaveCallerStateUnchanged:
         assert_states_equal(self.state, self.before)
 
 
-def test_run_stream_diagnostics_read_seen_rows_by_index(monkeypatch):
+def test_run_stream_diagnostics_read_seen_rows_by_index():
     # 4,000 seen rows of 784 floats: a gather of them before the task-2
     # diagnostics would be 25 MB; chunked scoring by index needs one chunk.
-    # One CPU keeps the scoring in this process, where tracemalloc sees it.
-    fork_helpers(monkeypatch, False)
+    # Helpers that are not forked score in this process, where tracemalloc
+    # sees it.
     train, streams, tests = small_benchmark(dim=784, per_class=1000)
     state = init_network(NetworkSpec((784, 8, 4), seed=0))
     config = TrainConfig(retrieve_batch=10, loss=LossConfig(num_classes=4))
@@ -590,9 +592,7 @@ class TestScheduleMatchesInterleavedLoop:
         expected = interleaved_run_stream(
             state, ref_memory, train, streams, tests, config, recipe
         )
-        with pytest.MonkeyPatch.context() as patch:
-            fork_helpers(patch, forked)
-            got = run_stream(state, memory, train, streams, tests, config, recipe)
+        got = run_stream(state, memory, train, streams, tests, config, recipe, forked)
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert got.diagnostics == expected.diagnostics
         assert (got.steps, got.review_steps) == (expected.steps, expected.review_steps)
@@ -621,14 +621,13 @@ class TestPrefilledMemory:
         return memory
 
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    def test_dataset_rows_train_like_the_interleaved_loop(self, forked, monkeypatch):
+    def test_dataset_rows_train_like_the_interleaved_loop(self, forked):
         ref_memory, memory = self.prefilled(), self.prefilled()
         expected = interleaved_run_stream(
             self.state, ref_memory, self.train, self.streams, self.tests, self.config, AFS
         )
-        fork_helpers(monkeypatch, forked)
         got = run_stream(
-            self.state, memory, self.train, self.streams, self.tests, self.config, AFS
+            self.state, memory, self.train, self.streams, self.tests, self.config, AFS, forked
         )
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert_states_equal(got.final_state, expected.final_state)
@@ -636,13 +635,13 @@ class TestPrefilledMemory:
 
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
     @pytest.mark.parametrize("outside", ["neg", "len"])
-    def test_uids_outside_the_dataset_are_rejected(self, outside, forked, monkeypatch):
+    def test_uids_outside_the_dataset_are_rejected(self, outside, forked):
         memory = self.prefilled()
         memory.uids[4] = -1 if outside == "neg" else len(self.train)
-        fork_helpers(monkeypatch, forked)
         with pytest.raises(InvalidInputError, match="memory uids must index the dataset"):
             run_stream(
-                self.state, memory, self.train, self.streams, self.tests, self.config, AFS
+                self.state, memory, self.train, self.streams, self.tests, self.config, AFS,
+                forked,
             )
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
