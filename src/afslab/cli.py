@@ -33,6 +33,9 @@ DIAGNOSTICS_HEADER = [
     "hsi", "asi", "esi",
 ]
 SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
+# Keys of a record store that `emit_report` reads, at the top and in each run.
+RECORD_STORE_KEYS = ("method", "memory", "num_runs", "runs")
+RUN_KEYS = ("run", "wall_time")
 
 
 def _parse_hidden(value: str) -> tuple[int, ...]:
@@ -49,18 +52,22 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Read a flat key=value file; later lines win, '#' starts a comment."""
     values: dict[str, object] = {}
     known = {f.name: f for f in fields(ExperimentConfig)}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in known:
-                raise InvalidConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read config file {path}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in known:
+            raise InvalidConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
@@ -237,6 +244,24 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_record_store(records, path: str) -> None:
+    """Reject valid JSON that lacks what `emit_report` reads, naming the first gap."""
+    if not isinstance(records, dict):
+        raise FormatError(
+            f"{path} is not a record store: a JSON {type(records).__name__}, not an object"
+        )
+    missing = [key for key in RECORD_STORE_KEYS if key not in records]
+    if missing:
+        raise FormatError(f"{path} is not a record store: missing key {missing[0]!r}")
+    runs = records["runs"]
+    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+        raise FormatError(f"{path} is not a record store: 'runs' is not a list of objects")
+    for i, run in enumerate(runs):
+        missing = [key for key in RUN_KEYS if key not in run]
+        if missing:
+            raise FormatError(f"{path} is not a record store: run {i} misses key {missing[0]!r}")
+
+
 def _cmd_report(args) -> int:
     path = os.path.join(args.in_dir, "records.json")
     if not os.path.exists(path):
@@ -247,6 +272,7 @@ def _cmd_report(args) -> int:
             records = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path} is not a JSON record store: {exc}") from exc
+    _check_record_store(records, path)
     for written in emit_report(records, args.in_dir, args.format):
         print(written)
     return 0

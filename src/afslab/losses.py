@@ -8,12 +8,14 @@ Two kernels do the work: `weighted_ce`, the cross-entropy -w(p_t) log p_t
 with a weight w(p_t) that is 1, the focal weight or the revised focal
 Gaussian bump, and `distill`, a temperature-softened cross-entropy against
 a per-label teacher table. `make_objective` is the one place they are
-combined, as cls + beta * reg.
+combined, as cls + beta * reg. `record_scores` and `compute_mu` derive a
+per-class anchor for the bump's centre mu from p_t histograms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,10 @@ HARD_BELOW = 0.3  # p_t under this is hard; the edge itself is ambiguous
 EASY_ABOVE = 0.6  # p_t over this is easy; the edge itself is ambiguous
 
 DIFFICULTY_INTERVALS = (HSI, ASI, ESI)
+
+# Anchor histograms: p_t in NUM_BINS bins [k * 0.04, (k + 1) * 0.04), 1.0 in the last.
+NUM_BINS = 25
+BIN_WIDTH = 0.04
 
 CLS_KINDS = ("ce", "fl", "rfl")
 REG_KINDS = ("none", "lsr", "vkd")
@@ -133,6 +139,62 @@ def rfl_weight(p_t, alpha: float, mu: float, sigma: float):
     if sigma <= 0:
         raise InvalidConfigError(f"sigma must be positive, got {sigma}")
     return alpha * np.exp(-((p_t - mu) ** 2) / sigma)
+
+
+class MuValue(NamedTuple):
+    mu: float
+    degenerate: bool  # True when the class has no recorded scores
+
+
+class ScoreHistogram:
+    """Per-class p_t counts in NUM_BINS bins; b is the anchor's coverage."""
+
+    def __init__(self, num_classes: int, b: float = 0.25):
+        if num_classes < 1:
+            raise InvalidConfigError(f"num_classes must be positive, got {num_classes}")
+        if not 0.0 < b < 1.0:
+            raise InvalidConfigError(f"b must lie in (0, 1), got {b}")
+        self.num_classes = num_classes
+        self.b = b
+        self.bins = np.zeros((num_classes, NUM_BINS), dtype=np.int64)
+
+
+def _class_bins(hist: ScoreHistogram, cls: int) -> np.ndarray:
+    if not 0 <= cls < hist.num_classes:
+        raise InvalidInputError(f"class {cls} out of range for {hist.num_classes} classes")
+    return hist.bins[cls]
+
+
+def record_scores(hist: ScoreHistogram, cls: int, scores) -> ScoreHistogram:
+    """Add one class's target probabilities to its bins.
+
+    Score s lands in bin min(int(25 s), 24). Every score must lie in [0, 1];
+    all are checked before any is counted, so a rejected batch leaves the
+    histogram unchanged.
+    """
+    row = _class_bins(hist, cls)
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~((s >= 0.0) & (s <= 1.0)))  # NaN fails both
+    if bad.size:
+        raise InvalidInputError(f"score must lie in [0, 1], got {s[bad[0]]} (index {bad[0]})")
+    index = np.minimum((s * NUM_BINS).astype(np.int64), NUM_BINS - 1)
+    row += np.bincount(index, minlength=NUM_BINS)
+    return hist
+
+
+def compute_mu(hist: ScoreHistogram, cls: int) -> MuValue:
+    """Anchor for the class: left edge of the smallest prefix covering b.
+
+    M is the least bin index whose cumulative count reaches total * b; the
+    anchor is M * 0.04. A class with no recorded scores yields mu 0 with the
+    degenerate flag set.
+    """
+    cumulative = np.cumsum(_class_bins(hist, cls))
+    total = int(cumulative[-1])
+    if total == 0:
+        return MuValue(mu=0.0, degenerate=True)
+    m = int(np.searchsorted(cumulative, total * hist.b, side="left"))
+    return MuValue(mu=m * BIN_WIDTH, degenerate=False)
 
 
 def _check_labels(labels, shape: tuple[int, int]) -> np.ndarray:

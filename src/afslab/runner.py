@@ -139,8 +139,8 @@ def _load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     for key in ("idx_train_images", "idx_train_labels", "idx_test_images", "idx_test_labels"):
         if not getattr(config, key):
             raise InvalidConfigError(f"dataset=idx requires config key {key}")
-    train = load_idx(config.idx_train_images, config.idx_train_labels, split="train")
-    test = load_idx(config.idx_test_images, config.idx_test_labels, split="test")
+    train = load_idx(config.idx_train_images, config.idx_train_labels)
+    test = load_idx(config.idx_test_images, config.idx_test_labels)
     train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
     return train, test
 

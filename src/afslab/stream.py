@@ -24,12 +24,11 @@ IMAGE_PAD = 4  # zero border of the "image" crop, so offsets run 0..8
 
 @dataclass
 class Dataset:
-    """Feature matrix plus integer labels; split is 'train' or 'test'."""
+    """Feature matrix plus integer labels."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
@@ -131,20 +130,24 @@ def _read_u32(data: bytes, offset: int, what: str) -> int:
     return struct.unpack(">I", _read_exact(data, offset, 4, what))[0]
 
 
-def load_idx(
-    images_path: str, labels_path: str, split: str = "train"
-) -> Dataset:
+def _read_file(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read IDX file {path}: {exc.strerror}") from exc
+
+
+def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
     Images use big-endian magic 0x00000803 followed by count, rows, cols and
     a u8 payload; labels use magic 0x00000801 followed by count and one byte
     per label. Pixels are scaled to [0, 1]. Malformed input raises a
-    FormatError naming the byte offset.
+    FormatError naming the byte offset, and an unreadable file one naming
+    its path.
     """
-    with open(images_path, "rb") as fh:
-        img = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab = fh.read()
+    img, lab = _read_file(images_path), _read_file(labels_path)
 
     magic = _read_u32(img, 0, "image magic")
     if magic != IMAGE_MAGIC:
@@ -174,9 +177,7 @@ def load_idx(
     ).astype(np.int64)
 
     num_classes = int(labels.max()) + 1 if len(labels) else 1
-    return Dataset(
-        features=features, labels=labels, num_classes=num_classes, split=split
-    )
+    return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
@@ -228,16 +229,14 @@ def gen_synthetic(
     means = rng.normal(size=(num_classes, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
 
-    def draw(count: int, split: str) -> Dataset:
+    def draw(count: int) -> Dataset:
         feats = np.concatenate(
             [means[c] + spread * rng.normal(size=(count, dim)) for c in range(num_classes)]
         )
         labels = np.repeat(np.arange(num_classes), count)
-        return Dataset(
-            features=feats, labels=labels, num_classes=num_classes, split=split
-        )
+        return Dataset(features=feats, labels=labels, num_classes=num_classes)
 
-    return draw(per_class, "train"), draw(test_per_class, "test")
+    return draw(per_class), draw(test_per_class)
 
 
 def augment(

@@ -6,7 +6,8 @@ import tracemalloc
 
 import numpy as np
 
-from afslab.losses import make_objective
+from afslab.errors import InvalidInputError
+from afslab.losses import BIN_WIDTH, NUM_BINS, MuValue, make_objective
 from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
@@ -28,6 +29,35 @@ def central_difference(f, x, h=1e-5):
 def two_class_logits(p_target):
     """Logits whose softmax puts p_target on class 0 in a two-class problem."""
     return np.array([np.log(p_target), np.log(1.0 - p_target)])
+
+
+def bin_index(score):
+    """Reference bin of one score: [i*0.04, (i+1)*0.04), with 1.0 folded into bin 24."""
+    if not 0.0 <= score <= 1.0:
+        raise InvalidInputError(f"score must lie in [0, 1], got {score}")
+    return min(int(score * NUM_BINS), NUM_BINS - 1)
+
+
+def reference_bins(scores):
+    """Reference for losses.record_scores: the NUM_BINS counts, one score at a time."""
+    bins = np.zeros(NUM_BINS, dtype=np.int64)
+    for s in np.atleast_1d(np.asarray(scores, dtype=np.float64)):
+        bins[bin_index(float(s))] += 1
+    return bins
+
+
+def reference_mu(bins, b):
+    """Reference for losses.compute_mu: the cumulative scan over one class's bins."""
+    total = int(np.sum(bins))
+    if total == 0:
+        return MuValue(mu=0.0, degenerate=True)
+    threshold = total * b
+    cumulative = 0
+    for m in range(NUM_BINS):
+        cumulative += int(bins[m])
+        if cumulative >= threshold:
+            return MuValue(mu=m * BIN_WIDTH, degenerate=False)
+    raise AssertionError("the full prefix holds every score")
 
 
 def per_sample_step(state, features, labels, objective, lr):

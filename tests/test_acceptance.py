@@ -21,7 +21,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from afslab.cli import main
-from afslab.dynmu import ScoreHistogram, compute_mu, record_scores
+from afslab.losses import ScoreHistogram, compute_mu, record_scores
 from afslab.losses import (
     LossConfig,
     distill,

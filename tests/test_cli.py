@@ -304,7 +304,12 @@ class TestMainCommand:
         ("jitter_sigma = -1\n", "jitter_sigma must be non-negative, got -1.0"),
         ("synth_test_per_class = 0\n", "task 1 has an empty test set"),
         ("augment = image\n", "image augmentation needs square features, got 6"),
-    ], ids=["negative_jitter", "empty_test_set", "image_augment_of_6_features"])
+        ("dataset = idx\n" + "".join(
+            f"idx_{part} = no-such-file.idx\n"
+            for part in ("train_images", "train_labels", "test_images", "test_labels")
+        ), "cannot read IDX file no-such-file.idx: No such file or directory"),
+    ], ids=["negative_jitter", "empty_test_set", "image_augment_of_6_features",
+            "missing_idx_file"])
     def test_config_errors_exit_two_without_a_marker(self, extra, message, tmp_path, capsys):
         cfg = write_config(tmp_path, MICRO_CONFIG + extra)
         out = tmp_path / "x"
@@ -326,6 +331,34 @@ class TestMainCommand:
         path.write_text("{bad")
         assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
         assert f"error: {path} is not a JSON record store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        ("{}", "missing key 'method'"),
+        ("[]", "a JSON list, not an object"),
+        ('{"method": "afs", "memory": 20, "num_runs": 1, "runs": [{"run": 0}]}',
+         "run 0 misses key 'wall_time'"),
+    ], ids=["empty_object", "list", "run_without_wall_time"])
+    def test_report_on_json_that_is_no_record_store_exits_two(
+        self, content, message, tmp_path, capsys
+    ):
+        path = tmp_path / "records.json"
+        path.write_text(content)
+        assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
+        assert f"error: {path} is not a record store: {message}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["records.json"]
+
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        (b"seed = \xff\n", "can't decode byte 0xff"),
+    ], ids=["missing", "not_utf8"])
+    def test_unreadable_config_file_exits_two(self, content, reason, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "x"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {cfg}: " in err and reason in err
+        assert not out.exists()
 
     def test_out_env_var_used(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

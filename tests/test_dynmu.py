@@ -1,35 +1,46 @@
+"""Dynamic mu, the revised focal bump's anchor: `losses.record_scores` and
+`compute_mu`, checked against the per-score loop of `helpers.reference_bins`
+and `helpers.reference_mu`.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afslab.dynmu import (
+from afslab.errors import InvalidConfigError, InvalidInputError
+from afslab.losses import (
     BIN_WIDTH,
     NUM_BINS,
-    MuSchedule,
     ScoreHistogram,
-    bin_index,
     compute_mu,
     record_scores,
-    reset_epoch,
 )
-from afslab.errors import InvalidConfigError, InvalidInputError
+from helpers import reference_bins, reference_mu
+
+
+def bin_of(score):
+    """The one bin `record_scores` counts a single score in."""
+    (k,) = np.flatnonzero(record_scores(ScoreHistogram(1), 0, [score]).bins[0])
+    return int(k)
 
 
 class TestBinIndex:
     def test_zero_lands_in_first_bin(self):
-        assert bin_index(0.0) == 0
+        assert bin_of(0.0) == 0
 
     def test_one_folds_into_last_bin(self):
-        assert bin_index(1.0) == 24
+        assert bin_of(1.0) == 24
 
     def test_edges_are_half_open(self):
-        assert bin_index(0.04) == 1
-        assert bin_index(0.04 - 1e-12) == 0
-        assert bin_index(0.96) == 24
+        assert bin_of(0.04) == 1
+        assert bin_of(0.04 - 1e-12) == 0
+        assert bin_of(0.96) == 24
 
     def test_out_of_range(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(InvalidInputError):
-                bin_index(bad)
+                bin_of(bad)
 
 
 class TestHistogram:
@@ -45,7 +56,6 @@ class TestHistogram:
         hist = ScoreHistogram(2)
         record_scores(hist, 0, [0.1, 0.5, 0.99])
         record_scores(hist, 1, [0.0])
-        assert hist.cnt.tolist() == [3, 1]
         assert hist.bins[0].sum() == 3
         assert hist.bins[1, 0] == 1
 
@@ -55,6 +65,46 @@ class TestHistogram:
             record_scores(hist, 5, [0.5])
         with pytest.raises(InvalidInputError):
             record_scores(hist, 0, [1.5])
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_rejected_batch_leaves_bins_unchanged(self, bad):
+        hist = record_scores(ScoreHistogram(2), 0, [0.2])
+        before = hist.bins.copy()
+        with pytest.raises(InvalidInputError, match=rf"got {bad} \(index 1\)"):
+            record_scores(hist, 0, [0.5, bad, 0.7, 2.0])
+        np.testing.assert_array_equal(hist.bins, before)
+
+
+# scores on and just below every bin edge k * 0.04, plus anywhere in [0, 1]
+EDGES = sorted(
+    {min(k * BIN_WIDTH, 1.0) for k in range(NUM_BINS + 1)}
+    | {float(np.nextafter(k * BIN_WIDTH, 0.0)) for k in range(1, NUM_BINS + 1)}
+)
+scores = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGES)), max_size=40)
+coverage = st.one_of(
+    st.floats(1e-3, 0.999), st.sampled_from([1e-9, 1e-3, 0.5, 0.999, 1.0 - 1e-9])
+)
+
+
+class TestMatchesPerScoreLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(per_class=st.lists(scores, min_size=1, max_size=4), b=coverage)
+    def test_bins_and_mu_match_the_reference(self, per_class, b):
+        hist = ScoreHistogram(len(per_class), b=b)
+        for cls, class_scores in enumerate(per_class):
+            record_scores(hist, cls, class_scores)
+        for cls, class_scores in enumerate(per_class):
+            expected = reference_bins(class_scores)
+            assert hist.bins[cls].tolist() == expected.tolist()
+            assert compute_mu(hist, cls) == reference_mu(expected, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(0, 50), min_size=NUM_BINS, max_size=NUM_BINS),
+           b=coverage)
+    def test_mu_of_any_counts_matches_the_reference(self, counts, b):
+        hist = ScoreHistogram(1, b=b)
+        hist.bins[0] = counts
+        assert compute_mu(hist, 0) == reference_mu(np.array(counts), b)
 
 
 class TestComputeMu:
@@ -99,7 +149,6 @@ class TestComputeMu:
             if counts.sum() == 0:
                 counts[0] = 1
             hist.bins[0] = counts
-            hist.cnt[0] = counts.sum()
             before = compute_mu(hist, 0).mu
 
             shifted = np.zeros_like(counts)
@@ -111,50 +160,4 @@ class TestComputeMu:
     def test_tiny_b_picks_first_occupied_bin(self):
         hist = ScoreHistogram(1, b=1e-9)
         record_scores(hist, 0, [0.45, 0.9, 0.91])
-        assert compute_mu(hist, 0).mu == pytest.approx(bin_index(0.45) * BIN_WIDTH)
-
-
-class TestResetEpoch:
-    def test_reset_then_compute_is_degenerate(self):
-        hist = ScoreHistogram(1)
-        record_scores(hist, 0, [0.5, 0.6])
-        reset_epoch(hist)
-        assert compute_mu(hist, 0).degenerate
-
-    def test_idempotent(self):
-        hist = ScoreHistogram(2)
-        record_scores(hist, 0, [0.5])
-        reset_epoch(hist)
-        reset_epoch(hist)
-        assert hist.bins.sum() == 0 and hist.cnt.sum() == 0
-
-    def test_only_post_reset_scores_survive(self):
-        hist = ScoreHistogram(1, b=0.5)
-        record_scores(hist, 0, [0.9] * 10)
-        reset_epoch(hist)
-        record_scores(hist, 0, [0.1])
-        assert compute_mu(hist, 0).mu == pytest.approx(bin_index(0.1) * BIN_WIDTH)
-
-
-class TestMuSchedule:
-    def test_starts_all_zero(self):
-        sched = MuSchedule(4)
-        assert sched.mu_k.tolist() == [0.0] * 4
-
-    def test_update_from_histogram(self):
-        hist = ScoreHistogram(2, b=0.25)
-        record_scores(hist, 0, [0.01] * 4)
-        record_scores(hist, 1, [1.0] * 4)
-        sched = MuSchedule(2).update_from(hist)
-        assert sched.mu_k.tolist() == [0.0, pytest.approx(0.96)]
-        assert not sched.degenerate.any()
-
-    def test_degenerate_class_flagged(self):
-        hist = ScoreHistogram(2)
-        record_scores(hist, 0, [0.5])
-        sched = MuSchedule(2).update_from(hist)
-        assert sched.degenerate.tolist() == [False, True]
-
-    def test_class_count_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            MuSchedule(3).update_from(ScoreHistogram(2))
+        assert compute_mu(hist, 0).mu == pytest.approx(bin_of(0.45) * BIN_WIDTH)

@@ -115,9 +115,8 @@ class TestIdx:
         images = np.arange(2 * 2 * 2, dtype=np.uint8).reshape(2, 2, 2) * 30
         labels = np.array([1, 0])
         img, lab = self.build_pair(tmp_path, images, labels)
-        ds = load_idx(img, lab, split="test")
+        ds = load_idx(img, lab)
         assert ds.features.shape == (2, 4)
-        assert ds.split == "test"
         assert_allclose(ds.features[0], images[0].reshape(-1) / 255.0)
         assert_array_equal(ds.labels, labels)
         assert ds.num_classes == 2
@@ -207,8 +206,8 @@ class TestIdx:
 class TestSynthetic:
     def test_counts_and_split_tags(self):
         train, test = gen_synthetic(4, 8, per_class=10, spread=0.3, seed=0)
-        assert len(train) == 40 and train.split == "train"
-        assert len(test) == 8 and test.split == "test"
+        assert len(train) == 40
+        assert len(test) == 8
         train2, test2 = gen_synthetic(
             4, 8, per_class=10, spread=0.3, seed=0, test_per_class=7
         )
