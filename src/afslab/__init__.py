@@ -23,15 +23,12 @@ from .model import (
     NetworkState,
     forward,
     init_network,
-    load_checkpoint,
-    save_checkpoint,
     score_rows,
     sgd_step,
 )
 from .stream import (
     Dataset,
     TaskSplit,
-    augment,
     batches,
     gen_synthetic,
     load_idx,

@@ -4,8 +4,11 @@
 `run` hands the jobs of every run to `runner.run_jobs`, the same pool the
 acceptance suite submits to, and writes a JSON record store plus CSV
 reports in run order; `report` re-emits reports from a stored record file.
-Outputs carry no timestamps, so identical configs and seeds reproduce
-byte-identical reports (wall-time columns aside).
+Each CSV table is declared once in `TABLES`, and one row builder reads the
+store through it both to write and to check: every row is built before any
+file is opened, so a malformed store exits 2 naming the path, the run and
+the key. Outputs carry no timestamps, so identical configs and seeds
+reproduce byte-identical reports (wall-time columns aside).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 import sys
 from csv import writer as csv_writer
 from dataclasses import fields
+from typing import NamedTuple
 
 from .errors import AfslabError, FormatError, InvalidConfigError, RunFailedError
 from .metrics import confidence_interval
@@ -25,17 +29,43 @@ from .runner import ExperimentConfig, assemble, jobs_for, parse_method, run_jobs
 OUT_ENV_VAR = "AFSLAB_OUT"
 DEFAULT_OUT = "runs"
 
-METRICS_HEADER = ["method", "memory", "run", "task", "A_T", "F_T", "I_T", "wall_time"]
-DIAGNOSTICS_HEADER = [
-    "method", "memory", "run", "task",
-    "mean_weight_old", "mean_weight_new",
-    "mean_logit_old", "mean_logit_new",
-    "hsi", "asi", "esi",
-]
-SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
-# Keys of a record store that `emit_report` reads, at the top and in each run.
-RECORD_STORE_KEYS = ("method", "memory", "num_runs", "runs")
-RUN_KEYS = ("run", "wall_time")
+
+class Column(NamedTuple):
+    """One report column; a value that is no `number` is written as stored."""
+
+    header: str
+    where: str = "row"  # its value lives in the "store", the "run" record or the table's "row"
+    key: str = ""  # its key there, if not the header
+    number: bool = False  # a float, written at full precision ("nan" for NaN)
+
+
+class Table(NamedTuple):
+    """One CSV report, declared once for `emit_report` and `_check_record_store`."""
+
+    file: str
+    # the rows it walks: "summary" (the store's list), "metrics" (each run's list)
+    # or "diagnostics" (each run's mapping in task order, its key the row's "task")
+    rows: str
+    columns: tuple[Column, ...]
+
+
+_LABELS = (Column("method", "store"), Column("memory", "store"))
+_RUN_TASK = (Column("run", "run"), Column("task"))
+TABLES = (
+    Table("metrics.csv", "metrics", (
+        *_LABELS, *_RUN_TASK, *(Column(key, number=True) for key in ("A_T", "F_T", "I_T")),
+        Column("wall_time", "run", number=True),
+    )),
+    Table("diagnostics.csv", "diagnostics", (
+        *_LABELS, *_RUN_TASK, *(Column(key, number=True) for key in (
+            "mean_weight_old", "mean_weight_new", "mean_logit_old", "mean_logit_new")),
+        Column("hsi"), Column("asi"), Column("esi"),
+    )),
+    Table("summary.csv", "summary", (
+        *_LABELS, Column("runs", "store", "num_runs"), Column("metric"),
+        Column("mean", number=True), Column("ci_half_width", number=True),
+    )),
+)
 
 
 def _parse_hidden(value: str) -> tuple[int, ...]:
@@ -68,18 +98,12 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         if key not in known:
             raise InvalidConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-
-    kwargs: dict[str, object] = {}
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
     defaults = ExperimentConfig()
-    for key, raw_value in values.items():
-        if isinstance(raw_value, str):
-            kwargs[key] = _convert(key, raw_value, defaults)
-        else:
-            kwargs[key] = raw_value
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{
+        key: _convert(key, value, defaults) if isinstance(value, str) else value
+        for key, value in values.items()
+    })
 
 
 def _convert(key: str, value: str, defaults: ExperimentConfig):
@@ -114,12 +138,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.runs >= 2 and runs and runs[0].get("metrics"):
         final_task = max(m["task"] for m in runs[0]["metrics"])
         for name in ("A_T", "F_T", "I_T"):
-            values = [
-                m[name]
-                for run in runs
-                for m in run["metrics"]
-                if m["task"] == final_task and not math.isnan(m[name])
-            ]
+            values = [m[name] for run in runs for m in run["metrics"]
+                      if m["task"] == final_task and not math.isnan(m[name])]
             if len(values) == len(runs):
                 mean, half = confidence_interval(values)
                 summary.append({"metric": name, "mean": mean, "ci_half_width": half})
@@ -133,85 +153,91 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return "nan" if math.isnan(value) else repr(value)
-    return str(value)
+def _cell(scope: dict, column: Column, place: str):
+    """The written value of `column` in `scope`; FormatError names `place` and the key."""
+    key = column.key or column.header
+    if key not in scope:
+        raise FormatError(f"{place} misses key {key!r}" if place else f"missing key {key!r}")
+    if not column.number:
+        return scope[key]
+    try:
+        value = float(scope[key])
+    except (TypeError, ValueError):
+        raise FormatError(f"{place} key {key!r} holds {scope[key]!r}, not a number") from None
+    return "nan" if math.isnan(value) else repr(value)
+
+
+def _entries(value, kind: str, place: str) -> list[tuple[str, dict]]:
+    """(place, row) of each entry of a summary or metrics list or a diagnostics mapping."""
+    if value is None:  # the part is absent
+        return []
+    mapping = kind == "diagnostics"  # walked in task order, its key the row's "task"
+    pairs = None
+    if mapping and isinstance(value, dict) and all(map(str.isdigit, value)):
+        pairs = [(task, value[task]) for task in sorted(value, key=int)]
+    elif not mapping and isinstance(value, list):
+        pairs = list(enumerate(value))
+    if pairs is None or not all(isinstance(entry, dict) for _, entry in pairs):
+        shape = "an object of task entries" if mapping else "a list of objects"
+        raise FormatError(f"{place}{kind!r} is not {shape}")
+    return [(f"{place}{kind}[{k!r}]", {"task": k, **e} if mapping else e) for k, e in pairs]
+
+
+def _table_rows(table: Table, records: dict) -> list[list]:
+    """Every row of `table` in `records`, as written."""
+    known = {c: _cell(records, c, "") for c in table.columns if c.where == "store"}
+    if table.rows == "summary":
+        parts = [("", {}, records.get("summary"))]
+    else:
+        runs = _cell(records, Column("runs", "store"), "")
+        if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
+            raise FormatError("'runs' is not a list of objects")
+        parts = [(f"run {i} ", run, run.get(table.rows)) for i, run in enumerate(runs)]
+    rows = []
+    for place, run, value in parts:
+        known.update((c, _cell(run, c, place.strip())) for c in table.columns if c.where == "run")
+        rows += [[known[c] if c in known else _cell(entry, c, where) for c in table.columns]
+                 for where, entry in _entries(value, table.rows, place)]
+    return rows
+
+
+def _check_record_store(records, path: str) -> list[list[list]]:
+    """The rows of each of `TABLES` in `records`, or FormatError naming the first gap."""
+    try:
+        if not isinstance(records, dict):
+            raise FormatError(f"a JSON {type(records).__name__}, not an object")
+        return [_table_rows(table, records) for table in TABLES]
+    except FormatError as exc:
+        raise FormatError(f"{path} is not a record store: {exc}") from None
 
 
 def emit_report(records: dict, out_dir: str, fmt: str) -> list[str]:
-    """Write reports for a record store; returns the paths written."""
+    """Write reports for a record store; returns the paths written.
+
+    Every row of every table is built before any file is opened, so a
+    malformed store raises FormatError and leaves the files as they were.
+    """
+    if fmt not in ("csv", "json"):
+        raise InvalidConfigError(f"unknown report format {fmt!r}")
+    path = os.path.join(out_dir, "records.json")
+    tables = _check_record_store(records, path)
     os.makedirs(out_dir, exist_ok=True)
-    written = []
     if fmt == "json":
-        path = os.path.join(out_dir, "records.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2, sort_keys=True, allow_nan=True)
             fh.write("\n")
-        written.append(path)
-        return written
-    if fmt != "csv":
-        raise InvalidConfigError(f"unknown report format {fmt!r}")
-
-    method = records["method"]
-    memory = records["memory"]
-
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        out = csv_writer(fh)
-        out.writerow(METRICS_HEADER)
-        for run in records["runs"]:
-            for m in run.get("metrics", []):
-                out.writerow([
-                    method, memory, run["run"], m["task"],
-                    _format(float(m["A_T"])), _format(float(m["F_T"])),
-                    _format(float(m["I_T"])), _format(float(run["wall_time"])),
-                ])
-    written.append(metrics_path)
-
-    diag_path = os.path.join(out_dir, "diagnostics.csv")
-    with open(diag_path, "w", newline="", encoding="utf-8") as fh:
-        out = csv_writer(fh)
-        out.writerow(DIAGNOSTICS_HEADER)
-        for run in records["runs"]:
-            for task in sorted(run.get("diagnostics", {}), key=int):
-                d = run["diagnostics"][task]
-                out.writerow([
-                    method, memory, run["run"], task,
-                    _format(float(d["mean_weight_old"])),
-                    _format(float(d["mean_weight_new"])),
-                    _format(float(d["mean_logit_old"])),
-                    _format(float(d["mean_logit_new"])),
-                    d["hsi"], d["asi"], d["esi"],
-                ])
-    written.append(diag_path)
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        out = csv_writer(fh)
-        out.writerow(SUMMARY_HEADER)
-        for item in records.get("summary", []):
-            out.writerow([
-                method, memory, records["num_runs"], item["metric"],
-                _format(float(item["mean"])), _format(float(item["ci_half_width"])),
-            ])
-    written.append(summary_path)
+        return [path]
+    written = [os.path.join(out_dir, table.file) for table in TABLES]
+    for path, table, rows in zip(written, TABLES, tables):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv_writer(fh).writerows([[c.header for c in table.columns], *rows])
     return written
 
 
-def _resolve_out(cli_out: str | None, config: ExperimentConfig) -> str:
-    return cli_out or config.out or os.environ.get(OUT_ENV_VAR, "") or DEFAULT_OUT
-
-
 def _cmd_run(args) -> int:
-    config = parse_config(
-        args.config,
-        overrides={
-            "seed": args.seed, "runs": args.runs,
-            "method": args.method, "out": args.out,
-        },
-    )
-    out_dir = _resolve_out(args.out, config)
+    overrides = {"seed": args.seed, "runs": args.runs, "method": args.method, "out": args.out}
+    config = parse_config(args.config, overrides)
+    out_dir = config.out or os.environ.get(OUT_ENV_VAR, "") or DEFAULT_OUT
     os.makedirs(out_dir, exist_ok=True)
     try:
         records = run_experiment(config)
@@ -227,52 +253,27 @@ def _cmd_run(args) -> int:
         return 1
     emit_report(records, out_dir, "json")
     emit_report(records, out_dir, "csv")
-    final = records["runs"][-1].get("metrics", [])
+    final = records["runs"][-1].get("metrics")
     if final:
         # over two runs or more, their mean A_T and its confidence half-width
-        summary = {item["metric"]: item for item in records["summary"]}
-        a_t = summary.get("A_T")
-        value = (
-            f"{a_t['mean']:.4f} +/- {a_t['ci_half_width']:.4f}"
-            if a_t else f"{final[-1]['A_T']:.4f}"
-        )
-        print(
-            f"{records['method']}: runs={config.runs} "
-            f"A_T={value} (final task {final[-1]['task']})"
-        )
+        a_t = next((item for item in records["summary"] if item["metric"] == "A_T"), None)
+        value = (f"{a_t['mean']:.4f} +/- {a_t['ci_half_width']:.4f}" if a_t
+                 else f"{final[-1]['A_T']:.4f}")
+        print(f"{records['method']}: runs={config.runs} A_T={value} "
+              f"(final task {final[-1]['task']})")
     print(f"reports written to {out_dir}")
     return 0
-
-
-def _check_record_store(records, path: str) -> None:
-    """Reject valid JSON that lacks what `emit_report` reads, naming the first gap."""
-    if not isinstance(records, dict):
-        raise FormatError(
-            f"{path} is not a record store: a JSON {type(records).__name__}, not an object"
-        )
-    missing = [key for key in RECORD_STORE_KEYS if key not in records]
-    if missing:
-        raise FormatError(f"{path} is not a record store: missing key {missing[0]!r}")
-    runs = records["runs"]
-    if not isinstance(runs, list) or not all(isinstance(run, dict) for run in runs):
-        raise FormatError(f"{path} is not a record store: 'runs' is not a list of objects")
-    for i, run in enumerate(runs):
-        missing = [key for key in RUN_KEYS if key not in run]
-        if missing:
-            raise FormatError(f"{path} is not a record store: run {i} misses key {missing[0]!r}")
 
 
 def _cmd_report(args) -> int:
     path = os.path.join(args.in_dir, "records.json")
     if not os.path.exists(path):
-        print(f"error: no records.json under {args.in_dir}", file=sys.stderr)
-        return 2
+        raise FormatError(f"no records.json under {args.in_dir}")
     with open(path, encoding="utf-8") as fh:
         try:
             records = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path} is not a JSON record store: {exc}") from exc
-    _check_record_store(records, path)
     for written in emit_report(records, args.in_dir, args.format):
         print(written)
     return 0
@@ -298,9 +299,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_report(args)
+        return _cmd_run(args) if args.command == "run" else _cmd_report(args)
     except AfslabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ class InvalidConfigError(AfslabError, ValueError):
 
 
 class FormatError(AfslabError, ValueError):
-    """A serialized artifact (IDX file, checkpoint, config) failed to parse."""
+    """A serialized artifact (IDX file, record store, config) failed to parse."""
 
 
 class UndefinedMetricError(AfslabError, ValueError):

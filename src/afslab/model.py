@@ -20,15 +20,12 @@ returns, however many rows are scored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError
 
-CHECKPOINT_FORMAT = "afslab-mlp"
-CHECKPOINT_VERSION = 1
 SCORE_CHUNK_ROWS = 512  # rows per forward pass in score_rows (see its docstring)
 
 
@@ -290,40 +287,3 @@ def score_rows(
         logits[start : start + len(chunk)] = forward(state, x, workspace).logits
     return logits
 
-
-def save_checkpoint(state: NetworkState, path: str) -> None:
-    """Write a versioned JSON dump of layer widths and row-major parameters."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "layer_widths": list(state.layer_widths),
-        "layers": [
-            {"weights": w.tolist(), "bias": b.tolist()}
-            for w, b in zip(state.weights, state.biases)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_checkpoint(path: str) -> NetworkState:
-    """Read a checkpoint written by save_checkpoint; round-trip is lossless."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"checkpoint is not valid JSON: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise FormatError(f"unknown checkpoint format {payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {payload.get('version')!r}")
-    widths = tuple(payload["layer_widths"])
-    weights = [np.asarray(layer["weights"], dtype=np.float64) for layer in payload["layers"]]
-    biases = [np.asarray(layer["bias"], dtype=np.float64) for layer in payload["layers"]]
-    state = NetworkState(weights=weights, biases=biases)
-    if state.layer_widths != widths:
-        raise FormatError(
-            f"checkpoint widths {widths} do not match stored arrays "
-            f"{state.layer_widths}"
-        )
-    return state

@@ -239,25 +239,6 @@ def gen_synthetic(
     return draw(per_class), draw(test_per_class)
 
 
-def augment(
-    features: np.ndarray,
-    kind: str,
-    rng: np.random.Generator,
-    jitter_sigma: float = 0.1,
-) -> np.ndarray:
-    """Transformed copies of the [k, dim] rows; the input is never touched.
-
-    Kinds: "none" hands the input back unchanged, "image" applies a random
-    horizontal flip plus a pad-4 random crop to square images, and "vector"
-    adds Gaussian jitter with the given sigma. Labels are unchanged by every
-    kind, so only features go in and out. The random draws come first
-    (`draw_augment`), then their use (`apply_augment`), so the draws can be
-    made where the rows are not at hand.
-    """
-    draws = draw_augment(kind, features.shape, rng, jitter_sigma)
-    return apply_augment(features, kind, draws)
-
-
 def check_augment(kind: str, dim: int) -> None:
     """Raise InvalidConfigError unless `kind` can augment rows of `dim` features."""
     if kind not in AUGMENT_KINDS:

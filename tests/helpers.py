@@ -11,7 +11,7 @@ from afslab.losses import BIN_WIDTH, NUM_BINS, MuValue, make_objective
 from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
-from afslab.stream import augment
+from afslab.stream import apply_augment, draw_augment
 from afslab.trainer import RunRecord, evaluate, review_rows, sgd_on_batch
 
 
@@ -147,8 +147,20 @@ def pad_crop(features, side, rng, pad=4):
     return img[dy : dy + side, dx : dx + side].reshape(-1).copy()
 
 
+def augment(features, kind, rng, jitter_sigma=0.1):
+    """Transformed copies of the [k, dim] rows; the input is never touched.
+
+    Kinds: "none" hands the input back unchanged, "image" applies a random
+    horizontal flip plus a pad-4 random crop to square images, and "vector"
+    adds Gaussian jitter with the given sigma. The training loop makes the
+    draws (`draw_augment`) before the rows are at hand and applies them
+    (`apply_augment`) later; this is the two in one call.
+    """
+    return apply_augment(features, kind, draw_augment(kind, features.shape, rng, jitter_sigma))
+
+
 def augment_image_rows(features, rng):
-    """Reference for stream.augment(kind="image"): one row at a time.
+    """Reference for augment(kind="image"): one row at a time.
 
     This is the per-row loop the batched gather replaced: a flip coin,
     then a flip if it comes up below 0.5, then a pad-4 random crop.

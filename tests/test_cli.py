@@ -14,15 +14,7 @@ import pytest
 
 import afslab
 import afslab.runner as runner
-from afslab.cli import (
-    DIAGNOSTICS_HEADER,
-    METRICS_HEADER,
-    SUMMARY_HEADER,
-    emit_report,
-    main,
-    parse_config,
-    run_experiment,
-)
+from afslab.cli import emit_report, main, parse_config, run_experiment
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.losses import CLS_KINDS, REG_KINDS
 from afslab.runner import ExperimentConfig, Job, parse_method
@@ -41,6 +33,16 @@ hidden = 8
 retrieve_batch = 10
 augment = vector
 """
+
+
+METRICS_HEADER = ["method", "memory", "run", "task", "A_T", "F_T", "I_T", "wall_time"]
+DIAGNOSTICS_HEADER = [
+    "method", "memory", "run", "task",
+    "mean_weight_old", "mean_weight_new", "mean_logit_old", "mean_logit_new",
+    "hsi", "asi", "esi",
+]
+SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
+REPORTS = ("metrics.csv", "diagnostics.csv", "summary.csv")
 
 
 def write_config(tmp_path, text=MICRO_CONFIG, name="exp.cfg"):
@@ -236,6 +238,24 @@ class TestEmitReport:
             emit_report({"runs": []}, str(tmp_path), "yaml")
 
 
+def malformed_store(edit):
+    """A two-run, two-task record store as JSON text, after `edit` has broken it."""
+    store = {
+        "method": "afs", "memory": 20, "num_runs": 2,
+        "runs": [{
+            "run": r, "wall_time": 1.5,
+            "metrics": [{"task": t, "A_T": 0.5, "F_T": 0.1, "I_T": 0.0} for t in (1, 2)],
+            "diagnostics": {str(t): {
+                "mean_weight_old": 0.1, "mean_weight_new": 0.2, "mean_logit_old": -1.0,
+                "mean_logit_new": 1.0, "hsi": 3, "asi": 2, "esi": 1,
+            } for t in (1, 2)},
+        } for r in (0, 1)],
+        "summary": [{"metric": "A_T", "mean": 0.5, "ci_half_width": 0.0}],
+    }
+    edit(store)
+    return json.dumps(store)
+
+
 def read_stripped(path, drop_column):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -247,12 +267,16 @@ class TestMainCommand:
     def test_run_and_report_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(out), "--runs", "2"]) == 0
         assert (out / "records.json").exists()
-        assert (out / "metrics.csv").exists()
+        written = {name: (out / name).read_bytes() for name in REPORTS}
+        (out / "metrics.csv").unlink()
+        capsys.readouterr()
         assert main(["report", "--in", str(out), "--format", "csv"]) == 0
-        captured = capsys.readouterr()
-        assert "metrics.csv" in captured.out
+        assert capsys.readouterr().out.split() == [str(out / name) for name in REPORTS]
+        # the report re-emits exactly what the run wrote, wall_time included
+        for name in REPORTS:
+            assert (out / name).read_bytes() == written[name], name
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_summary_line(self, runs, tmp_path, capsys):
@@ -337,15 +361,30 @@ class TestMainCommand:
         ("[]", "a JSON list, not an object"),
         ('{"method": "afs", "memory": 20, "num_runs": 1, "runs": [{"run": 0}]}',
          "run 0 misses key 'wall_time'"),
-    ], ids=["empty_object", "list", "run_without_wall_time"])
+        (malformed_store(lambda s: s["runs"][1]["metrics"][0].pop("A_T")),
+         "run 1 metrics[0] misses key 'A_T'"),
+        (malformed_store(lambda s: s["runs"][1]["diagnostics"]["2"].pop("hsi")),
+         "run 1 diagnostics['2'] misses key 'hsi'"),
+        (malformed_store(lambda s: s["summary"][0].pop("mean")),
+         "summary[0] misses key 'mean'"),
+        (malformed_store(lambda s: s["runs"][1].update(metrics=3)),
+         "run 1 'metrics' is not a list of objects"),
+        (malformed_store(lambda s: s["runs"][1]["metrics"][1].update(A_T=None)),
+         "run 1 metrics[1] key 'A_T' holds None, not a number"),
+    ], ids=["empty_object", "list", "run_without_wall_time", "metrics_without_A_T",
+            "diagnostics_without_hsi", "summary_without_mean", "metrics_not_a_list",
+            "null_A_T"])
     def test_report_on_json_that_is_no_record_store_exits_two(
         self, content, message, tmp_path, capsys
     ):
         path = tmp_path / "records.json"
         path.write_text(content)
+        # a report from an earlier run stays as it was
+        (tmp_path / "metrics.csv").write_bytes(b"earlier,report\r\n")
         assert main(["report", "--in", str(tmp_path), "--format", "csv"]) == 2
         assert f"error: {path} is not a record store: {message}" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["records.json"]
+        assert sorted(os.listdir(tmp_path)) == ["metrics.csv", "records.json"]
+        assert (tmp_path / "metrics.csv").read_bytes() == b"earlier,report\r\n"
 
     @pytest.mark.parametrize("content,reason", [
         (None, "No such file or directory"),

@@ -1,14 +1,10 @@
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
+from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import LossConfig, distill, make_objective, teacher_table, weighted_ce
 from afslab.model import (
     SCORE_CHUNK_ROWS,
@@ -19,8 +15,6 @@ from afslab.model import (
     backward,
     forward,
     init_network,
-    load_checkpoint,
-    save_checkpoint,
     score_rows,
     sgd_step,
 )
@@ -321,68 +315,6 @@ class TestPredict:
             weights=[np.zeros((3, 2))], biases=[np.zeros(3)]
         )
         assert np.argmax(score_rows(state, np.array([[1.0, -1.0]]))[0]) == 0
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        state = init_network(NetworkSpec((6, 11, 4), seed=13))
-        # push the values off the initializer grid with a couple of updates
-        rng = np.random.default_rng(0)
-        for _ in range(3):
-            trace = forward(state, rng.normal(size=6)[None])
-            out = weighted_ce(trace.logits, [int(rng.integers(0, 4))], "ce")
-            sgd_step(state, backward(state, trace, out.grad_logits), 0.05)
-        path = tmp_path / "model.json"
-        save_checkpoint(state, str(path))
-        loaded = load_checkpoint(str(path))
-        assert loaded.layer_widths == state.layer_widths
-        for a, b in zip(loaded.weights, state.weights):
-            assert_array_equal(a, b)
-        for a, b in zip(loaded.biases, state.biases):
-            assert_array_equal(a, b)
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), widths=st.lists(st.integers(1, 9), min_size=2, max_size=4))
-    def test_round_trip_bit_exact_property(self, data, widths):
-        # any finite float64, signed zeros and subnormals included, in
-        # every weight and bias of a network of random widths
-        state = init_network(NetworkSpec(tuple(widths), seed=0))
-        finite = st.floats(allow_nan=False, allow_infinity=False)
-        for arrays in (state.weights, state.biases):
-            for i, a in enumerate(arrays):
-                arrays[i] = data.draw(hnp.arrays(np.float64, a.shape, elements=finite))
-        with tempfile.TemporaryDirectory() as work:
-            path = os.path.join(work, "model.json")
-            save_checkpoint(state, path)
-            loaded = load_checkpoint(path)
-        assert loaded.layer_widths == tuple(widths)
-        for a, b in zip(loaded.weights + loaded.biases, state.weights + state.biases):
-            assert a.dtype == np.float64 and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json at all{")
-        with pytest.raises(FormatError):
-            load_checkpoint(str(path))
-
-    def test_rejects_wrong_format_tag(self, tmp_path):
-        path = tmp_path / "weird.json"
-        path.write_text('{"format": "other", "version": 1}')
-        with pytest.raises(FormatError):
-            load_checkpoint(str(path))
-
-    def test_rejects_wrong_version(self, tmp_path):
-        state = init_network(NetworkSpec((2, 2), seed=0))
-        path = tmp_path / "model.json"
-        save_checkpoint(state, str(path))
-        import json
-
-        payload = json.loads(path.read_text())
-        payload["version"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError):
-            load_checkpoint(str(path))
 
 
 def test_gradients_via_logit_vector_oracle():

@@ -12,7 +12,6 @@ from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
     Dataset,
-    augment,
     batches,
     gen_synthetic,
     load_idx,
@@ -22,7 +21,7 @@ from afslab.stream import (
     write_idx,
 )
 from afslab.trainer import TrainConfig, evaluate, train_offline
-from helpers import augment_image_rows, flip_horizontal, pad_crop
+from helpers import augment, augment_image_rows, flip_horizontal, pad_crop
 
 
 def toy_dataset(n_per_class=6, num_classes=4, dim=3, seed=0):
