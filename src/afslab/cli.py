@@ -109,14 +109,9 @@ def parse_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 def _convert(key: str, value: str, defaults: ExperimentConfig):
     if key == "hidden":
         return _parse_hidden(value)
-    if key in ("rv_every", "data_seed"):
-        if value.lower() in ("", "none"):
-            return None
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise InvalidConfigError(f"config key {key!r} needs an integer, got {value!r}") from exc
-    template = getattr(defaults, key)
+    if key == "data_seed" and value.lower() in ("", "none"):
+        return None
+    template = 0 if key == "data_seed" else getattr(defaults, key)  # its default is None
     try:
         if isinstance(template, int):
             return int(value)

@@ -97,7 +97,6 @@ class ExperimentConfig:
     lr: float = 0.1
     rv_lr: float = 0.01
     rv_batch: int = 10
-    rv_every: int | None = None
     augment: str = "vector"
     jitter_sigma: float = 1.2
     offline_epochs: int = 3
@@ -112,6 +111,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(self.hidden))  # hashable
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{key} must be finite, got {value}")
+        for key, value in (("seed", self.seed), ("data_seed", self.data_seed)):
+            if value is not None and value < 0:
+                raise InvalidConfigError(f"{key} must be non-negative, got {value}")
         if self.dataset not in ("synthetic", "idx"):
             raise InvalidConfigError(f"unknown dataset kind {self.dataset!r}")
         if self.runs < 1:
@@ -152,7 +157,6 @@ def _train_config(config: ExperimentConfig, trainer_seed: int, num_classes: int)
         lr=config.lr,
         rv_lr=config.rv_lr,
         rv_batch=config.rv_batch,
-        rv_every=config.rv_every,
         loss=LossConfig(
             alpha=config.alpha,
             gamma=config.gamma,

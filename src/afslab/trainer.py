@@ -13,8 +13,8 @@ Retrieval is random, so what a step replays, its augmentation and what
 the reservoir keeps never depend on the model. `run_stream` therefore
 splits in two: `replay_schedule`, a generator that owns the rng and the
 buffer and yields each step's replay rows as dataset indices plus their
-augmentation draws (and each review's order), and the training, which reads
-those rows from the dataset and steps. At each task boundary it hands the
+augmentation draws (and each task's review order), and the training, which
+reads those rows from the dataset and steps. At each task boundary it hands the
 state of that moment to a scorer that runs `evaluate` and the bias
 diagnostics. With `forked=True`, which `runner.run_jobs` passes when every
 job has a pool worker of its own, the schedule and each scorer run in
@@ -122,7 +122,9 @@ class TrainConfig:
     (`augment_kind="none"`; `jitter_sigma=0.1` applies once "vector" is
     chosen). The recipe's "vector" augmentation at sigma 1.2 is set by the
     caller: `ExperimentConfig` (`augment`, `jitter_sigma`) and the
-    acceptance constants pass both explicitly.
+    acceptance constants pass both explicitly. A review pass, at `rv_lr` in
+    batches of `rv_batch`, follows each task's last step; `replay_schedule`
+    decides its order, one per task.
     """
 
     stream_batch: int = 10
@@ -130,7 +132,6 @@ class TrainConfig:
     lr: float = 0.1
     rv_lr: float = 0.01
     rv_batch: int = 10
-    rv_every: int | None = None  # None: review at task boundaries
     loss: LossConfig = field(default_factory=LossConfig)
     augment_kind: str = "none"
     jitter_sigma: float = 0.1
@@ -145,8 +146,6 @@ class TrainConfig:
             raise InvalidConfigError(f"lr must be positive, got {self.lr}")
         if self.rv_lr < 0:
             raise InvalidConfigError(f"rv_lr must be non-negative, got {self.rv_lr}")
-        if self.rv_every is not None and self.rv_every < 1:
-            raise InvalidConfigError(f"rv_every must be positive, got {self.rv_every}")
         if self.jitter_sigma < 0:
             raise InvalidConfigError(f"jitter_sigma must be non-negative, got {self.jitter_sigma}")
 
@@ -222,15 +221,6 @@ def review_rows(
     return state
 
 
-def _review_due(recipe: Recipe, config: TrainConfig, steps: int | None = None) -> bool:
-    """Whether a review follows step number `steps`, or the task when None."""
-    if not recipe.review:
-        return False
-    if steps is None:
-        return not config.rv_every
-    return bool(config.rv_every) and steps % config.rv_every == 0
-
-
 def replay_schedule(
     memory: MemoryBuffer,
     dataset: Dataset,
@@ -243,22 +233,17 @@ def replay_schedule(
     Owns the run's rng and `memory`, and makes the loop's draws in the
     loop's order: per step `random_retrieve`, then the augmentation draws of
     the replay rows, then `reservoir_update` with the incoming rows; per
-    review a permutation of the memory slots (none when rv_lr is 0 or the
-    buffer is empty). Yields, in loop order, `(replay, draws)` per step,
-    with the replay rows as dataset indices and `draws` None when nothing is
-    augmented, and the review order as dataset indices per review. The last
-    item is the buffer's final `(tot, labels, uids)`.
+    task a permutation of the memory slots for the review. This is the one
+    place that decides a review. Yields, in loop order, `(replay, draws)`
+    per step, with the replay rows as dataset indices and `draws` None when
+    nothing is augmented, and after each task's last step exactly one
+    review order as dataset indices: empty, with no draw, when the recipe
+    has no review, rv_lr is 0 or the buffer is empty. The last item is the
+    buffer's final `(tot, labels, uids)`.
     """
     rng = np.random.default_rng(config.seed)
     kind = config.augment_kind if recipe.augment_replay else "none"
     width = dataset.features.shape[1]
-
-    def review_order() -> np.ndarray:
-        if config.rv_lr == 0 or len(memory) == 0:
-            return np.empty(0, dtype=np.int64)
-        return memory.uids[rng.permutation(len(memory))]
-
-    steps = 0
     for stream in streams:
         for batch in stream:
             picks = random_retrieve(memory, config.retrieve_batch, rng)
@@ -268,11 +253,10 @@ def replay_schedule(
             replay = memory.uids[picks]
             reservoir_update(memory, dataset.labels[batch], batch, rng)
             yield replay, draws
-            steps += 1
-            if _review_due(recipe, config, steps):
-                yield review_order()
-        if _review_due(recipe, config):
-            yield review_order()
+        if not recipe.review or config.rv_lr == 0 or len(memory) == 0:
+            yield np.empty(0, dtype=np.int64)
+        else:
+            yield memory.uids[rng.permutation(len(memory))]
     yield memory.tot, memory.labels, memory.uids
 
 
@@ -301,8 +285,10 @@ def run_stream(
     `state` is copied on entry; the trained copy is the record's `final_state`.
     `memory` may already hold rows, as uids into `dataset`; a uid outside it
     raises `InvalidInputError` before the first step. `memory` ends as the
-    reservoir left it. `forked` runs the replay schedule and the scoring in
-    helper processes (`sidecar.Helpers`); the record is the same either way.
+    reservoir left it. After each task's last step it reviews in the one
+    order the schedule yields for that task; an empty order means no review.
+    `forked` runs the replay schedule and the scoring in helper processes
+    (`sidecar.Helpers`); the record is the same either way.
     """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
@@ -319,14 +305,6 @@ def run_stream(
     seen_classes: set[int] = set()
     scores = []  # per finished task, a call returning its `_score`
     started = time.perf_counter()
-
-    def review(state: NetworkState, order: np.ndarray) -> NetworkState:
-        nonlocal review_steps
-        review_steps += math.ceil(len(order) / config.rv_batch)
-        return review_rows(
-            state, dataset.features, dataset.labels, order,
-            config.rv_lr, config.rv_batch, config.loss, recipe.cls,
-        )
 
     with Helpers(forked) as helpers:
         plan = helpers.stream(
@@ -345,10 +323,12 @@ def run_stream(
                         y = np.concatenate([y, y[len(batch):]])
                     sgd_on_batch(state, x, y, objective, config.lr, workspace)
                     steps += 1
-                    if _review_due(recipe, config, steps):
-                        state = review(state, next(plan))
-                if _review_due(recipe, config):
-                    state = review(state, next(plan))
+                order = next(plan)  # the task's review; empty leaves `state` as it is
+                review_steps += math.ceil(len(order) / config.rv_batch)
+                state = review_rows(
+                    state, dataset.features, dataset.labels, order,
+                    config.rv_lr, config.rv_batch, config.loss, recipe.cls,
+                )
                 rows = np.concatenate([seen, *stream])
                 new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
                 scores.append(helpers.call(partial(

@@ -224,8 +224,8 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
     """Reference for trainer.run_stream: the loop before the replay schedule.
 
     One loop does everything in order: per step retrieve from `memory`,
-    augment the replay rows, take the SGD step, offer the incoming rows to
-    the reservoir, and review when due; per task review, evaluate and
+    augment the replay rows, take the SGD step and offer the incoming rows
+    to the reservoir; per task review (if the recipe does), evaluate and
     diagnose. Replay and review read memory rows from `dataset` by uid.
     """
     state, workspace = state.copy(), Workspace()
@@ -267,9 +267,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
             )
             steps += 1
             reservoir_update(memory, y, batch, rng)
-            if recipe.review and config.rv_every and steps % config.rv_every == 0:
-                state = review(state)
-        if recipe.review and not config.rv_every:
+        if recipe.review:
             state = review(state)
         matrix.append_row([evaluate(state, test_sets[j]) for j in range(task_number)])
         rows = np.concatenate([seen, *stream])

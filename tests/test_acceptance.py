@@ -291,7 +291,7 @@ def _benchmark_config(method, seed):
         synth_classes=NUM_CLASSES, synth_dim=DIM, synth_per_class=PER_CLASS,
         synth_test_per_class=TEST_PER_CLASS, synth_spread=SPREAD,
         stream_batch=10, retrieve_batch=100, lr=0.1, rv_lr=0.01, rv_batch=10,
-        rv_every=None, augment="vector", jitter_sigma=JITTER,
+        augment="vector", jitter_sigma=JITTER,
         alpha=0.25, gamma=2.0, mu=0.3, sigma=0.5, beta=BETA,
         temperature=20.0, epsilon=0.01,
     )

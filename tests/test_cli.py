@@ -43,6 +43,10 @@ DIAGNOSTICS_HEADER = [
 ]
 SUMMARY_HEADER = ["method", "memory", "runs", "metric", "mean", "ci_half_width"]
 REPORTS = ("metrics.csv", "diagnostics.csv", "summary.csv")
+# float settings that, unchecked, would fail only mid-run, as non-finite logits
+NON_FINITE = [("lr", "nan"), ("alpha", "nan"), ("beta", "nan"), ("sigma", "nan"),
+              ("temperature", "nan"), ("synth_spread", "nan"), ("jitter_sigma", "nan"),
+              ("lr", "inf")]
 
 
 def write_config(tmp_path, text=MICRO_CONFIG, name="exp.cfg"):
@@ -133,11 +137,10 @@ class TestParseConfig:
         cfg = parse_config(path, overrides={"seed": 9, "runs": None})
         assert cfg.seed == 9 and cfg.runs == 1
 
-    def test_rv_every_none_and_int(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, "rv_every = none\n"))
-        assert cfg.rv_every is None
-        cfg = parse_config(write_config(tmp_path, "rv_every = 50\n", name="b.cfg"))
-        assert cfg.rv_every == 50
+    def test_data_seed_none_and_int(self, tmp_path):
+        assert parse_config(write_config(tmp_path, "data_seed = none\n")).data_seed is None
+        cfg = parse_config(write_config(tmp_path, "data_seed = 50\n", name="b.cfg"))
+        assert cfg.data_seed == 50
 
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
@@ -317,6 +320,12 @@ class TestMainCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path), tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (out / "INCOMPLETE").exists()
+
     def test_zero_offline_epochs_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MICRO_CONFIG + "method = offline\noffline_epochs = 0\n")
         out = tmp_path / "x"
@@ -332,8 +341,14 @@ class TestMainCommand:
             f"idx_{part} = no-such-file.idx\n"
             for part in ("train_images", "train_labels", "test_images", "test_labels")
         ), "cannot read IDX file no-such-file.idx: No such file or directory"),
+        # the review follows each task's last step; there is no mid-task review
+        ("rv_every = 2\n", "unknown config key 'rv_every'"),
+        ("data_seed = -5\n", "data_seed must be non-negative, got -5"),
+        *((f"{key} = {value}\n", f"{key} must be finite, got {value}")
+          for key, value in NON_FINITE),
     ], ids=["negative_jitter", "empty_test_set", "image_augment_of_6_features",
-            "missing_idx_file"])
+            "missing_idx_file", "rv_every", "negative_data_seed",
+            *(f"{key}_{value}" for key, value in NON_FINITE)])
     def test_config_errors_exit_two_without_a_marker(self, extra, message, tmp_path, capsys):
         cfg = write_config(tmp_path, MICRO_CONFIG + extra)
         out = tmp_path / "x"

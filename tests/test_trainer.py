@@ -24,6 +24,7 @@ from afslab.trainer import (
     TrainConfig,
     evaluate,
     make_objective,
+    replay_schedule,
     run_stream,
     sgd_on_batch,
     train_offline,
@@ -62,8 +63,6 @@ class TestTrainConfig:
             TrainConfig(rv_lr=-0.1)
         with pytest.raises(InvalidConfigError):
             TrainConfig(stream_batch=0)
-        with pytest.raises(InvalidConfigError):
-            TrainConfig(rv_every=0)
         with pytest.raises(InvalidConfigError, match="jitter_sigma must be non-negative"):
             TrainConfig(jitter_sigma=-1.0)
         TrainConfig(jitter_sigma=0.0)
@@ -307,24 +306,6 @@ class TestRunShape:
         task2_samples = sum(len(b) for b in streams[1])
         assert sum(rec.interval_counts.values()) == task2_samples
 
-    def test_rv_every_reviews_mid_task(self):
-        rng = np.random.default_rng(8)
-        dataset, streams = one_task_stream(
-            rng.normal(size=(20, 3)), np.arange(20) % 2, batch_size=5
-        )
-        X, y = rng.normal(size=(4, 3)), np.array([0, 1, 0, 1])
-        config = TrainConfig(
-            stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
-            rv_every=2, loss=LossConfig(num_classes=2), seed=0,
-        )
-        record = run_stream(
-            init_network(NetworkSpec((3, 2), seed=0)),
-            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS,
-        )
-        # reviews after steps 2 and 4; buffer holds 10 then 20 samples
-        assert record.steps == 4
-        assert record.review_steps == 1 + 2
-
     def test_needs_one_test_set_per_task(self):
         train, streams, tests = small_benchmark(seed=5)
         config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
@@ -548,6 +529,28 @@ def assert_memories_equal(a, b):
     assert_array_equal(a.uids, b.uids)
 
 
+class TestReplaySchedule:
+    @pytest.mark.parametrize("recipe", [AFS, ER], ids=["afs", "er"])
+    def test_one_review_order_after_each_task(self, recipe):
+        train, streams, _ = small_benchmark(seed=3, num_tasks=2)
+        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        memory = MemoryBuffer(capacity=25)
+        items = list(replay_schedule(memory, train, streams, config, recipe))
+        reviews = []
+        for stream in streams:
+            steps, items = items[: len(stream)], items[len(stream):]
+            assert all(isinstance(step, tuple) and len(step) == 2 for step in steps)
+            reviews.append(items.pop(0))
+        assert len(items) == 1  # the final buffer
+        for order in reviews:
+            assert isinstance(order, np.ndarray) and order.dtype == np.int64
+        if recipe.review:  # a permutation of the buffer's uids at each task's end
+            assert [len(order) for order in reviews] == [25, 25]
+            assert sorted(reviews[-1].tolist()) == sorted(memory.uids.tolist())
+        else:
+            assert [len(order) for order in reviews] == [0, 0]
+
+
 class TestScheduleMatchesInterleavedLoop:
     """`run_stream` against the one interleaved loop it was split from.
 
@@ -563,7 +566,6 @@ class TestScheduleMatchesInterleavedLoop:
     @given(
         kind=st.sampled_from(("none", "vector", "image")),
         recipe=st.sampled_from(RECIPES),
-        rv_every=st.sampled_from((None, 2)),
         rv_lr=st.sampled_from((0.0, 0.05)),
         retrieve_batch=st.sampled_from((0, 3, 7)),
         capacity=st.integers(1, 80),
@@ -572,7 +574,7 @@ class TestScheduleMatchesInterleavedLoop:
         seed=st.integers(0, 2**16),
     )
     def test_record_state_and_memory(
-        self, forked, kind, recipe, rv_every, rv_lr, retrieve_batch, capacity,
+        self, forked, kind, recipe, rv_lr, retrieve_batch, capacity,
         stream_batch, num_tasks, seed,
     ):
         # 2 classes per task x 6 rows: 24 or 36 stream rows, below and
@@ -583,7 +585,7 @@ class TestScheduleMatchesInterleavedLoop:
         tests = task_test_sets(test, split)
         config = TrainConfig(
             stream_batch=stream_batch, retrieve_batch=retrieve_batch, lr=0.2,
-            rv_lr=rv_lr, rv_batch=4, rv_every=rv_every,
+            rv_lr=rv_lr, rv_batch=4,
             loss=LossConfig(num_classes=2 * num_tasks),
             augment_kind=kind, jitter_sigma=0.3, seed=seed,
         )
