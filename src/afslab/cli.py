@@ -1,6 +1,7 @@
 """The `afslab` command: config files, experiments and reports.
 
-`parse_config` reads a flat key=value file into a `runner.ExperimentConfig`.
+`parse_config` reads a flat key=value file into a `runner.ExperimentConfig`,
+whose construction checks every setting, the loss's and the trainer's too.
 `run` hands the jobs of every run to `runner.run_jobs`, the same pool the
 acceptance suite submits to, and writes a JSON record store plus CSV
 reports in run order; `report` re-emits reports from a stored record file.
@@ -71,10 +72,10 @@ TABLES = (
 def _parse_hidden(value: str) -> tuple[int, ...]:
     try:
         widths = tuple(int(part) for part in value.split(",") if part.strip())
-    except ValueError as exc:
-        raise InvalidConfigError(f"hidden must be comma-separated ints: {value!r}") from exc
-    if not widths or any(w < 1 for w in widths):
-        raise InvalidConfigError(f"hidden widths must be positive: {value!r}")
+    except ValueError:
+        widths = ()
+    if not widths:
+        raise InvalidConfigError(f"hidden must be comma-separated ints: {value!r}")
     return widths
 
 

@@ -10,11 +10,18 @@ Gaussian bump, and `distill`, a temperature-softened cross-entropy against
 a per-label teacher table. `make_objective` is the one place they are
 combined, as cls + beta * reg. `record_scores` and `compute_mu` derive a
 per-class anchor for the bump's centre mu from p_t histograms.
+
+`LossConfig` is the base of the one layered run config: `trainer.TrainConfig`
+extends it with the stream loop's settings and `runner.ExperimentConfig`
+with the run's, so each setting is one field of one class, checked where it
+is declared. The class count is no setting: it comes from the data, and
+`make_objective` takes it from its caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +55,8 @@ class LossConfig:
     alpha, gamma scale and shape the focal weighting; mu, sigma place the
     Gaussian bump of the revised focal weight; beta weighs the distillation
     term inside the combined objective; temperature and epsilon shape the
-    virtual teacher.
+    virtual teacher. As the root of the layered config it also rejects a
+    non-finite value of any float field, its subclasses' included.
     """
 
     alpha: float = 0.25
@@ -58,15 +66,16 @@ class LossConfig:
     beta: float = 0.1
     temperature: float = 20.0
     epsilon: float = 0.01
-    num_classes: int = 10
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value}")
         if self.sigma <= 0:
             raise InvalidConfigError(f"sigma must be positive, got {self.sigma}")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.num_classes < 2:
-            raise InvalidConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.alpha <= 0:
             raise InvalidConfigError(f"alpha must be positive, got {self.alpha}")
         if self.gamma < 0:
@@ -346,8 +355,11 @@ class Objective:
         )
 
 
-def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
-    """Compose an objective from a classification and a smoothing term.
+def make_objective(
+    cls_kind: str, reg_kind: str, cfg: LossConfig, num_classes: int
+) -> Objective:
+    """Compose an objective over `num_classes` logits from a classification
+    and a smoothing term.
 
     "vkd" distils from the virtual teacher at cfg.temperature; "lsr" is the
     same term at temperature 1 (label smoothing).
@@ -361,6 +373,6 @@ def make_objective(cls_kind: str, reg_kind: str, cfg: LossConfig) -> Objective:
     temperature = cfg.temperature if reg_kind == "vkd" else 1.0
     return Objective(
         cls_kind, cfg,
-        teacher=teacher_table(cfg.num_classes, cfg.epsilon, temperature),
+        teacher=teacher_table(num_classes, cfg.epsilon, temperature),
         temperature=temperature,
     )

@@ -7,7 +7,9 @@ testable against finite differences without any autodiff machinery.
 A training loop owns one `Workspace`. `forward` and `backward` given one
 write their traces and gradients into its buffers instead of allocating, and
 `Gradients.scale` and `sgd_step` work in place, so a step allocates no
-activation, gradient or parameter arrays. Without a workspace `forward` and `backward` allocate fresh arrays.
+activation, gradient or parameter arrays. Without one, `forward` and
+`backward` use a fresh workspace of their own, so what they return is never
+overwritten.
 `sgd_step` always updates the state it is given; callers that must keep a
 state copy it first (`NetworkState.copy`).
 
@@ -128,7 +130,8 @@ class Workspace:
         widths = state.layer_widths
         hidden = widths[1:-1]
         if widths != self.layer_widths:
-            self.layer_widths, self.rows, self.backward_rows = widths, 0, 0
+            # -1 rows: no buffers for these widths yet, so even 0 rows allocate
+            self.layer_widths, self.rows, self.backward_rows = widths, -1, -1
             self.grads = Gradients(
                 weights=[np.empty(w.shape) for w in state.weights],
                 biases=[np.empty(b.shape) for b in state.biases],
@@ -159,8 +162,8 @@ def forward(
 ) -> ForwardTrace:
     """Run a [n, fan_in] batch through the network; one sample is one row.
 
-    Rows are independent; every layer's values are recorded for backward.
-    With a workspace the recorded values are views of its buffers,
+    Rows are independent; every layer's values are recorded for backward,
+    as views of the workspace's buffers (a fresh one when none is given),
     overwritten by its next forward pass.
     """
     a = np.asarray(x, dtype=np.float64)
@@ -170,12 +173,10 @@ def forward(
             f"input of shape {a.shape} is not a [n, {fan_in}] batch"
         )
     depth = len(state.weights)
-    if workspace is None:
-        pre = act = [None] * depth
-    else:
-        workspace._fit(state, len(a))
-        pre = [buf[: len(a)] for buf in workspace.pre]
-        act = [buf[: len(a)] for buf in workspace.act]
+    workspace = workspace or Workspace()
+    workspace._fit(state, len(a))
+    pre = [buf[: len(a)] for buf in workspace.pre]
+    act = [buf[: len(a)] for buf in workspace.act]
     trace = ForwardTrace(input=a)
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
         z = np.matmul(a, w.T, out=pre[i])
@@ -196,8 +197,8 @@ def backward(
     """Exact backprop of a logit gradient through the stored trace.
 
     grad_logits has the [n, C] shape of the trace's logits; the returned
-    gradients are summed over its rows. With a workspace they are
-    its `grads`, overwritten by its next backward pass.
+    gradients are summed over its rows. They are the workspace's `grads`
+    (a fresh one when none is given), overwritten by its next backward pass.
     """
     delta = np.asarray(grad_logits, dtype=np.float64)
     if delta.shape != trace.logits.shape:
@@ -208,14 +209,11 @@ def backward(
     depth = len(state.weights)
     if len(trace.pre_activations) != depth:
         raise InvalidInputError("trace does not match network depth")
-    if workspace is None:
-        grads = Gradients(weights=[None] * depth, biases=[None] * depth)
-        deltas = masks = [None] * depth
-    else:
-        workspace._fit(state, len(delta), backward=True)
-        grads = workspace.grads
-        deltas = [buf[: len(delta)] for buf in workspace.delta]
-        masks = [buf[: len(delta)] for buf in workspace.mask]
+    workspace = workspace or Workspace()
+    workspace._fit(state, len(delta), backward=True)
+    grads = workspace.grads
+    deltas = [buf[: len(delta)] for buf in workspace.delta]
+    masks = [buf[: len(delta)] for buf in workspace.mask]
     for layer in range(depth - 1, -1, -1):
         a_in = trace.activations[layer - 1] if layer > 0 else trace.input
         if a_in.shape[-1] != state.weights[layer].shape[1]:

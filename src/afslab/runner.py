@@ -1,10 +1,16 @@
 """Experiment configs and the pool of workers that runs their jobs.
 
-`ExperimentConfig` describes one experiment. A `Job(config, run, part)` is
-one pass of one run: a recipe run has a "method" pass (`run_stream`) and a
-memory-free "reference" pass (`train_reference`), a `reference` or
-`offline` run has one pass. `_run_job` derives all seeds of a run from
-`config.seed + run`.
+`ExperimentConfig` describes one experiment. It extends `trainer.TrainConfig`
+(which extends `losses.LossConfig`) with the run, data and model keys, so
+`fields(ExperimentConfig)` is every key of a config file, each declared
+once, and the loops take the config itself. Each class checks its own
+fields when it is built; `_check_inputs` adds the checks that need the
+loaded data.
+
+A `Job(config, run, part)` is one pass of one run: a recipe run has a
+"method" pass (`run_stream`) and a memory-free "reference" pass
+(`train_reference`), a `reference` or `offline` run has one pass.
+`_run_job` derives all seeds of a run from `config.seed + run`.
 
 `run_jobs` takes the jobs of any mix of configs and loads each config's
 data once, in this process, and checks each config against it. Then it
@@ -30,7 +36,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AfslabError, InvalidConfigError, RunFailedError
-from .losses import LossConfig
 from .memory import MemoryBuffer
 from .metrics import (
     AccuracyMatrix,
@@ -41,7 +46,6 @@ from .metrics import (
 )
 from .model import NetworkSpec, init_network
 from .stream import (
-    AUGMENT_KINDS,
     Dataset,
     TaskSplit,
     check_augment,
@@ -70,7 +74,9 @@ def parse_method(text: str) -> Recipe | str:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
+    """A run's settings: the loops' (`TrainConfig`) plus the run, data and model keys."""
+
     dataset: str = "synthetic"
     method: str = "afs"
     runs: int = 1
@@ -91,29 +97,12 @@ class ExperimentConfig:
     idx_train_labels: str = ""
     idx_test_images: str = ""
     idx_test_labels: str = ""
-    # trainer
-    stream_batch: int = 10
-    retrieve_batch: int = 100
-    lr: float = 0.1
-    rv_lr: float = 0.01
-    rv_batch: int = 10
-    augment: str = "vector"
-    jitter_sigma: float = 1.2
-    offline_epochs: int = 3
-    # loss
-    alpha: float = 0.25
-    gamma: float = 2.0
-    mu: float = 0.3
-    sigma: float = 0.5
-    beta: float = 0.1
-    temperature: float = 20.0
-    epsilon: float = 0.01
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(self.hidden))  # hashable
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidConfigError(f"{key} must be finite, got {value}")
+        super().__post_init__()
+        if any(width < 1 for width in self.hidden):
+            raise InvalidConfigError(f"hidden widths must be positive, got {self.hidden}")
         for key, value in (("seed", self.seed), ("data_seed", self.data_seed)):
             if value is not None and value < 0:
                 raise InvalidConfigError(f"{key} must be non-negative, got {value}")
@@ -123,10 +112,6 @@ class ExperimentConfig:
             raise InvalidConfigError(f"runs must be positive, got {self.runs}")
         if self.memory < 1:
             raise InvalidConfigError(f"memory must be positive, got {self.memory}")
-        if self.augment not in AUGMENT_KINDS:
-            raise InvalidConfigError(f"unknown augmentation kind {self.augment!r}")
-        if self.offline_epochs < 1:
-            raise InvalidConfigError(f"offline_epochs must be positive, got {self.offline_epochs}")
         parse_method(self.method)
 
 
@@ -148,29 +133,6 @@ def _load_data(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     test = load_idx(config.idx_test_images, config.idx_test_labels)
     train.num_classes = test.num_classes = max(train.num_classes, test.num_classes)
     return train, test
-
-
-def _train_config(config: ExperimentConfig, trainer_seed: int, num_classes: int) -> TrainConfig:
-    return TrainConfig(
-        stream_batch=config.stream_batch,
-        retrieve_batch=config.retrieve_batch,
-        lr=config.lr,
-        rv_lr=config.rv_lr,
-        rv_batch=config.rv_batch,
-        loss=LossConfig(
-            alpha=config.alpha,
-            gamma=config.gamma,
-            mu=config.mu,
-            sigma=config.sigma,
-            beta=config.beta,
-            temperature=config.temperature,
-            epsilon=config.epsilon,
-            num_classes=num_classes,
-        ),
-        augment_kind=config.augment,
-        jitter_sigma=config.jitter_sigma,
-        seed=trainer_seed,
-    )
 
 
 class Job(NamedTuple):
@@ -212,7 +174,9 @@ def _diagnostics(d: DiagnosticsRecord) -> dict:
 
 def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
     """Raise InvalidConfigError if `config` cannot run on its loaded data."""
-    _train_config(config, config.seed, inputs.train_ds.num_classes)
+    num_classes = inputs.train_ds.num_classes
+    if num_classes < 2:
+        raise InvalidConfigError(f"need at least 2 classes, got {num_classes}")
     for task, (features, _) in enumerate(inputs.tests, start=1):
         if len(features) == 0:
             raise InvalidConfigError(f"task {task} has an empty test set")
@@ -231,24 +195,21 @@ def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
     trainer_seed = int(keys[2].generate_state(1)[0])
     widths = (train_ds.features.shape[1], *config.hidden, train_ds.num_classes)
     spec = NetworkSpec(layer_widths=widths, seed=model_seed)
-    tcfg = _train_config(config, trainer_seed, train_ds.num_classes)
     streams = task_streams(train_ds, split, config.stream_batch, keys[1])
 
     # from here on an error is a failed run, not a bad configuration
     try:
         started = time.perf_counter()
         if part == "reference":
-            reference = train_reference(init_network(spec), train_ds, streams, tests, tcfg)
+            reference = train_reference(init_network(spec), train_ds, streams, tests, config)
             return {"reference": reference, "wall_time": time.perf_counter() - started}
         if method == "offline":
-            state = train_offline(
-                init_network(spec), train_ds, tcfg, config.offline_epochs, keys[3]
-            )
+            state = train_offline(init_network(spec), train_ds, config, keys[3])
             per_task = [evaluate(state, ts) for ts in tests]
             return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         record = run_stream(
             init_network(spec), MemoryBuffer(config.memory), train_ds,
-            streams, tests, tcfg, method, forked,
+            streams, tests, config, method, trainer_seed, forked,
         )
         return {
             "matrix": record.accuracy_matrix.rows,

@@ -37,7 +37,12 @@ changed and a step allocates no parameter or activation arrays.
 A `Recipe` says which ingredients a method switches on: the classification
 loss, the regulariser, the review pass and replay augmentation. `AFS` and
 `ER` are the two named recipes; `ablation:<cls>+<reg>+<rv|norv>` names the
-rest.
+rest. `TrainConfig` is how they run: it extends `losses.LossConfig` with the
+loop's batch sizes, step sizes, replay augmentation and offline epochs, and
+`runner.ExperimentConfig` extends it in turn, so every loop here takes the
+experiment's own config. A run's trainer seed is no setting but derived
+from it, so the loops that draw (`run_stream`, `replay_schedule`,
+`train_offline`) take it as an argument.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .memory import MemoryBuffer, random_retrieve, reservoir_update
 from .metrics import AccuracyMatrix, DiagnosticsRecord, bias_diagnostics
 from .model import NetworkState, Workspace, backward, forward, score_rows, sgd_step
 from .sidecar import Helpers
-from .stream import Dataset, apply_augment, draw_augment
+from .stream import AUGMENT_KINDS, Dataset, apply_augment, draw_augment
 
 
 @dataclass(frozen=True)
@@ -113,18 +118,17 @@ ER = Recipe("ce", "none", review=False, augment_replay=False, name="er")
 _NAMED = {"afs": AFS, "er": ER}
 
 
-@dataclass
-class TrainConfig:
-    """Knobs for the stream loop.
+@dataclass(frozen=True)
+class TrainConfig(LossConfig):
+    """The loss's settings plus the loops' own.
 
-    Batch sizes, step sizes and loss settings default to the values of
-    `runner.ExperimentConfig`. Replay augmentation defaults to off
-    (`augment_kind="none"`; `jitter_sigma=0.1` applies once "vector" is
-    chosen). The recipe's "vector" augmentation at sigma 1.2 is set by the
-    caller: `ExperimentConfig` (`augment`, `jitter_sigma`) and the
-    acceptance constants pass both explicitly. A review pass, at `rv_lr` in
+    Each step takes `stream_batch` incoming rows and retrieves up to
+    `retrieve_batch` replay rows, stepping at `lr`; a recipe that augments
+    replay adds an `augment` copy of them ("vector" jitter at
+    `jitter_sigma`, or "image" flip and crop). A review pass, at `rv_lr` in
     batches of `rv_batch`, follows each task's last step; `replay_schedule`
-    decides its order, one per task.
+    decides its order, one per task. `train_offline` runs `offline_epochs`
+    epochs.
     """
 
     stream_batch: int = 10
@@ -132,12 +136,12 @@ class TrainConfig:
     lr: float = 0.1
     rv_lr: float = 0.01
     rv_batch: int = 10
-    loss: LossConfig = field(default_factory=LossConfig)
-    augment_kind: str = "none"
-    jitter_sigma: float = 0.1
-    seed: int = 0
+    augment: str = "vector"
+    jitter_sigma: float = 1.2
+    offline_epochs: int = 3
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name, least in (("stream_batch", 1), ("retrieve_batch", 0), ("rv_batch", 1)):
             value = getattr(self, name)
             if value < least:
@@ -146,8 +150,12 @@ class TrainConfig:
             raise InvalidConfigError(f"lr must be positive, got {self.lr}")
         if self.rv_lr < 0:
             raise InvalidConfigError(f"rv_lr must be non-negative, got {self.rv_lr}")
+        if self.augment not in AUGMENT_KINDS:
+            raise InvalidConfigError(f"unknown augmentation kind {self.augment!r}")
         if self.jitter_sigma < 0:
             raise InvalidConfigError(f"jitter_sigma must be non-negative, got {self.jitter_sigma}")
+        if self.offline_epochs < 1:
+            raise InvalidConfigError(f"offline_epochs must be positive, got {self.offline_epochs}")
 
 
 @dataclass
@@ -202,22 +210,21 @@ def review_rows(
     features: np.ndarray,
     labels: np.ndarray,
     order: np.ndarray,
-    rv_lr: float,
-    rv_batch: int,
-    loss: LossConfig,
+    config: TrainConfig,
     cls_kind: str = "rfl",
 ) -> NetworkState:
-    """The review epoch over `features[order]`, rv_batch rows to a step.
+    """The review epoch over `features[order]`, `config.rv_batch` rows to a
+    step at `config.rv_lr`.
 
     Returns a stepped copy of `state`, or `state` itself for an empty order.
     """
     if len(order) == 0:
         return state
-    objective = make_objective(cls_kind, "none", loss)
+    objective = make_objective(cls_kind, "none", config, state.num_classes)
     state, workspace = state.copy(), Workspace()
-    for start in range(0, len(order), rv_batch):
-        rows = order[start : start + rv_batch]
-        sgd_on_batch(state, features[rows], labels[rows], objective, rv_lr, workspace)
+    for start in range(0, len(order), config.rv_batch):
+        rows = order[start : start + config.rv_batch]
+        sgd_on_batch(state, features[rows], labels[rows], objective, config.rv_lr, workspace)
     return state
 
 
@@ -227,22 +234,23 @@ def replay_schedule(
     streams: list[list[np.ndarray]],
     config: TrainConfig,
     recipe: Recipe,
+    seed: int,
 ):
     """The model-free half of `run_stream`: what each step replays, and how.
 
-    Owns the run's rng and `memory`, and makes the loop's draws in the
-    loop's order: per step `random_retrieve`, then the augmentation draws of
-    the replay rows, then `reservoir_update` with the incoming rows; per
-    task a permutation of the memory slots for the review. This is the one
-    place that decides a review. Yields, in loop order, `(replay, draws)`
-    per step, with the replay rows as dataset indices and `draws` None when
-    nothing is augmented, and after each task's last step exactly one
-    review order as dataset indices: empty, with no draw, when the recipe
-    has no review, rv_lr is 0 or the buffer is empty. The last item is the
-    buffer's final `(tot, labels, uids)`.
+    Owns the run's rng, seeded with `seed`, and `memory`, and makes the
+    loop's draws in the loop's order: per step `random_retrieve`, then the
+    augmentation draws of the replay rows, then `reservoir_update` with the
+    incoming rows; per task a permutation of the memory slots for the
+    review. This is the one place that decides a review. Yields, in loop
+    order, `(replay, draws)` per step, with the replay rows as dataset
+    indices and `draws` None when nothing is augmented, and after each
+    task's last step exactly one review order as dataset indices: empty,
+    with no draw, when the recipe has no review, rv_lr is 0 or the buffer
+    is empty. The last item is the buffer's final `(tot, labels, uids)`.
     """
-    rng = np.random.default_rng(config.seed)
-    kind = config.augment_kind if recipe.augment_replay else "none"
+    rng = np.random.default_rng(seed)
+    kind = config.augment if recipe.augment_replay else "none"
     width = dataset.features.shape[1]
     for stream in streams:
         for batch in stream:
@@ -278,6 +286,7 @@ def run_stream(
     test_sets: list[tuple[np.ndarray, np.ndarray]],
     config: TrainConfig,
     recipe: Recipe,
+    seed: int,
     forked: bool = False,
 ) -> RunRecord:
     """Train one recipe over the task streams (index arrays into `dataset`).
@@ -285,7 +294,7 @@ def run_stream(
     `state` is copied on entry; the trained copy is the record's `final_state`.
     `memory` may already hold rows, as uids into `dataset`; a uid outside it
     raises `InvalidInputError` before the first step. `memory` ends as the
-    reservoir left it. After each task's last step it reviews in the one
+    reservoir left it. `seed` seeds the replay schedule's rng. After each task's last step it reviews in the one
     order the schedule yields for that task; an empty order means no review.
     `forked` runs the replay schedule and the scoring in helper processes
     (`sidecar.Helpers`); the record is the same either way.
@@ -296,7 +305,7 @@ def run_stream(
     if len(held) and (held.min() < 0 or held.max() >= len(dataset)):
         raise InvalidInputError(f"memory uids must index the dataset's {len(dataset)} rows")
     state, workspace = state.copy(), Workspace()
-    objective = make_objective(recipe.cls, recipe.reg, config.loss)
+    objective = make_objective(recipe.cls, recipe.reg, config, state.num_classes)
     matrix = AccuracyMatrix()
     diagnostics: dict[int, DiagnosticsRecord] = {}
     steps = 0
@@ -308,7 +317,7 @@ def run_stream(
 
     with Helpers(forked) as helpers:
         plan = helpers.stream(
-            lambda: replay_schedule(memory, dataset, streams, config, recipe)
+            lambda: replay_schedule(memory, dataset, streams, config, recipe, seed)
         )
         try:
             for task_number, stream in enumerate(streams, start=1):
@@ -318,7 +327,7 @@ def run_stream(
                     x, y = dataset.features[rows], dataset.labels[rows]
                     if draws is not None:
                         # step rows: incoming, then replay, then augmented replay
-                        augmented = apply_augment(x[len(batch):], config.augment_kind, draws)
+                        augmented = apply_augment(x[len(batch):], config.augment, draws)
                         x = np.concatenate([x, augmented])
                         y = np.concatenate([y, y[len(batch):]])
                     sgd_on_batch(state, x, y, objective, config.lr, workspace)
@@ -326,8 +335,7 @@ def run_stream(
                 order = next(plan)  # the task's review; empty leaves `state` as it is
                 review_steps += math.ceil(len(order) / config.rv_batch)
                 state = review_rows(
-                    state, dataset.features, dataset.labels, order,
-                    config.rv_lr, config.rv_batch, config.loss, recipe.cls,
+                    state, dataset.features, dataset.labels, order, config, recipe.cls
                 )
                 rows = np.concatenate([seen, *stream])
                 new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
@@ -372,7 +380,7 @@ def train_reference(
     Returns each task's accuracy measured right after that task was learned,
     the per-task reference used by the intransigence metric.
     """
-    objective = make_objective("ce", "none", config.loss)
+    objective = make_objective("ce", "none", config, state.num_classes)
     state, workspace = state.copy(), Workspace()
     accuracies = []
     for task_number, stream in enumerate(streams, start=1):
@@ -389,19 +397,17 @@ def train_offline(
     state: NetworkState,
     dataset: Dataset,
     config: TrainConfig,
-    epochs: int,
     seed,
 ) -> NetworkState:
-    """Multi-epoch iid training on the pooled dataset; the upper-bound oracle.
+    """`config.offline_epochs` epochs of iid training on the pooled dataset,
+    shuffled by `seed`; the upper-bound oracle.
 
     Returns the trained copy of `state`.
     """
-    if epochs < 1:
-        raise InvalidConfigError(f"epochs must be positive, got {epochs}")
     rng = np.random.default_rng(seed)
-    objective = make_objective("ce", "none", config.loss)
+    objective = make_objective("ce", "none", config, state.num_classes)
     state, workspace = state.copy(), Workspace()
-    for _ in range(epochs):
+    for _ in range(config.offline_epochs):
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), config.stream_batch):
             rows = order[start : start + config.stream_batch]

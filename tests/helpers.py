@@ -203,24 +203,23 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak - before
 
 
-def review_pass(state, memory, dataset, rv_lr, rv_batch, loss, rng, cls_kind="rfl"):
+def review_pass(state, memory, dataset, config, rng, cls_kind="rfl"):
     """Reference for the review in trainer.run_stream: one pass over `memory`.
 
     One low-rate epoch over the held rows, read from `dataset` by uid in
     the order of one permutation of the memory slots, with the
-    classification loss alone. Memory itself is never modified. Returns the
-    reviewed copy of `state`; a zero rv_lr or an empty buffer returns
-    `state` itself and draws nothing.
+    classification loss alone, at `config.rv_lr` in batches of
+    `config.rv_batch`. Memory itself is never modified. Returns the reviewed
+    copy of `state`; a zero rv_lr or an empty buffer returns `state` itself
+    and draws nothing.
     """
-    if rv_lr == 0 or len(memory) == 0:
+    if config.rv_lr == 0 or len(memory) == 0:
         return state
     order = memory.uids[rng.permutation(len(memory))]
-    return review_rows(
-        state, dataset.features, dataset.labels, order, rv_lr, rv_batch, loss, cls_kind
-    )
+    return review_rows(state, dataset.features, dataset.labels, order, config, cls_kind)
 
 
-def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, recipe):
+def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, recipe, seed):
     """Reference for trainer.run_stream: the loop before the replay schedule.
 
     One loop does everything in order: per step retrieve from `memory`,
@@ -229,9 +228,9 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
     diagnose. Replay and review read memory rows from `dataset` by uid.
     """
     state, workspace = state.copy(), Workspace()
-    rng = np.random.default_rng(config.seed)
-    objective = make_objective(recipe.cls, recipe.reg, config.loss)
-    augment_replay = recipe.augment_replay and config.augment_kind != "none"
+    rng = np.random.default_rng(seed)
+    objective = make_objective(recipe.cls, recipe.reg, config, state.num_classes)
+    augment_replay = recipe.augment_replay and config.augment != "none"
     matrix, diagnostics = AccuracyMatrix(), {}
     steps = review_steps = 0
     seen = np.empty(0, dtype=np.int64)
@@ -242,10 +241,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
         nonlocal review_steps
         if config.rv_lr != 0 and len(memory):
             review_steps += math.ceil(len(memory) / config.rv_batch)
-        return review_pass(
-            state, memory, dataset, config.rv_lr, config.rv_batch, config.loss, rng,
-            cls_kind=recipe.cls,
-        )
+        return review_pass(state, memory, dataset, config, rng, cls_kind=recipe.cls)
 
     for task_number, stream in enumerate(streams, start=1):
         for batch in stream:
@@ -258,7 +254,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
                 step_y.append(replay_y)
                 if augment_replay:
                     step_x.append(
-                        augment(replay_x, config.augment_kind, rng, config.jitter_sigma)
+                        augment(replay_x, config.augment, rng, config.jitter_sigma)
                     )
                     step_y.append(replay_y)
             sgd_on_batch(

@@ -82,7 +82,7 @@ class TestGradientOracles:
         "vkd": partial(
             distill, teacher=teacher_table(NUM_CLASSES, 0.01, 20.0), temperature=20.0
         ),
-        "afs": make_objective("rfl", "vkd", LossConfig()).rows,
+        "afs": make_objective("rfl", "vkd", LossConfig(), NUM_CLASSES).rows,
     }
 
     def test_01_gradients_match_finite_differences(self):

@@ -47,6 +47,21 @@ REPORTS = ("metrics.csv", "diagnostics.csv", "summary.csv")
 NON_FINITE = [("lr", "nan"), ("alpha", "nan"), ("beta", "nan"), ("sigma", "nan"),
               ("temperature", "nan"), ("synth_spread", "nan"), ("jitter_sigma", "nan"),
               ("lr", "inf")]
+# trainer and loss settings out of range, each with the message that names it
+OUT_OF_RANGE = [
+    ("stream_batch", "0", "stream_batch must be at least 1, got 0"),
+    ("retrieve_batch", "-1", "retrieve_batch must be at least 0, got -1"),
+    ("rv_batch", "0", "rv_batch must be at least 1, got 0"),
+    ("lr", "0", "lr must be positive, got 0.0"),
+    ("rv_lr", "-1", "rv_lr must be non-negative, got -1.0"),
+    ("sigma", "0", "sigma must be positive, got 0.0"),
+    ("epsilon", "1", "epsilon must lie in (0, 1), got 1.0"),
+    ("alpha", "0", "alpha must be positive, got 0.0"),
+    ("gamma", "-1", "gamma must be non-negative, got -1.0"),
+    ("mu", "2", "mu must lie in [0, 1], got 2.0"),
+    ("beta", "-1", "beta must be non-negative, got -1.0"),
+    ("temperature", "0", "temperature must be positive, got 0.0"),
+]
 
 
 def write_config(tmp_path, text=MICRO_CONFIG, name="exp.cfg"):
@@ -149,6 +164,31 @@ class TestParseConfig:
             ExperimentConfig(runs=0)
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(method="nope")
+
+    @pytest.mark.parametrize("key,value,message", OUT_OF_RANGE,
+                             ids=[f"{key}_{value}" for key, value, _ in OUT_OF_RANGE])
+    def test_trainer_and_loss_settings_are_checked_when_read(
+        self, key, value, message, tmp_path
+    ):
+        path = write_config(tmp_path, MICRO_CONFIG + f"{key} = {value}\n")
+        with pytest.raises(InvalidConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+
+    def test_readme_config_section_names_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        section = text.split("\n## Config\n", 1)[1].split("\n## ", 1)[0]
+        missing = [f.name for f in dataclasses.fields(ExperimentConfig)
+                   if f"`{f.name}`" not in section]
+        assert missing == []
+
+    def test_hidden_widths_are_checked_by_the_config(self):
+        # the path the acceptance suite takes: no config file, no CLI parsing
+        with pytest.raises(InvalidConfigError) as info:
+            runner.run_jobs(runner.jobs_for(ExperimentConfig(hidden=(0,))))
+        assert str(info.value) == "hidden widths must be positive, got (0,)"
 
 
 def micro_experiment(method="afs", runs=1, seed=0):
@@ -346,9 +386,14 @@ class TestMainCommand:
         ("data_seed = -5\n", "data_seed must be non-negative, got -5"),
         *((f"{key} = {value}\n", f"{key} must be finite, got {value}")
           for key, value in NON_FINITE),
+        *((f"{key} = {value}\n", message) for key, value, message in OUT_OF_RANGE),
+        ("synth_classes = 1\nnum_tasks = 1\n", "need at least 2 classes, got 1"),
+        ("hidden = 8,0\n", "hidden widths must be positive, got (8, 0)"),
     ], ids=["negative_jitter", "empty_test_set", "image_augment_of_6_features",
             "missing_idx_file", "rv_every", "negative_data_seed",
-            *(f"{key}_{value}" for key, value in NON_FINITE)])
+            *(f"{key}_{value}" for key, value in NON_FINITE),
+            *(f"{key}_{value}" for key, value, _ in OUT_OF_RANGE),
+            "one_class", "zero_hidden_width"])
     def test_config_errors_exit_two_without_a_marker(self, extra, message, tmp_path, capsys):
         cfg = write_config(tmp_path, MICRO_CONFIG + extra)
         out = tmp_path / "x"
@@ -493,10 +538,10 @@ class TestJobPool:
         # run 1's method pass fails at once and run 0's later: run 0 is named
         run0_trainer_seed = int(np.random.SeedSequence(0).spawn(4)[2].generate_state(1)[0])
 
-        def failing_stream(state, memory, dataset, streams, tests, config, recipe, forked):
-            if config.seed == run0_trainer_seed:
+        def failing_stream(state, memory, dataset, streams, tests, config, recipe, seed, forked):
+            if seed == run0_trainer_seed:
                 time.sleep(0.5)
-            raise InvalidInputError(f"trainer seed {config.seed}")
+            raise InvalidInputError(f"trainer seed {seed}")
 
         monkeypatch.setattr(runner, "run_stream", failing_stream)
         allow_cpus(monkeypatch, 2)
@@ -584,10 +629,10 @@ class TestJobPool:
         started = []
         monkeypatch.setattr(runner, "_run_job", lambda *args: started.append(args))
         allow_cpus(monkeypatch, cpus)
-        bad = dataclasses.replace(micro_experiment(seed=3), **change)
-        jobs = runner.jobs_for(micro_experiment(runs=2)) + runner.jobs_for(bad)
         with pytest.raises(InvalidConfigError):
-            runner.run_jobs(jobs)
+            # a setting the config checks itself (jitter) fails here already
+            bad = dataclasses.replace(micro_experiment(seed=3), **change)
+            runner.run_jobs(runner.jobs_for(micro_experiment(runs=2)) + runner.jobs_for(bad))
         assert started == []
 
     def test_dead_worker_names_the_seed_of_each_config(self, monkeypatch):

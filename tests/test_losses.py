@@ -365,9 +365,9 @@ class TestLsr:
         for _ in range(50):
             z = rng.uniform(-8, 8, size=rng.integers(2, 12))
             t = int(rng.integers(0, z.size))
-            cfg = LossConfig(epsilon=0.01, num_classes=z.size)
-            lsr = make_objective("ce", "lsr", cfg)
-            vkd = make_objective("ce", "vkd", replace(cfg, temperature=1.0))
+            cfg = LossConfig(epsilon=0.01)
+            lsr = make_objective("ce", "lsr", cfg, z.size)
+            vkd = make_objective("ce", "vkd", replace(cfg, temperature=1.0), z.size)
             a = distill(z[None], [t], lsr.teacher, lsr.temperature)
             b = distill(z[None], [t], vkd.teacher, vkd.temperature)
             assert a.value[0] == b.value[0]
@@ -403,8 +403,8 @@ class TestLsr:
 class TestAfsCombined:
     def test_additivity(self):
         rng = np.random.default_rng(18)
-        cfg = LossConfig(num_classes=8)
-        afs = make_objective("rfl", "vkd", cfg)
+        cfg = LossConfig()
+        afs = make_objective("rfl", "vkd", cfg, 8)
         teacher = teacher_table(8, cfg.epsilon, cfg.temperature)
         for _ in range(30):
             z = rng.uniform(-8, 8, size=8)
@@ -420,9 +420,9 @@ class TestAfsCombined:
             )
 
     def test_beta_zero_reduces_to_rfl(self):
-        cfg = LossConfig(beta=0.0, num_classes=5)
+        cfg = LossConfig(beta=0.0)
         z = np.array([1.0, -2.0, 0.3, 0.0, 2.2])
-        combined = make_objective("rfl", "vkd", cfg).rows(z[None], [4])
+        combined = make_objective("rfl", "vkd", cfg, 5).rows(z[None], [4])
         cls = weighted_ce(z[None], [4], "rfl", alpha=cfg.alpha, mu=cfg.mu, sigma=cfg.sigma)
         assert combined.value[0] == cls.value[0]
         assert np.array_equal(combined.grad_logits, cls.grad_logits)
@@ -431,22 +431,21 @@ class TestAfsCombined:
         rng = np.random.default_rng(19)
         for _ in range(20):
             size = int(rng.integers(2, 10))
-            cfg = LossConfig(num_classes=size)
             z = rng.uniform(-8, 8, size=size)
             t = int(rng.integers(0, size))
-            afs = make_objective("rfl", "vkd", cfg).rows
+            afs = make_objective("rfl", "vkd", LossConfig(), size).rows
             numeric = central_difference(lambda x: afs(x[None], [t]).value[0], z)
             assert_allclose(afs(z[None], [t]).grad_logits[0], numeric, atol=1e-6)
 
     def test_rejects_mismatched_width(self):
         with pytest.raises(InvalidInputError):
-            objective = make_objective("rfl", "vkd", LossConfig(num_classes=10))
+            objective = make_objective("rfl", "vkd", LossConfig(), 10)
             objective.rows(np.zeros((1, 4)), [0])
 
 
 @st.composite
 def objective_cases(draw):
-    """[n, C] logits, labels and a valid LossConfig, with C in 2-12."""
+    """[n, C] logits, labels, a valid LossConfig and C, with C in 2-12."""
     num_classes = draw(st.integers(2, 12))
     n = draw(st.integers(1, 4))
     logits = draw(hnp.arrays(np.float64, (n, num_classes), elements=st.floats(-6.0, 6.0)))
@@ -459,9 +458,8 @@ def objective_cases(draw):
         beta=draw(st.floats(0.0, 1.0)),
         temperature=draw(st.floats(0.5, 30.0)),
         epsilon=draw(st.floats(0.001, 0.5)),
-        num_classes=num_classes,
     )
-    return logits, labels, cfg
+    return logits, labels, cfg, num_classes
 
 
 class TestObjectiveGradientProperty:
@@ -472,8 +470,8 @@ class TestObjectiveGradientProperty:
     @settings(max_examples=60, deadline=None)
     @given(case=objective_cases())
     def test_gradients_match_finite_differences(self, cls_kind, reg_kind, case):
-        z, y, cfg = case
-        objective = make_objective(cls_kind, reg_kind, cfg)
+        z, y, cfg, num_classes = case
+        objective = make_objective(cls_kind, reg_kind, cfg, num_classes)
 
         def total(flat):
             return float(objective.rows(flat.reshape(z.shape), y).value.sum())
@@ -495,7 +493,7 @@ class TestLossConfig:
             {"sigma": 0.0},
             {"epsilon": 0.0},
             {"epsilon": 1.0},
-            {"num_classes": 1},
+            {"mu": -0.1},
             {"alpha": 0.0},
             {"gamma": -1.0},
             {"mu": 1.5},
@@ -534,7 +532,7 @@ class TestBatchedKernels:
     def test_objective_rows_match_single_calls(self, cls_kind, reg_kind):
         # each row of a batch equals the same row scored as a one-row batch
         z, y = self.rows()
-        objective = make_objective(cls_kind, reg_kind, LossConfig(num_classes=6))
+        objective = make_objective(cls_kind, reg_kind, LossConfig(), 6)
         batched = objective.rows(z, y)
         for i in range(len(z)):
             single = objective.rows(z[i : i + 1], y[i : i + 1])
@@ -585,7 +583,7 @@ class TestBatchedKernels:
         calls = {
             "weighted_ce": lambda z, y: weighted_ce(z, y, "rfl"),
             "distill": lambda z, y: distill(z, y, teacher_table(6, 0.01, 20.0), 20.0),
-            "objective": make_objective("rfl", "vkd", LossConfig(num_classes=6)).rows,
+            "objective": make_objective("rfl", "vkd", LossConfig(), 6).rows,
         }
         call = calls[kernel]
         z, y = self.rows(n=8)

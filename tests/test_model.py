@@ -193,7 +193,7 @@ class TestBackward:
             "rfl": lambda z, t: weighted_ce(z, t, "rfl"),
             "lsr": lambda z, t: distill(z, t, lsr, 1.0),
             "vkd": lambda z, t: distill(z, t, vkd, 20.0),
-            "afs": make_objective("rfl", "vkd", LossConfig(num_classes=C)).rows,
+            "afs": make_objective("rfl", "vkd", LossConfig(), C).rows,
         }
         x = rng.normal(size=widths[0])[None]
         target = [int(rng.integers(0, widths[-1]))]

@@ -13,7 +13,6 @@ import pytest
 
 from afslab import trainer
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
-from afslab.losses import LossConfig
 from afslab.memory import MemoryBuffer
 from afslab.model import NetworkSpec, init_network
 from afslab.sidecar import CHUNK_STEPS, Helpers
@@ -21,6 +20,7 @@ from afslab.stream import gen_synthetic, split_tasks, task_streams, task_test_se
 from afslab.trainer import AFS, TrainConfig, run_stream
 
 TIMEOUT_S = 60
+SEED = 3  # the trainer seed of every run here
 
 
 @pytest.fixture(autouse=True)
@@ -40,14 +40,11 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def small_run(dim=8, augment_kind="vector", per_class=40):
+def small_run(dim=8, augment="vector", per_class=40):
     """Inputs of a two-task AFS run: (state, memory, train, streams, tests, config)."""
     train, test = gen_synthetic(4, dim, per_class, 0.6, 0, test_per_class=5)
     split = split_tasks(train, 2)
-    config = TrainConfig(
-        stream_batch=4, retrieve_batch=20, loss=LossConfig(num_classes=4),
-        augment_kind=augment_kind, seed=3,
-    )
+    config = TrainConfig(stream_batch=4, retrieve_batch=20, augment=augment, jitter_sigma=0.1)
     return (
         init_network(NetworkSpec((dim, 6, 4), seed=1)), MemoryBuffer(30), train,
         task_streams(train, split, 4, 2), task_test_sets(test, split), config,
@@ -69,7 +66,7 @@ class TestErrorsCrossTheFork:
     def test_schedule_error_in_run_stream(self, forked):
         # 8 is no square: the schedule's first image draw raises
         with pytest.raises(InvalidConfigError) as info:
-            run_stream(*small_run(augment_kind="image"), AFS, forked)
+            run_stream(*small_run(augment="image"), AFS, SEED, forked)
         assert str(info.value) == "image augmentation needs square features, got 8"
         assert_no_children()
 
@@ -83,14 +80,14 @@ class TestErrorsCrossTheFork:
     def test_dead_scorer_fails_the_run(self, monkeypatch):
         monkeypatch.setattr(trainer, "evaluate", lambda state, test_set: os._exit(1))
         with pytest.raises(RunFailedError, match="helper process .* died"):
-            run_stream(*small_run(), AFS, forked=True)
+            run_stream(*small_run(), AFS, SEED, forked=True)
         assert_no_children()
 
 
 class TestNoChildLeftBehind:
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
     def test_after_a_run_returns(self, forked):
-        record = run_stream(*small_run(), AFS, forked)
+        record = run_stream(*small_run(), AFS, SEED, forked)
         assert record.accuracy_matrix.num_tasks == 2
         assert_no_children()
 
@@ -112,7 +109,7 @@ class TestNoChildLeftBehind:
 
         monkeypatch.setattr(trainer, "sgd_on_batch", failing_step)
         with pytest.raises(InvalidInputError, match="step failed"):
-            run_stream(*inputs, AFS, forked)
+            run_stream(*inputs, AFS, SEED, forked)
         assert_no_children()
 
 

@@ -244,8 +244,8 @@ class TestSynthetic:
         # a short offline run must reach near-perfect test accuracy
         train, test = gen_synthetic(4, 16, per_class=50, spread=0.1, seed=7)
         state = init_network(NetworkSpec((16, 4), seed=0))
-        cfg = TrainConfig(stream_batch=10, lr=0.5)
-        state = train_offline(state, train, cfg, epochs=5, seed=1)
+        cfg = TrainConfig(stream_batch=10, lr=0.5, offline_epochs=5)
+        state = train_offline(state, train, cfg, seed=1)
         acc = evaluate(state, (test.features, test.labels))
         assert acc >= 0.99, acc
 

@@ -66,6 +66,8 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfigError, match="jitter_sigma must be non-negative"):
             TrainConfig(jitter_sigma=-1.0)
         TrainConfig(jitter_sigma=0.0)
+        with pytest.raises(InvalidConfigError, match="unknown augmentation kind 'blur'"):
+            TrainConfig(augment="blur")
 
     @pytest.mark.parametrize(
         "key,value,least",
@@ -80,13 +82,13 @@ class TestTrainConfig:
 class TestMakeObjective:
     def test_unknown_kinds(self):
         with pytest.raises(InvalidConfigError):
-            make_objective("hinge", "none", LossConfig())
+            make_objective("hinge", "none", LossConfig(), 10)
         with pytest.raises(InvalidConfigError):
-            make_objective("ce", "dropout", LossConfig())
+            make_objective("ce", "dropout", LossConfig(), 10)
 
     def test_combined_is_weighted_sum(self):
-        cfg = LossConfig(beta=0.3, epsilon=0.05, num_classes=3)
-        obj = make_objective("ce", "lsr", cfg)
+        cfg = LossConfig(beta=0.3, epsilon=0.05)
+        obj = make_objective("ce", "lsr", cfg, 3)
         z = np.array([[0.2, -1.0, 0.7]])
         got = obj.rows(z, [2])
         base = weighted_ce(z, [2], "ce")
@@ -97,8 +99,7 @@ class TestMakeObjective:
         )
 
     def test_plain_kind_passes_through(self):
-        cfg = LossConfig(num_classes=3)
-        obj = make_objective("rfl", "none", cfg)
+        obj = make_objective("rfl", "none", LossConfig(), 3)
         z = np.array([[0.2, -1.0, 0.7]])
         assert_allclose(obj.rows(z, [0]).value, weighted_ce(z, [0], "rfl").value, rtol=1e-15)
 
@@ -158,19 +159,18 @@ class TestHandSteppedTrace:
         X_test = np.array([[2.0, -1.0], [-1.0, 2.0]])
         y_test = np.array([0, 1])
 
-        loss = LossConfig(beta=0.0, num_classes=2)
         config = TrainConfig(
             stream_batch=2, retrieve_batch=100, lr=self.lr, rv_lr=0.0,
-            loss=loss, augment_kind="none", seed=9,
+            beta=0.0, augment="none",
         )
         start = init_network(NetworkSpec((2, 2), seed=5))
         memory = MemoryBuffer(capacity=10)
-        record = run_stream(start, memory, dataset, streams, [(X_test, y_test)], config, AFS)
+        record = run_stream(start, memory, dataset, streams, [(X_test, y_test)], config, AFS, 9)
 
         # batch 1 trains alone; batch 2 trains with the full buffer replayed
-        expected = self.hand_step(start, features[:2], labels[:2], loss)
+        expected = self.hand_step(start, features[:2], labels[:2], config)
         order = [2, 3, 0, 1]
-        expected = self.hand_step(expected, features[order], labels[order], loss)
+        expected = self.hand_step(expected, features[order], labels[order], config)
 
         assert record.steps == 2
         assert record.review_steps == 0
@@ -201,10 +201,9 @@ class TestReviewPass:
         state = init_network(NetworkSpec((3, 2), seed=1))
         rng = np.random.default_rng(0)
         dataset, buf = self.build_memory(5)
-        cfg = LossConfig(num_classes=2)
-        assert review_pass(state, buf, dataset, 0.0, 10, cfg, rng) is state
+        assert review_pass(state, buf, dataset, TrainConfig(rv_lr=0.0), rng) is state
         empty = MemoryBuffer(capacity=4)
-        assert review_pass(state, empty, dataset, 0.01, 10, cfg, rng) is state
+        assert review_pass(state, empty, dataset, TrainConfig(rv_lr=0.01), rng) is state
 
     def test_changes_model_but_not_memory(self):
         state = init_network(NetworkSpec((3, 2), seed=1))
@@ -212,7 +211,7 @@ class TestReviewPass:
         before = (buf.labels.copy(), buf.uids.copy())
         before_hist = class_histogram(buf)
         out = review_pass(
-            state, buf, dataset, 0.05, 4, LossConfig(num_classes=2), np.random.default_rng(2)
+            state, buf, dataset, TrainConfig(rv_lr=0.05, rv_batch=4), np.random.default_rng(2)
         )
         assert not np.array_equal(out.weights[0], state.weights[0])
         for now, then in zip((buf.labels, buf.uids), before):
@@ -231,11 +230,11 @@ class TestReviewPass:
         y = np.array([0, 1, 0, 1])
         config = TrainConfig(
             stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
-            loss=LossConfig(num_classes=2), seed=0,
+            augment="none",
         )
         record = run_stream(
             init_network(NetworkSpec((3, 2), seed=0)),
-            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS,
+            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS, 0,
         )
         assert record.steps == 4
         assert record.review_steps == 2
@@ -244,18 +243,15 @@ class TestReviewPass:
 class TestEquivalences:
     def test_er_equals_stripped_ablation_bitwise(self):
         train, streams, tests = small_benchmark(seed=2)
-        config = TrainConfig(
-            loss=LossConfig(num_classes=4), augment_kind="none", seed=7,
-            retrieve_batch=20,
-        )
+        config = TrainConfig(augment="none", retrieve_batch=20)
         spec = NetworkSpec((8, 6, 4), seed=3)
         a = run_stream(
             init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, ER,
+            config, ER, 7,
         )
         b = run_stream(
             init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, Recipe("ce", "none", review=False),
+            config, Recipe("ce", "none", review=False), 7,
         )
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
         for wa, wb in zip(a.final_state.weights, b.final_state.weights):
@@ -263,18 +259,15 @@ class TestEquivalences:
 
     def test_determinism_per_seed(self):
         train, streams, tests = small_benchmark(seed=4)
-        config = TrainConfig(
-            loss=LossConfig(num_classes=4), augment_kind="vector",
-            jitter_sigma=0.05, seed=11, retrieve_batch=20,
-        )
+        config = TrainConfig(augment="vector", jitter_sigma=0.05, retrieve_batch=20)
         spec = NetworkSpec((8, 6, 4), seed=1)
         a = run_stream(
             init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, AFS,
+            config, AFS, 11,
         )
         b = run_stream(
             init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, AFS,
+            config, AFS, 11,
         )
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
         for wa, wb in zip(a.final_state.weights, b.final_state.weights):
@@ -285,10 +278,10 @@ class TestEquivalences:
 class TestRunShape:
     def test_steps_count_and_matrix_shape(self):
         train, streams, tests = small_benchmark(seed=5)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         record = run_stream(
             init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), train, streams, tests, config, AFS,
+            MemoryBuffer(capacity=25), train, streams, tests, config, AFS, 0,
         )
         assert record.steps == sum(len(st) for st in streams)
         assert record.accuracy_matrix.num_tasks == len(streams)
@@ -296,10 +289,10 @@ class TestRunShape:
 
     def test_diagnostics_start_at_second_task(self):
         train, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         record = run_stream(
             init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), train, streams, tests, config, AFS,
+            MemoryBuffer(capacity=25), train, streams, tests, config, AFS, 0,
         )
         assert set(record.diagnostics) == {2}
         rec = record.diagnostics[2]
@@ -308,18 +301,18 @@ class TestRunShape:
 
     def test_needs_one_test_set_per_task(self):
         train, streams, tests = small_benchmark(seed=5)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         with pytest.raises(InvalidInputError):
             run_stream(
                 init_network(NetworkSpec((8, 6, 4), seed=0)),
-                MemoryBuffer(capacity=25), train, streams, tests[:1], config, AFS,
+                MemoryBuffer(capacity=25), train, streams, tests[:1], config, AFS, 0,
             )
 
 
 class TestReference:
     def test_lengths_and_range(self):
         train, streams, tests = small_benchmark(seed=12)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         ref = train_reference(
             init_network(NetworkSpec((8, 6, 4), seed=2)), train, streams, tests, config
         )
@@ -328,7 +321,7 @@ class TestReference:
 
     def test_deterministic(self):
         train, streams, tests = small_benchmark(seed=12)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         spec = NetworkSpec((8, 6, 4), seed=2)
         a = train_reference(init_network(spec), train, streams, tests, config)
         b = train_reference(init_network(spec), train, streams, tests, config)
@@ -340,27 +333,21 @@ class TestOfflineBound:
         train, streams, tests = small_benchmark(
             seed=13, num_classes=4, dim=8, per_class=40, spread=0.6
         )
-        config = TrainConfig(
-            loss=LossConfig(num_classes=4), seed=1, retrieve_batch=20
-        )
+        config = TrainConfig(augment="none", retrieve_batch=20, offline_epochs=5)
         spec = NetworkSpec((8, 16, 4), seed=0)
         er = run_stream(
             init_network(spec), MemoryBuffer(capacity=20), train, streams, tests,
-            config, ER,
+            config, ER, 1,
         )
-        offline = train_offline(init_network(spec), train, config, epochs=5, seed=2)
+        offline = train_offline(init_network(spec), train, config, seed=2)
         offline_acc = float(np.mean([evaluate(offline, ts) for ts in tests]))
         er_acc = float(np.mean(er.accuracy_matrix.rows[-1]))
         assert er_acc < offline_acc
 
     def test_offline_rejects_bad_epochs(self):
-        train, _, _ = small_benchmark(seed=13)
-        config = TrainConfig(loss=LossConfig(num_classes=4))
-        with pytest.raises(InvalidConfigError):
-            train_offline(
-                init_network(NetworkSpec((8, 4), seed=0)), train, config,
-                epochs=0, seed=0,
-            )
+        # the epoch count is a config field, so it is checked before any loop runs
+        with pytest.raises(InvalidConfigError, match="offline_epochs must be positive, got 0"):
+            TrainConfig(offline_epochs=0)
 
 
 def test_sgd_on_batch_rejects_empty():
@@ -368,7 +355,7 @@ def test_sgd_on_batch_rejects_empty():
     with pytest.raises(InvalidInputError):
         sgd_on_batch(
             state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-            make_objective("ce", "none", LossConfig()), 0.1,
+            make_objective("ce", "none", LossConfig(), 2), 0.1,
         )
 
 
@@ -393,8 +380,8 @@ class TestBatchedStepMatchesPerSample:
     @pytest.mark.parametrize("cls_kind", CLS_KINDS)
     def test_every_arm_and_depth(self, cls_kind, reg_kind, hidden):
         rng = np.random.default_rng(31)
-        cfg = LossConfig(num_classes=self.C, beta=0.5, temperature=4.0, alpha=1.0)
-        objective = make_objective(cls_kind, reg_kind, cfg)
+        cfg = LossConfig(beta=0.5, temperature=4.0, alpha=1.0)
+        objective = make_objective(cls_kind, reg_kind, cfg, self.C)
         batched = reference = init_network(NetworkSpec((self.D, *hidden, self.C), seed=5))
         for _ in range(4):
             x, y = self.draw(rng, 37)
@@ -406,7 +393,7 @@ class TestBatchedStepMatchesPerSample:
 
     def test_single_row_batch(self):
         rng = np.random.default_rng(32)
-        objective = make_objective("rfl", "vkd", LossConfig(num_classes=self.C))
+        objective = make_objective("rfl", "vkd", LossConfig(), self.C)
         batched = reference = init_network(NetworkSpec((self.D, 8, self.C), seed=6))
         for _ in range(3):
             x, y = self.draw(rng, 1)
@@ -421,13 +408,13 @@ class TestBatchedStepMatchesPerSample:
         memory = MemoryBuffer(capacity=12)
         x, y = self.draw(rng, 12)
         reservoir_update(memory, y, np.arange(12), rng)  # fill phase: no draws
-        cfg = LossConfig(num_classes=self.C)
+        cfg = TrainConfig(rv_lr=0.2, rv_batch=12)
         state = init_network(NetworkSpec((self.D, 8, self.C), seed=7))
         dataset = Dataset(x, y, self.C)
-        got = review_pass(state, memory, dataset, 0.2, 12, cfg, np.random.default_rng(4))
+        got = review_pass(state, memory, dataset, cfg, np.random.default_rng(4))
         order = np.random.default_rng(4).permutation(12)
         expected = per_sample_step(
-            state, x[order], y[order], make_objective("rfl", "none", cfg), 0.2,
+            state, x[order], y[order], make_objective("rfl", "none", cfg, self.C), 0.2,
         )
         assert max_param_diff(got, expected) <= self.TOL
 
@@ -454,8 +441,8 @@ class TestWorkspaceStepMatchesAllocating:
     @pytest.mark.parametrize("cls_kind", CLS_KINDS)
     def test_every_arm_and_depth(self, cls_kind, reg_kind, hidden):
         rng = np.random.default_rng(41)
-        cfg = LossConfig(num_classes=self.C, beta=0.5, temperature=4.0, alpha=1.0)
-        objective = make_objective(cls_kind, reg_kind, cfg)
+        cfg = LossConfig(beta=0.5, temperature=4.0, alpha=1.0)
+        objective = make_objective(cls_kind, reg_kind, cfg, self.C)
         spec = NetworkSpec((self.D, *hidden, self.C), seed=9)
         stepped, reference = init_network(spec), init_network(spec)
         workspace = Workspace()
@@ -478,12 +465,12 @@ class TestLoopsLeaveCallerStateUnchanged:
         self.train, self.streams, self.tests = small_benchmark(seed=3)
         self.state = init_network(NetworkSpec((8, 12, 4), seed=2))
         self.before = self.state.copy()
-        self.config = TrainConfig(loss=LossConfig(num_classes=4), augment_kind="vector")
+        self.config = TrainConfig(augment="vector", jitter_sigma=0.1, offline_epochs=1)
 
     def test_run_stream(self):
         record = run_stream(
             self.state, MemoryBuffer(capacity=30), self.train, self.streams,
-            self.tests, self.config, AFS,
+            self.tests, self.config, AFS, 0,
         )
         assert record.review_steps > 0
         assert max_param_diff(record.final_state, self.before) > 1e-3
@@ -493,7 +480,7 @@ class TestLoopsLeaveCallerStateUnchanged:
         memory = MemoryBuffer(capacity=25)
         rows = np.arange(25)
         reservoir_update(memory, self.train.labels[rows], rows, np.random.default_rng(0))
-        got = review_pass(self.state, memory, self.train, 0.1, 10, LossConfig(num_classes=4),
+        got = review_pass(self.state, memory, self.train, TrainConfig(rv_lr=0.1, rv_batch=10),
                           np.random.default_rng(1))
         assert max_param_diff(got, self.before) > 1e-4
         assert_states_equal(self.state, self.before)
@@ -503,7 +490,7 @@ class TestLoopsLeaveCallerStateUnchanged:
         assert_states_equal(self.state, self.before)
 
     def test_train_offline(self):
-        got = train_offline(self.state, self.train, self.config, epochs=1, seed=0)
+        got = train_offline(self.state, self.train, self.config, seed=0)
         assert max_param_diff(got, self.before) > 1e-3
         assert_states_equal(self.state, self.before)
 
@@ -515,9 +502,9 @@ def test_run_stream_diagnostics_read_seen_rows_by_index():
     # sees it.
     train, streams, tests = small_benchmark(dim=784, per_class=1000)
     state = init_network(NetworkSpec((784, 8, 4), seed=0))
-    config = TrainConfig(retrieve_batch=10, loss=LossConfig(num_classes=4))
+    config = TrainConfig(retrieve_batch=10, augment="none")
     record, peak = traced_peak(
-        run_stream, state, MemoryBuffer(capacity=20), train, streams, tests, config, ER
+        run_stream, state, MemoryBuffer(capacity=20), train, streams, tests, config, ER, 0
     )
     assert sum(record.diagnostics[2].interval_counts.values()) == 2000
     assert peak < train.features.nbytes / 2
@@ -533,9 +520,9 @@ class TestReplaySchedule:
     @pytest.mark.parametrize("recipe", [AFS, ER], ids=["afs", "er"])
     def test_one_review_order_after_each_task(self, recipe):
         train, streams, _ = small_benchmark(seed=3, num_tasks=2)
-        config = TrainConfig(loss=LossConfig(num_classes=4), seed=0)
+        config = TrainConfig(augment="none")
         memory = MemoryBuffer(capacity=25)
-        items = list(replay_schedule(memory, train, streams, config, recipe))
+        items = list(replay_schedule(memory, train, streams, config, recipe, 0))
         reviews = []
         for stream in streams:
             steps, items = items[: len(stream)], items[len(stream):]
@@ -585,16 +572,14 @@ class TestScheduleMatchesInterleavedLoop:
         tests = task_test_sets(test, split)
         config = TrainConfig(
             stream_batch=stream_batch, retrieve_batch=retrieve_batch, lr=0.2,
-            rv_lr=rv_lr, rv_batch=4,
-            loss=LossConfig(num_classes=2 * num_tasks),
-            augment_kind=kind, jitter_sigma=0.3, seed=seed,
+            rv_lr=rv_lr, rv_batch=4, augment=kind, jitter_sigma=0.3,
         )
         state = init_network(NetworkSpec((9, 7, 2 * num_tasks), seed=seed))
         ref_memory, memory = MemoryBuffer(capacity), MemoryBuffer(capacity)
         expected = interleaved_run_stream(
-            state, ref_memory, train, streams, tests, config, recipe
+            state, ref_memory, train, streams, tests, config, recipe, seed
         )
-        got = run_stream(state, memory, train, streams, tests, config, recipe, forked)
+        got = run_stream(state, memory, train, streams, tests, config, recipe, seed, forked)
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert got.diagnostics == expected.diagnostics
         assert (got.steps, got.review_steps) == (expected.steps, expected.review_steps)
@@ -612,9 +597,7 @@ class TestPrefilledMemory:
     def setup_method(self):
         self.train, self.streams, self.tests = small_benchmark(seed=9)
         self.state = init_network(NetworkSpec((8, 6, 4), seed=4))
-        self.config = TrainConfig(
-            loss=LossConfig(num_classes=4), augment_kind="vector", seed=5, retrieve_batch=6,
-        )
+        self.config = TrainConfig(augment="vector", jitter_sigma=0.1, retrieve_batch=6)
 
     def prefilled(self):
         rows = np.arange(0, 60, 3)
@@ -626,10 +609,11 @@ class TestPrefilledMemory:
     def test_dataset_rows_train_like_the_interleaved_loop(self, forked):
         ref_memory, memory = self.prefilled(), self.prefilled()
         expected = interleaved_run_stream(
-            self.state, ref_memory, self.train, self.streams, self.tests, self.config, AFS
+            self.state, ref_memory, self.train, self.streams, self.tests, self.config, AFS, 5
         )
         got = run_stream(
-            self.state, memory, self.train, self.streams, self.tests, self.config, AFS, forked
+            self.state, memory, self.train, self.streams, self.tests, self.config, AFS, 5,
+            forked,
         )
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert_states_equal(got.final_state, expected.final_state)
@@ -642,7 +626,7 @@ class TestPrefilledMemory:
         memory.uids[4] = -1 if outside == "neg" else len(self.train)
         with pytest.raises(InvalidInputError, match="memory uids must index the dataset"):
             run_stream(
-                self.state, memory, self.train, self.streams, self.tests, self.config, AFS,
+                self.state, memory, self.train, self.streams, self.tests, self.config, AFS, 5,
                 forked,
             )
         with pytest.raises(ChildProcessError):
