@@ -10,7 +10,6 @@ never mutates the buffer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +77,3 @@ def random_retrieve(
     if n == 0 or size == 0:
         return np.empty(0, dtype=np.int64)
     return rng.choice(n, size=min(size, n), replace=False)
-
-
-def class_histogram(buffer: MemoryBuffer) -> Counter:
-    """Count stored rows per class label."""
-    return Counter(buffer.labels[: len(buffer)].tolist())

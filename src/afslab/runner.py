@@ -10,7 +10,9 @@ loaded data.
 A `Job(config, run, part)` is one pass of one run: a recipe run has a
 "method" pass (`run_stream`) and a memory-free "reference" pass
 (`train_reference`), a `reference` or `offline` run has one pass.
-`_run_job` derives all seeds of a run from `config.seed + run`.
+`_run_job` derives all seeds of a run from `config.seed + run`; the reservoir
+(`config.memory` slots) is built empty by `run_stream` for each method pass,
+so a job carries nothing from another.
 
 `run_jobs` takes the jobs of any mix of configs and loads each config's
 data once, in this process, and checks each config against it. Then it
@@ -36,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AfslabError, InvalidConfigError, RunFailedError
-from .memory import MemoryBuffer
 from .metrics import (
     AccuracyMatrix,
     DiagnosticsRecord,
@@ -82,7 +83,6 @@ class ExperimentConfig(TrainConfig):
     runs: int = 1
     seed: int = 0
     out: str = ""
-    memory: int = 200
     num_tasks: int = 5
     hidden: tuple[int, ...] = (512,)
     # synthetic data
@@ -110,8 +110,6 @@ class ExperimentConfig(TrainConfig):
             raise InvalidConfigError(f"unknown dataset kind {self.dataset!r}")
         if self.runs < 1:
             raise InvalidConfigError(f"runs must be positive, got {self.runs}")
-        if self.memory < 1:
-            raise InvalidConfigError(f"memory must be positive, got {self.memory}")
         parse_method(self.method)
 
 
@@ -208,8 +206,7 @@ def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
             per_task = [evaluate(state, ts) for ts in tests]
             return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         record = run_stream(
-            init_network(spec), MemoryBuffer(config.memory), train_ds,
-            streams, tests, config, method, trainer_seed, forked,
+            init_network(spec), train_ds, streams, tests, config, method, trainer_seed, forked
         )
         return {
             "matrix": record.accuracy_matrix.rows,
@@ -294,8 +291,10 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
     """The result of every job, keyed by job.
 
     Each config's data is loaded and checked once, here, before the pool
-    forks. Every job finishes before the first failure in the order of
-    `jobs` is raised.
+    forks. On the pool every job finishes, even after one has failed; with
+    one worker the jobs run here in order and the first failure stops the
+    loop, so no later job starts. Either way the error raised is the first
+    one in the order of `jobs`.
     """
     loaded: dict[ExperimentConfig, _Inputs] = {}
     for config in dict.fromkeys(job.config for job in jobs):

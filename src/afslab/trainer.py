@@ -9,19 +9,20 @@ fill one row of the accuracy matrix. Rows travel as index arrays into the
 `Dataset` throughout: a stream batch, a replay batch and a review order all
 name dataset rows, and the `MemoryBuffer` holds dataset indices, not rows.
 
-Retrieval is random, so what a step replays, its augmentation and what
-the reservoir keeps never depend on the model. `run_stream` therefore
-splits in two: `replay_schedule`, a generator that owns the rng and the
-buffer and yields each step's replay rows as dataset indices plus their
-augmentation draws (and each task's review order), and the training, which
-reads those rows from the dataset and steps. At each task boundary it hands the
-state of that moment to a scorer that runs `evaluate` and the bias
-diagnostics. With `forked=True`, which `runner.run_jobs` passes when every
-job has a pool worker of its own, the schedule and each scorer run in
-forked helper processes (`sidecar`), overlapping the steps; by default
-they run in this process in the serial order. Either way every draw and
-every BLAS call sees the same inputs in the same order, so the record is
-the same.
+Retrieval is random, so what a step replays, its augmentation and what the
+reservoir keeps never depend on the model. `run_stream` therefore splits in
+two: `replay_schedule`, a generator that owns the rng and the reservoir and
+yields each step's replay rows as dataset indices plus their augmentation
+draws (and each task's review order), and the training, which reads those
+rows from the dataset and steps. `run_stream` builds the reservoir empty,
+`config.memory` slots, for each run, and nothing reads it once the run ends.
+At each task boundary the training hands the state of that moment to a
+scorer that runs `evaluate` and the bias diagnostics. With `forked=True`,
+which `runner.run_jobs` passes when every job has a pool worker of its own,
+the schedule and each scorer run in forked helper processes (`sidecar`),
+overlapping the steps; by default they run in this process in the serial
+order. Either way every draw and every BLAS call sees the same inputs in the
+same order, so the record is the same.
 
 Scoring never gathers the rows it scores: `evaluate` and the bias
 diagnostics over every row seen so far both go through `model.score_rows`,
@@ -32,17 +33,18 @@ Every loop here (`run_stream`, `review_rows`, `train_reference`,
 `train_offline`) copies the caller's `NetworkState` once on entry and steps
 that copy in place through one `Workspace`, so the caller's state is never
 changed and a step allocates no parameter or activation arrays.
-`sgd_on_batch` without a workspace returns a stepped copy.
+`sgd_on_batch`, the one step they share, steps the state it is given in
+place through the workspace it is given.
 
 A `Recipe` says which ingredients a method switches on: the classification
 loss, the regulariser, the review pass and replay augmentation. `AFS` and
 `ER` are the two named recipes; `ablation:<cls>+<reg>+<rv|norv>` names the
 rest. `TrainConfig` is how they run: it extends `losses.LossConfig` with the
-loop's batch sizes, step sizes, replay augmentation and offline epochs, and
-`runner.ExperimentConfig` extends it in turn, so every loop here takes the
-experiment's own config. A run's trainer seed is no setting but derived
-from it, so the loops that draw (`run_stream`, `replay_schedule`,
-`train_offline`) take it as an argument.
+loops' reservoir size, batch sizes, step sizes, replay augmentation and
+offline epochs, and `runner.ExperimentConfig` extends it in turn, so every
+loop here takes the experiment's own config. A run's trainer seed is no
+setting but derived from it, so the loops that draw (`run_stream`,
+`replay_schedule`, `train_offline`) take it as an argument.
 """
 
 from __future__ import annotations
@@ -123,14 +125,15 @@ class TrainConfig(LossConfig):
     """The loss's settings plus the loops' own.
 
     Each step takes `stream_batch` incoming rows and retrieves up to
-    `retrieve_batch` replay rows, stepping at `lr`; a recipe that augments
-    replay adds an `augment` copy of them ("vector" jitter at
-    `jitter_sigma`, or "image" flip and crop). A review pass, at `rv_lr` in
-    batches of `rv_batch`, follows each task's last step; `replay_schedule`
-    decides its order, one per task. `train_offline` runs `offline_epochs`
-    epochs.
+    `retrieve_batch` replay rows from a reservoir of `memory` slots,
+    stepping at `lr`; a recipe that augments replay adds an `augment` copy
+    of them ("vector" jitter at `jitter_sigma`, or "image" flip and crop). A
+    review pass, at `rv_lr` in batches of `rv_batch`, follows each task's
+    last step; `replay_schedule` decides its order, one per task.
+    `train_offline` runs `offline_epochs` epochs.
     """
 
+    memory: int = 200
     stream_batch: int = 10
     retrieve_batch: int = 100
     lr: float = 0.1
@@ -142,6 +145,8 @@ class TrainConfig(LossConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.memory < 1:
+            raise InvalidConfigError(f"memory must be positive, got {self.memory}")
         for name, least in (("stream_batch", 1), ("retrieve_batch", 0), ("rv_batch", 1)):
             value = getattr(self, name)
             if value < least:
@@ -176,24 +181,19 @@ def sgd_on_batch(
     labels: np.ndarray,
     objective: Objective,
     lr: float,
-    workspace: Workspace | None = None,
-) -> NetworkState:
-    """One step on the mean per-row gradient over the [n, d] batch.
+    workspace: Workspace,
+) -> None:
+    """Step `state` in place on the mean per-row gradient over the [n, d] batch.
 
     One forward pass, one objective call on the [n, C] logits and one
-    backward pass, which sums the per-row gradients. Without a workspace
-    the step is taken on a copy, which is returned, and `state` is left as
-    it was; with one, `state` itself is stepped in place and returned.
+    backward pass, which sums the per-row gradients, all in `workspace`.
     """
     if len(features) == 0:
         raise InvalidInputError("cannot step on an empty batch")
-    if workspace is None:
-        state, workspace = state.copy(), Workspace()
     trace = forward(state, features, workspace)
     out = objective.rows(trace.logits, labels)
     grads = backward(state, trace, out.grad_logits, workspace)
     sgd_step(state, grads.scale(1.0 / len(features)), lr)
-    return state
 
 
 def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> float:
@@ -247,7 +247,7 @@ def replay_schedule(
     indices and `draws` None when nothing is augmented, and after each
     task's last step exactly one review order as dataset indices: empty,
     with no draw, when the recipe has no review, rv_lr is 0 or the buffer
-    is empty. The last item is the buffer's final `(tot, labels, uids)`.
+    is empty.
     """
     rng = np.random.default_rng(seed)
     kind = config.augment if recipe.augment_replay else "none"
@@ -265,7 +265,6 @@ def replay_schedule(
             yield np.empty(0, dtype=np.int64)
         else:
             yield memory.uids[rng.permutation(len(memory))]
-    yield memory.tot, memory.labels, memory.uids
 
 
 def _score(state, test_sets, dataset, old_classes, new_classes, rows):
@@ -280,7 +279,6 @@ def _score(state, test_sets, dataset, old_classes, new_classes, rows):
 
 def run_stream(
     state: NetworkState,
-    memory: MemoryBuffer,
     dataset: Dataset,
     streams: list[list[np.ndarray]],
     test_sets: list[tuple[np.ndarray, np.ndarray]],
@@ -291,19 +289,17 @@ def run_stream(
 ) -> RunRecord:
     """Train one recipe over the task streams (index arrays into `dataset`).
 
-    `state` is copied on entry; the trained copy is the record's `final_state`.
-    `memory` may already hold rows, as uids into `dataset`; a uid outside it
-    raises `InvalidInputError` before the first step. `memory` ends as the
-    reservoir left it. `seed` seeds the replay schedule's rng. After each task's last step it reviews in the one
-    order the schedule yields for that task; an empty order means no review.
-    `forked` runs the replay schedule and the scoring in helper processes
-    (`sidecar.Helpers`); the record is the same either way.
+    `state` is copied on entry; the trained copy is the record's
+    `final_state`. The replay schedule, seeded with `seed`, owns the run's
+    reservoir: a new, empty `MemoryBuffer` of `config.memory` slots. After
+    each task's last step it reviews in the one order the schedule yields
+    for that task; an empty order means no review. `forked` runs the replay
+    schedule and the scoring in helper processes (`sidecar.Helpers`); the
+    record is the same either way.
     """
     if len(test_sets) < len(streams):
         raise InvalidInputError("need one test set per task")
-    held = memory.uids[: len(memory)]
-    if len(held) and (held.min() < 0 or held.max() >= len(dataset)):
-        raise InvalidInputError(f"memory uids must index the dataset's {len(dataset)} rows")
+    memory = MemoryBuffer(config.memory)
     state, workspace = state.copy(), Workspace()
     objective = make_objective(recipe.cls, recipe.reg, config, state.num_classes)
     matrix = AccuracyMatrix()
@@ -345,7 +341,6 @@ def run_stream(
                 )))
                 seen = rows
                 seen_classes |= new_classes
-            tot, labels, uids = next(plan)
         except AfslabError:
             for score in scores:
                 score()  # a scoring failure comes first in the loop's order
@@ -355,8 +350,6 @@ def run_stream(
             matrix.append_row(accuracies)
             if diagnosed is not None:
                 diagnostics[task_number] = diagnosed
-        # the schedule's final buffer: `memory`'s own arrays, or a forked child's
-        memory.tot, memory.labels, memory.uids = tot, labels, uids
 
     return RunRecord(
         accuracy_matrix=matrix,

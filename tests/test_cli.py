@@ -49,6 +49,7 @@ NON_FINITE = [("lr", "nan"), ("alpha", "nan"), ("beta", "nan"), ("sigma", "nan")
               ("lr", "inf")]
 # trainer and loss settings out of range, each with the message that names it
 OUT_OF_RANGE = [
+    ("memory", "0", "memory must be positive, got 0"),
     ("stream_batch", "0", "stream_batch must be at least 1, got 0"),
     ("retrieve_batch", "-1", "retrieve_batch must be at least 0, got -1"),
     ("rv_batch", "0", "rv_batch must be at least 1, got 0"),
@@ -538,7 +539,7 @@ class TestJobPool:
         # run 1's method pass fails at once and run 0's later: run 0 is named
         run0_trainer_seed = int(np.random.SeedSequence(0).spawn(4)[2].generate_state(1)[0])
 
-        def failing_stream(state, memory, dataset, streams, tests, config, recipe, seed, forked):
+        def failing_stream(state, dataset, streams, tests, config, recipe, seed, forked):
             if seed == run0_trainer_seed:
                 time.sleep(0.5)
             raise InvalidInputError(f"trainer seed {seed}")
@@ -547,6 +548,21 @@ class TestJobPool:
         allow_cpus(monkeypatch, 2)
         with pytest.raises(RunFailedError, match=r"^run 0 \(seed 0\): trainer seed"):
             run_experiment(micro_experiment(runs=2))
+
+    def test_first_failure_stops_the_in_process_loop(self, monkeypatch):
+        # one worker runs the jobs here, in order: none starts after a failure
+        started = []
+
+        def failing_job(job, inputs, forked):
+            started.append(job)
+            raise RunFailedError(f"{job.name}: failed")
+
+        monkeypatch.setattr(runner, "_run_job", failing_job)
+        allow_cpus(monkeypatch, 1)
+        jobs = runner.jobs_for(micro_experiment(runs=2))
+        with pytest.raises(RunFailedError, match=r"^run 0 \(seed 0\): failed$"):
+            runner.run_jobs(jobs)
+        assert started == jobs[:1]
 
     def test_diverging_runs_report_run_zero(self, tmp_path, monkeypatch):
         allow_cpus(monkeypatch, 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afslab.errors import InvalidConfigError, InvalidInputError
-from afslab.memory import MemoryBuffer, class_histogram, random_retrieve, reservoir_update
+from afslab.memory import MemoryBuffer, random_retrieve, reservoir_update
 from helpers import ListReservoir
 
 
@@ -99,14 +99,6 @@ def test_retrieval_is_uniform():
         counts.update(buf.uids[random_retrieve(buf, 2, rng)].tolist())
     for uid in range(5):
         assert abs(counts[uid] / trials - 0.4) < 0.02
-
-
-def test_class_histogram():
-    buf = MemoryBuffer(capacity=10)
-    rng = np.random.default_rng(7)
-    reservoir_update(buf, *make_samples(4, label=0), rng)
-    reservoir_update(buf, *make_samples(3, label=2, start_uid=4), rng)
-    assert class_histogram(buf) == Counter({0: 4, 2: 3})
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,7 +13,6 @@ import pytest
 
 from afslab import trainer
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
-from afslab.memory import MemoryBuffer
 from afslab.model import NetworkSpec, init_network
 from afslab.sidecar import CHUNK_STEPS, Helpers
 from afslab.stream import gen_synthetic, split_tasks, task_streams, task_test_sets
@@ -41,12 +40,14 @@ def assert_no_children():
 
 
 def small_run(dim=8, augment="vector", per_class=40):
-    """Inputs of a two-task AFS run: (state, memory, train, streams, tests, config)."""
+    """Inputs of a two-task AFS run: (state, train, streams, tests, config)."""
     train, test = gen_synthetic(4, dim, per_class, 0.6, 0, test_per_class=5)
     split = split_tasks(train, 2)
-    config = TrainConfig(stream_batch=4, retrieve_batch=20, augment=augment, jitter_sigma=0.1)
+    config = TrainConfig(
+        memory=30, stream_batch=4, retrieve_batch=20, augment=augment, jitter_sigma=0.1
+    )
     return (
-        init_network(NetworkSpec((dim, 6, 4), seed=1)), MemoryBuffer(30), train,
+        init_network(NetworkSpec((dim, 6, 4), seed=1)), train,
         task_streams(train, split, 4, 2), task_test_sets(test, split), config,
     )
 
@@ -96,7 +97,7 @@ class TestNoChildLeftBehind:
         # task 2 fails once task 1's scorer is out and while the schedule
         # is blocked on a full pipe: 20 x 32 floats of jitter per step
         inputs = small_run(dim=32, per_class=200)
-        first_task_steps = len(inputs[3][0])
+        first_task_steps = len(inputs[2][0])
         real_step = trainer.sgd_on_batch
         calls = []
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, distill, teacher_table, weighted_ce
-from afslab.memory import MemoryBuffer, class_histogram, reservoir_update
+from afslab.memory import MemoryBuffer, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
 from afslab.stream import (
     Dataset,
@@ -160,12 +160,11 @@ class TestHandSteppedTrace:
         y_test = np.array([0, 1])
 
         config = TrainConfig(
-            stream_batch=2, retrieve_batch=100, lr=self.lr, rv_lr=0.0,
+            memory=10, stream_batch=2, retrieve_batch=100, lr=self.lr, rv_lr=0.0,
             beta=0.0, augment="none",
         )
         start = init_network(NetworkSpec((2, 2), seed=5))
-        memory = MemoryBuffer(capacity=10)
-        record = run_stream(start, memory, dataset, streams, [(X_test, y_test)], config, AFS, 9)
+        record = run_stream(start, dataset, streams, [(X_test, y_test)], config, AFS, 9)
 
         # batch 1 trains alone; batch 2 trains with the full buffer replayed
         expected = self.hand_step(start, features[:2], labels[:2], config)
@@ -182,7 +181,9 @@ class TestHandSteppedTrace:
         )
         got_row = record.accuracy_matrix.rows[0]
         assert got_row == [evaluate(expected, (X_test, y_test))]
-        # capacity exceeded the stream, so everything was retained
+        # capacity exceeded the stream, so the schedule's buffer retained everything
+        memory = MemoryBuffer(config.memory)
+        list(replay_schedule(memory, dataset, streams, config, AFS, 9))
         assert len(memory) == 4 and memory.tot == 4
 
 
@@ -209,14 +210,12 @@ class TestReviewPass:
         state = init_network(NetworkSpec((3, 2), seed=1))
         dataset, buf = self.build_memory(8)
         before = (buf.labels.copy(), buf.uids.copy())
-        before_hist = class_histogram(buf)
         out = review_pass(
             state, buf, dataset, TrainConfig(rv_lr=0.05, rv_batch=4), np.random.default_rng(2)
         )
         assert not np.array_equal(out.weights[0], state.weights[0])
         for now, then in zip((buf.labels, buf.uids), before):
             assert_array_equal(now, then)
-        assert class_histogram(buf) == before_hist
         assert buf.tot == 8
 
     def test_epoch_step_count_via_run(self):
@@ -229,12 +228,11 @@ class TestReviewPass:
         X = rng.normal(size=(4, 3))
         y = np.array([0, 1, 0, 1])
         config = TrainConfig(
-            stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
+            memory=20, stream_batch=5, retrieve_batch=10, lr=0.1, rv_lr=0.01, rv_batch=10,
             augment="none",
         )
         record = run_stream(
-            init_network(NetworkSpec((3, 2), seed=0)),
-            MemoryBuffer(capacity=20), dataset, streams, [(X, y)], config, AFS, 0,
+            init_network(NetworkSpec((3, 2), seed=0)), dataset, streams, [(X, y)], config, AFS, 0,
         )
         assert record.steps == 4
         assert record.review_steps == 2
@@ -243,14 +241,11 @@ class TestReviewPass:
 class TestEquivalences:
     def test_er_equals_stripped_ablation_bitwise(self):
         train, streams, tests = small_benchmark(seed=2)
-        config = TrainConfig(augment="none", retrieve_batch=20)
+        config = TrainConfig(memory=30, augment="none", retrieve_batch=20)
         spec = NetworkSpec((8, 6, 4), seed=3)
-        a = run_stream(
-            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, ER, 7,
-        )
+        a = run_stream(init_network(spec), train, streams, tests, config, ER, 7)
         b = run_stream(
-            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
+            init_network(spec), train, streams, tests,
             config, Recipe("ce", "none", review=False), 7,
         )
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
@@ -259,16 +254,10 @@ class TestEquivalences:
 
     def test_determinism_per_seed(self):
         train, streams, tests = small_benchmark(seed=4)
-        config = TrainConfig(augment="vector", jitter_sigma=0.05, retrieve_batch=20)
+        config = TrainConfig(memory=30, augment="vector", jitter_sigma=0.05, retrieve_batch=20)
         spec = NetworkSpec((8, 6, 4), seed=1)
-        a = run_stream(
-            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, AFS, 11,
-        )
-        b = run_stream(
-            init_network(spec), MemoryBuffer(capacity=30), train, streams, tests,
-            config, AFS, 11,
-        )
+        a = run_stream(init_network(spec), train, streams, tests, config, AFS, 11)
+        b = run_stream(init_network(spec), train, streams, tests, config, AFS, 11)
         assert a.accuracy_matrix.rows == b.accuracy_matrix.rows
         for wa, wb in zip(a.final_state.weights, b.final_state.weights):
             assert_array_equal(wa, wb)
@@ -278,10 +267,9 @@ class TestEquivalences:
 class TestRunShape:
     def test_steps_count_and_matrix_shape(self):
         train, streams, tests = small_benchmark(seed=5)
-        config = TrainConfig(augment="none")
+        config = TrainConfig(memory=25, augment="none")
         record = run_stream(
-            init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), train, streams, tests, config, AFS, 0,
+            init_network(NetworkSpec((8, 6, 4), seed=0)), train, streams, tests, config, AFS, 0,
         )
         assert record.steps == sum(len(st) for st in streams)
         assert record.accuracy_matrix.num_tasks == len(streams)
@@ -289,10 +277,9 @@ class TestRunShape:
 
     def test_diagnostics_start_at_second_task(self):
         train, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
-        config = TrainConfig(augment="none")
+        config = TrainConfig(memory=25, augment="none")
         record = run_stream(
-            init_network(NetworkSpec((8, 6, 4), seed=0)),
-            MemoryBuffer(capacity=25), train, streams, tests, config, AFS, 0,
+            init_network(NetworkSpec((8, 6, 4), seed=0)), train, streams, tests, config, AFS, 0,
         )
         assert set(record.diagnostics) == {2}
         rec = record.diagnostics[2]
@@ -301,11 +288,11 @@ class TestRunShape:
 
     def test_needs_one_test_set_per_task(self):
         train, streams, tests = small_benchmark(seed=5)
-        config = TrainConfig(augment="none")
+        config = TrainConfig(memory=25, augment="none")
         with pytest.raises(InvalidInputError):
             run_stream(
                 init_network(NetworkSpec((8, 6, 4), seed=0)),
-                MemoryBuffer(capacity=25), train, streams, tests[:1], config, AFS, 0,
+                train, streams, tests[:1], config, AFS, 0,
             )
 
 
@@ -333,12 +320,9 @@ class TestOfflineBound:
         train, streams, tests = small_benchmark(
             seed=13, num_classes=4, dim=8, per_class=40, spread=0.6
         )
-        config = TrainConfig(augment="none", retrieve_batch=20, offline_epochs=5)
+        config = TrainConfig(memory=20, augment="none", retrieve_batch=20, offline_epochs=5)
         spec = NetworkSpec((8, 16, 4), seed=0)
-        er = run_stream(
-            init_network(spec), MemoryBuffer(capacity=20), train, streams, tests,
-            config, ER, 1,
-        )
+        er = run_stream(init_network(spec), train, streams, tests, config, ER, 1)
         offline = train_offline(init_network(spec), train, config, seed=2)
         offline_acc = float(np.mean([evaluate(offline, ts) for ts in tests]))
         er_acc = float(np.mean(er.accuracy_matrix.rows[-1]))
@@ -355,7 +339,7 @@ def test_sgd_on_batch_rejects_empty():
     with pytest.raises(InvalidInputError):
         sgd_on_batch(
             state, np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-            make_objective("ce", "none", LossConfig(), 2), 0.1,
+            make_objective("ce", "none", LossConfig(), 2), 0.1, Workspace(),
         )
 
 
@@ -382,10 +366,11 @@ class TestBatchedStepMatchesPerSample:
         rng = np.random.default_rng(31)
         cfg = LossConfig(beta=0.5, temperature=4.0, alpha=1.0)
         objective = make_objective(cls_kind, reg_kind, cfg, self.C)
-        batched = reference = init_network(NetworkSpec((self.D, *hidden, self.C), seed=5))
+        reference = init_network(NetworkSpec((self.D, *hidden, self.C), seed=5))
+        batched, workspace = reference.copy(), Workspace()
         for _ in range(4):
             x, y = self.draw(rng, 37)
-            batched = sgd_on_batch(batched, x, y, objective, 0.3)
+            sgd_on_batch(batched, x, y, objective, 0.3, workspace)
             reference = per_sample_step(reference, x, y, objective, 0.3)
         assert max_param_diff(batched, init_network(
             NetworkSpec((self.D, *hidden, self.C), seed=5))) > 1e-3  # it trained
@@ -394,10 +379,11 @@ class TestBatchedStepMatchesPerSample:
     def test_single_row_batch(self):
         rng = np.random.default_rng(32)
         objective = make_objective("rfl", "vkd", LossConfig(), self.C)
-        batched = reference = init_network(NetworkSpec((self.D, 8, self.C), seed=6))
+        reference = init_network(NetworkSpec((self.D, 8, self.C), seed=6))
+        batched, workspace = reference.copy(), Workspace()
         for _ in range(3):
             x, y = self.draw(rng, 1)
-            batched = sgd_on_batch(batched, x, y, objective, 0.5)
+            sgd_on_batch(batched, x, y, objective, 0.5, workspace)
             reference = per_sample_step(reference, x, y, objective, 0.5)
         assert max_param_diff(batched, reference) <= self.TOL
 
@@ -449,8 +435,9 @@ class TestWorkspaceStepMatchesAllocating:
         for n in self.SIZES:
             x = rng.normal(0.0, 2.0, size=(n, self.D))
             y = rng.integers(0, self.C, size=n)
-            copied = sgd_on_batch(stepped, x, y, objective, 0.3)
-            assert sgd_on_batch(stepped, x, y, objective, 0.3, workspace) is stepped
+            copied = stepped.copy()  # stepped through a fresh workspace of its own
+            sgd_on_batch(copied, x, y, objective, 0.3, Workspace())
+            sgd_on_batch(stepped, x, y, objective, 0.3, workspace)
             reference = allocating_step(reference, x, y, objective, 0.3)
             assert_states_equal(stepped, reference)
             assert_states_equal(copied, reference)
@@ -465,12 +452,13 @@ class TestLoopsLeaveCallerStateUnchanged:
         self.train, self.streams, self.tests = small_benchmark(seed=3)
         self.state = init_network(NetworkSpec((8, 12, 4), seed=2))
         self.before = self.state.copy()
-        self.config = TrainConfig(augment="vector", jitter_sigma=0.1, offline_epochs=1)
+        self.config = TrainConfig(
+            memory=30, augment="vector", jitter_sigma=0.1, offline_epochs=1
+        )
 
     def test_run_stream(self):
         record = run_stream(
-            self.state, MemoryBuffer(capacity=30), self.train, self.streams,
-            self.tests, self.config, AFS, 0,
+            self.state, self.train, self.streams, self.tests, self.config, AFS, 0
         )
         assert record.review_steps > 0
         assert max_param_diff(record.final_state, self.before) > 1e-3
@@ -502,10 +490,8 @@ def test_run_stream_diagnostics_read_seen_rows_by_index():
     # sees it.
     train, streams, tests = small_benchmark(dim=784, per_class=1000)
     state = init_network(NetworkSpec((784, 8, 4), seed=0))
-    config = TrainConfig(retrieve_batch=10, augment="none")
-    record, peak = traced_peak(
-        run_stream, state, MemoryBuffer(capacity=20), train, streams, tests, config, ER, 0
-    )
+    config = TrainConfig(memory=20, retrieve_batch=10, augment="none")
+    record, peak = traced_peak(run_stream, state, train, streams, tests, config, ER, 0)
     assert sum(record.diagnostics[2].interval_counts.values()) == 2000
     assert peak < train.features.nbytes / 2
 
@@ -528,7 +514,7 @@ class TestReplaySchedule:
             steps, items = items[: len(stream)], items[len(stream):]
             assert all(isinstance(step, tuple) and len(step) == 2 for step in steps)
             reviews.append(items.pop(0))
-        assert len(items) == 1  # the final buffer
+        assert items == []
         for order in reviews:
             assert isinstance(order, np.ndarray) and order.dtype == np.int64
         if recipe.review:  # a permutation of the buffer's uids at each task's end
@@ -542,8 +528,9 @@ class TestScheduleMatchesInterleavedLoop:
     """`run_stream` against the one interleaved loop it was split from.
 
     The schedule makes the same draws in the same order and the trainer
-    reads the same rows, so the record, the final state and the caller's
-    buffer must be identical, whether the helpers are forked or not.
+    reads the same rows, so the record and the final state must be
+    identical, whether the helpers are forked or not, and the schedule run
+    to its end must leave the buffer the interleaved loop leaves.
     """
 
     RECIPES = (AFS, ER, Recipe("fl", "lsr", review=True), Recipe("ce", "vkd", review=False))
@@ -571,63 +558,22 @@ class TestScheduleMatchesInterleavedLoop:
         streams = task_streams(train, split, stream_batch, seed + 1)
         tests = task_test_sets(test, split)
         config = TrainConfig(
-            stream_batch=stream_batch, retrieve_batch=retrieve_batch, lr=0.2,
-            rv_lr=rv_lr, rv_batch=4, augment=kind, jitter_sigma=0.3,
+            memory=capacity, stream_batch=stream_batch, retrieve_batch=retrieve_batch,
+            lr=0.2, rv_lr=rv_lr, rv_batch=4, augment=kind, jitter_sigma=0.3,
         )
         state = init_network(NetworkSpec((9, 7, 2 * num_tasks), seed=seed))
-        ref_memory, memory = MemoryBuffer(capacity), MemoryBuffer(capacity)
+        ref_memory = MemoryBuffer(capacity)
         expected = interleaved_run_stream(
             state, ref_memory, train, streams, tests, config, recipe, seed
         )
-        got = run_stream(state, memory, train, streams, tests, config, recipe, seed, forked)
+        got = run_stream(state, train, streams, tests, config, recipe, seed, forked)
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert got.diagnostics == expected.diagnostics
         assert (got.steps, got.review_steps) == (expected.steps, expected.review_steps)
         assert_states_equal(got.final_state, expected.final_state)
+        memory = MemoryBuffer(capacity)
+        list(replay_schedule(memory, train, streams, config, recipe, seed))  # to its end
         assert_memories_equal(memory, ref_memory)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-
-class TestPrefilledMemory:
-    """Replay reads memory rows from the dataset by uid, so every uid held on
-    entry must index the dataset; `run_stream` rejects one that does not
-    before its first step, and before it forks any helper."""
-
-    def setup_method(self):
-        self.train, self.streams, self.tests = small_benchmark(seed=9)
-        self.state = init_network(NetworkSpec((8, 6, 4), seed=4))
-        self.config = TrainConfig(augment="vector", jitter_sigma=0.1, retrieve_batch=6)
-
-    def prefilled(self):
-        rows = np.arange(0, 60, 3)
-        memory = MemoryBuffer(capacity=15)
-        reservoir_update(memory, self.train.labels[rows], rows, np.random.default_rng(2))
-        return memory
-
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    def test_dataset_rows_train_like_the_interleaved_loop(self, forked):
-        ref_memory, memory = self.prefilled(), self.prefilled()
-        expected = interleaved_run_stream(
-            self.state, ref_memory, self.train, self.streams, self.tests, self.config, AFS, 5
-        )
-        got = run_stream(
-            self.state, memory, self.train, self.streams, self.tests, self.config, AFS, 5,
-            forked,
-        )
-        assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
-        assert_states_equal(got.final_state, expected.final_state)
-        assert_memories_equal(memory, ref_memory)
-
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    @pytest.mark.parametrize("outside", ["neg", "len"])
-    def test_uids_outside_the_dataset_are_rejected(self, outside, forked):
-        memory = self.prefilled()
-        memory.uids[4] = -1 if outside == "neg" else len(self.train)
-        with pytest.raises(InvalidInputError, match="memory uids must index the dataset"):
-            run_stream(
-                self.state, memory, self.train, self.streams, self.tests, self.config, AFS, 5,
-                forked,
-            )
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
