@@ -32,13 +32,12 @@ from .errors import InvalidConfigError, InvalidInputError
 P_FLOOR = 1e-12
 
 # Difficulty intervals over the predicted target probability p_t.
-HSI = "HSI"  # hard:      [0.0, 0.3)
-ASI = "ASI"  # ambiguous: [0.3, 0.6]
-ESI = "ESI"  # easy:      (0.6, 1.0]
+# The names are the keys of the report's diagnostics columns.
+HSI = "hsi"  # hard:      [0.0, 0.3)
+ASI = "asi"  # ambiguous: [0.3, 0.6]
+ESI = "esi"  # easy:      (0.6, 1.0]
 HARD_BELOW = 0.3  # p_t under this is hard; the edge itself is ambiguous
 EASY_ABOVE = 0.6  # p_t over this is easy; the edge itself is ambiguous
-
-DIFFICULTY_INTERVALS = (HSI, ASI, ESI)
 
 # Anchor histograms: p_t in NUM_BINS bins [k * 0.04, (k + 1) * 0.04), 1.0 in the last.
 NUM_BINS = 25
@@ -123,7 +122,7 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
 
 
 def difficulty_counts(p_t) -> dict[str, int]:
-    """Count target probabilities per difficulty interval.
+    """Count target probabilities per difficulty interval, keyed HSI/ASI/ESI.
 
     Hard below HARD_BELOW (0.3), ambiguous in [0.3, 0.6], easy above
     EASY_ABOVE (0.6). Both interval boundaries belong to the ambiguous

@@ -1,8 +1,8 @@
 """Bounded episodic memory with reservoir insertion and uniform retrieval.
 
-The buffer is two arrays with one entry per slot: a stored row's dataset
-index (its uid) and its label. It keeps no copy of the row; readers take
-the row from the dataset by uid. Reservoir sampling keeps each stream row in
+The buffer is one array with one entry per slot: a stored row's dataset
+index (its uid). It keeps no copy of the row or its label; readers take
+both from the dataset by uid. Reservoir sampling keeps each stream row in
 the buffer with probability capacity / rows_seen, without knowing the
 stream length in advance. Only stream rows count toward `tot`; retrieval
 never mutates the buffer.
@@ -21,13 +21,11 @@ from .errors import InvalidConfigError, InvalidInputError
 class MemoryBuffer:
     capacity: int
     tot: int = 0  # stream rows offered so far
-    labels: np.ndarray = field(init=False)
     uids: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise InvalidConfigError(f"capacity must be >= 1, got {self.capacity}")
-        self.labels = np.full(self.capacity, -1, dtype=np.int64)
         self.uids = np.full(self.capacity, -1, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -35,12 +33,9 @@ class MemoryBuffer:
 
 
 def reservoir_update(
-    buffer: MemoryBuffer,
-    labels: np.ndarray,
-    uids: np.ndarray,
-    rng: np.random.Generator,
+    buffer: MemoryBuffer, uids: np.ndarray, rng: np.random.Generator
 ) -> None:
-    """Offer k stream rows, as their labels and uids, to the buffer, in order.
+    """Offer k stream rows, as their uids, to the buffer, in order.
 
     While the buffer has room a row goes to the next free slot; afterwards
     the row offered as number tot (0-based) replaces slot j drawn uniformly
@@ -48,7 +43,7 @@ def reservoir_update(
     the fill point takes one draw, in offer order, and when two offers of
     the batch land on the same slot the later one wins.
     """
-    tots = buffer.tot + np.arange(len(labels))
+    tots = buffer.tot + np.arange(len(uids))
     slots = tots.copy()
     full = tots >= buffer.capacity
     if full.any():
@@ -58,9 +53,8 @@ def reservoir_update(
         # keep each slot's last offer: unique over the reversed order finds it
         _, last = np.unique(slots[rows][::-1], return_index=True)
         rows = rows[len(rows) - 1 - last]
-    buffer.labels[slots[rows]] = labels[rows]
     buffer.uids[slots[rows]] = uids[rows]
-    buffer.tot += len(labels)
+    buffer.tot += len(uids)
 
 
 def random_retrieve(

@@ -130,13 +130,19 @@ def confidence_interval(values: list[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Classifier-bias probes for one old/new class grouping."""
+    """Classifier-bias probes for one old/new class grouping.
+
+    The fields are the report's diagnostics columns; `hsi`, `asi` and `esi`
+    count new-class rows per p_t difficulty interval (`difficulty_counts`).
+    """
 
     mean_weight_old: float
     mean_weight_new: float
     mean_logit_old: float
     mean_logit_new: float
-    interval_counts: dict[str, int]
+    hsi: int
+    asi: int
+    esi: int
 
 
 def bias_diagnostics(
@@ -191,5 +197,5 @@ def bias_diagnostics(
         mean_weight_new=weight_mean(new_idx),
         mean_logit_old=float(logits[:, old_idx].mean()),
         mean_logit_new=float(logits[:, new_idx].mean()),
-        interval_counts=difficulty_counts(p_t),
+        **difficulty_counts(p_t),
     )

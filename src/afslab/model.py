@@ -4,12 +4,12 @@ ReLU hidden layers, a linear class head, and plain SGD. Gradients are exact
 and flow through stored forward traces, so every update is reproducible and
 testable against finite differences without any autodiff machinery.
 
-A training loop owns one `Workspace`. `forward` and `backward` given one
-write their traces and gradients into its buffers instead of allocating, and
-`Gradients.scale` and `sgd_step` work in place, so a step allocates no
-activation, gradient or parameter arrays. Without one, `forward` and
-`backward` use a fresh workspace of their own, so what they return is never
-overwritten.
+A training loop owns one `Workspace`, which is also the trace of its last
+forward pass: `forward` writes every layer's values into its buffers and
+returns it, and `backward` writes the deltas, masks and gradients into the
+same workspace instead of allocating. `Gradients.scale` and `sgd_step` work
+in place, so a step allocates no activation, gradient or parameter arrays.
+Without a workspace, `forward` writes into a fresh one of its own.
 `sgd_step` always updates the state it is given; callers that must keep a
 state copy it first (`NetworkState.copy`).
 
@@ -22,7 +22,7 @@ returns, however many rows are scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,22 +69,6 @@ class NetworkState:
 
 
 @dataclass
-class ForwardTrace:
-    """Intermediate values kept for the backward pass.
-
-    Each array has one row per input row: [n, width].
-    """
-
-    input: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    activations: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre_activations[-1]
-
-
-@dataclass
 class Gradients:
     """Parameter gradients, same shapes as the state they differentiate."""
 
@@ -99,28 +83,36 @@ class Gradients:
 
 
 class Workspace:
-    """Buffers reused by every training step of one loop.
+    """Buffers reused by every training step of one loop; the trace of its
+    last forward pass.
 
     Per layer it holds the pre-activations, and per hidden layer the
     activations, the back-propagated deltas and the ReLU masks, each
-    [rows, width]; a step uses their leading `[:n]` rows. Forward passes
-    grow the pre-activation and activation buffers to the largest batch
-    they have seen, backward passes the delta and mask buffers, so a
-    workspace used only for forward passes holds no backward buffers. One
-    `Gradients` receives every backward pass. A trace or gradients taken
-    from a workspace are therefore valid only until its next forward or
-    backward pass.
+    [rows, width]; a pass of `n` rows uses their leading `[:n]` rows.
+    Forward passes grow the pre-activation and activation buffers to the
+    largest batch they have seen, backward passes the delta and mask
+    buffers, so a workspace used only for forward passes holds no backward
+    buffers. A forward pass also records its `input` and `n`. One
+    `Gradients` receives every backward pass. Logits and gradients read
+    from a workspace are valid only until its next forward or backward pass.
     """
 
     def __init__(self) -> None:
         self.layer_widths: tuple[int, ...] = ()
         self.rows = 0
         self.backward_rows = 0
+        self.input = np.empty((0, 0))
+        self.n = 0  # rows of the last forward pass
         self.pre: list[np.ndarray] = []
         self.act: list[np.ndarray] = []
         self.delta: list[np.ndarray] = []
         self.mask: list[np.ndarray] = []
         self.grads = Gradients(weights=[], biases=[])
+
+    @property
+    def logits(self) -> np.ndarray:
+        """[n, C] logits of the last forward pass."""
+        return self.pre[-1][: self.n]
 
     def _fit(self, state: NetworkState, rows: int, backward: bool = False) -> None:
         """(Re)allocate for the state's widths and at least `rows` rows.
@@ -159,12 +151,13 @@ def init_network(spec: NetworkSpec) -> NetworkState:
 
 def forward(
     state: NetworkState, x: np.ndarray, workspace: Workspace | None = None
-) -> ForwardTrace:
+) -> Workspace:
     """Run a [n, fan_in] batch through the network; one sample is one row.
 
-    Rows are independent; every layer's values are recorded for backward,
-    as views of the workspace's buffers (a fresh one when none is given),
-    overwritten by its next forward pass.
+    Rows are independent. Every layer's values, the input and the row count
+    are recorded for backward in the workspace (a fresh one when none is
+    given), which is returned as the pass's trace and overwritten by its
+    next forward pass.
     """
     a = np.asarray(x, dtype=np.float64)
     fan_in = state.weights[0].shape[1]
@@ -172,58 +165,49 @@ def forward(
         raise InvalidInputError(
             f"input of shape {a.shape} is not a [n, {fan_in}] batch"
         )
-    depth = len(state.weights)
+    n = len(a)
     workspace = workspace or Workspace()
-    workspace._fit(state, len(a))
-    pre = [buf[: len(a)] for buf in workspace.pre]
-    act = [buf[: len(a)] for buf in workspace.act]
-    trace = ForwardTrace(input=a)
+    workspace._fit(state, n)
+    workspace.input, workspace.n = a, n
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = np.matmul(a, w.T, out=pre[i])
+        z = np.matmul(a, w.T, out=workspace.pre[i][:n])
         z += b
-        trace.pre_activations.append(z)
-        if i < depth - 1:
-            a = np.maximum(z, 0.0, out=act[i])
-            trace.activations.append(a)
-    return trace
+        if i < len(workspace.act):
+            a = np.maximum(z, 0.0, out=workspace.act[i][:n])
+    return workspace
 
 
-def backward(
-    state: NetworkState,
-    trace: ForwardTrace,
-    grad_logits: np.ndarray,
-    workspace: Workspace | None = None,
-) -> Gradients:
-    """Exact backprop of a logit gradient through the stored trace.
+def backward(state: NetworkState, trace: Workspace, grad_logits: np.ndarray) -> Gradients:
+    """Exact backprop of a logit gradient through the trace `forward` returned.
 
     grad_logits has the [n, C] shape of the trace's logits; the returned
-    gradients are summed over its rows. They are the workspace's `grads`
-    (a fresh one when none is given), overwritten by its next backward pass.
+    gradients are summed over its rows. The deltas, masks and gradients are
+    written into the trace's own buffers, and the gradients returned are its
+    `grads`, overwritten by its next backward pass. A trace recorded for
+    other layer widths is rejected.
     """
+    if trace.layer_widths != state.layer_widths:
+        raise InvalidInputError(
+            f"stale trace: recorded for widths {trace.layer_widths}, "
+            f"network has {state.layer_widths}"
+        )
     delta = np.asarray(grad_logits, dtype=np.float64)
     if delta.shape != trace.logits.shape:
         raise InvalidInputError(
             f"grad_logits shape {delta.shape} does not match logits "
             f"{trace.logits.shape}"
         )
-    depth = len(state.weights)
-    if len(trace.pre_activations) != depth:
-        raise InvalidInputError("trace does not match network depth")
-    workspace = workspace or Workspace()
-    workspace._fit(state, len(delta), backward=True)
-    grads = workspace.grads
-    deltas = [buf[: len(delta)] for buf in workspace.delta]
-    masks = [buf[: len(delta)] for buf in workspace.mask]
-    for layer in range(depth - 1, -1, -1):
-        a_in = trace.activations[layer - 1] if layer > 0 else trace.input
-        if a_in.shape[-1] != state.weights[layer].shape[1]:
-            raise InvalidInputError("stale trace: activation width mismatch")
+    n = trace.n
+    trace._fit(state, n, backward=True)
+    grads = trace.grads
+    deltas = [buf[:n] for buf in trace.delta]
+    masks = [buf[:n] for buf in trace.mask]
+    for layer in range(len(state.weights) - 1, -1, -1):
+        a_in = trace.act[layer - 1][:n] if layer > 0 else trace.input
         grads.weights[layer] = np.matmul(delta.T, a_in, out=grads.weights[layer])
         grads.biases[layer] = np.sum(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            live = np.greater(
-                trace.pre_activations[layer - 1], 0.0, out=masks[layer - 1]
-            )
+            live = np.greater(trace.pre[layer - 1][:n], 0.0, out=masks[layer - 1])
             delta = np.matmul(delta, state.weights[layer], out=deltas[layer - 1])
             delta = np.multiply(delta, live, out=deltas[layer - 1])
     return grads

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import AfslabError, InvalidConfigError, RunFailedError
 from .metrics import (
     AccuracyMatrix,
-    DiagnosticsRecord,
     average_accuracy,
     average_forgetting,
     average_intransigence,
@@ -163,20 +162,17 @@ def jobs_for(config: ExperimentConfig) -> list[Job]:
     return [Job(config, run, part) for run in range(config.runs) for part in passes]
 
 
-def _diagnostics(d: DiagnosticsRecord) -> dict:
-    """The probes of one task boundary, interval counts as hsi/asi/esi keys."""
-    out = asdict(d)
-    out.update((name.lower(), count) for name, count in out.pop("interval_counts").items())
-    return out
-
-
 def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
     """Raise InvalidConfigError if `config` cannot run on its loaded data."""
     num_classes = inputs.train_ds.num_classes
     if num_classes < 2:
         raise InvalidConfigError(f"need at least 2 classes, got {num_classes}")
-    for task, (features, _) in enumerate(inputs.tests, start=1):
-        if len(features) == 0:
+    tasks = zip(inputs.split.tasks, inputs.tests)
+    for task, (classes, (test_features, _)) in enumerate(tasks, start=1):
+        if not np.isin(inputs.train_ds.labels, classes).any():
+            named = ", ".join(map(str, classes))
+            raise InvalidConfigError(f"task {task} (classes {named}) has no training rows")
+        if len(test_features) == 0:
             raise InvalidConfigError(f"task {task} has an empty test set")
     method = parse_method(config.method)
     if isinstance(method, Recipe) and method.augment_replay:
@@ -213,7 +209,7 @@ def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
             "wall_time": record.wall_time,
             "steps": record.steps,
             "review_steps": record.review_steps,
-            "diagnostics": {str(task): _diagnostics(d) for task, d in record.diagnostics.items()},
+            "diagnostics": {str(task): asdict(d) for task, d in record.diagnostics.items()},
         }
     except AfslabError as exc:
         raise RunFailedError(f"{job.name}: {exc}") from exc

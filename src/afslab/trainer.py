@@ -185,14 +185,15 @@ def sgd_on_batch(
 ) -> None:
     """Step `state` in place on the mean per-row gradient over the [n, d] batch.
 
-    One forward pass, one objective call on the [n, C] logits and one
-    backward pass, which sums the per-row gradients, all in `workspace`.
+    One forward pass into `workspace`, which is its trace, one objective
+    call on the [n, C] logits and one backward pass through that trace,
+    which sums the per-row gradients into the workspace's `grads`.
     """
     if len(features) == 0:
         raise InvalidInputError("cannot step on an empty batch")
     trace = forward(state, features, workspace)
     out = objective.rows(trace.logits, labels)
-    grads = backward(state, trace, out.grad_logits, workspace)
+    grads = backward(state, trace, out.grad_logits)
     sgd_step(state, grads.scale(1.0 / len(features)), lr)
 
 
@@ -259,7 +260,7 @@ def replay_schedule(
             if len(picks) and kind != "none":
                 draws = draw_augment(kind, (len(picks), width), rng, config.jitter_sigma)
             replay = memory.uids[picks]
-            reservoir_update(memory, dataset.labels[batch], batch, rng)
+            reservoir_update(memory, batch, rng)
             yield replay, draws
         if not recipe.review or config.rv_lr == 0 or len(memory) == 0:
             yield np.empty(0, dtype=np.int64)

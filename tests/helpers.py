@@ -111,7 +111,7 @@ def allocating_step(state, features, labels, objective, lr):
 
 
 class ListReservoir:
-    """Reference for memory.reservoir_update: a list of (label, uid) slots.
+    """Reference for memory.reservoir_update: a list of uid slots.
 
     This is the per-offer loop the array buffer replaced: append while
     there is room, then one rng.integers(0, tot + 1) draw per offer, kept
@@ -123,15 +123,14 @@ class ListReservoir:
         self.slots = []
         self.tot = 0
 
-    def update(self, labels, uids, rng):
-        for label, uid in zip(labels, uids):
-            stored = (int(label), int(uid))
+    def update(self, uids, rng):
+        for uid in uids:
             if self.tot < self.capacity:
-                self.slots.append(stored)
+                self.slots.append(int(uid))
             else:
                 j = int(rng.integers(0, self.tot + 1))
                 if j < self.capacity:
-                    self.slots[j] = stored
+                    self.slots[j] = int(uid)
             self.tot += 1
 
 
@@ -225,7 +224,8 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
     One loop does everything in order: per step retrieve from `memory`,
     augment the replay rows, take the SGD step and offer the incoming rows
     to the reservoir; per task review (if the recipe does), evaluate and
-    diagnose. Replay and review read memory rows from `dataset` by uid.
+    diagnose. Replay and review read memory rows and their labels from
+    `dataset` by uid.
     """
     state, workspace = state.copy(), Workspace()
     rng = np.random.default_rng(seed)
@@ -249,7 +249,8 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
             step_x, step_y = [x], [y]
             picks = random_retrieve(memory, config.retrieve_batch, rng)
             if len(picks):
-                replay_x, replay_y = dataset.features[memory.uids[picks]], memory.labels[picks]
+                uids = memory.uids[picks]
+                replay_x, replay_y = dataset.features[uids], dataset.labels[uids]
                 step_x.append(replay_x)
                 step_y.append(replay_y)
                 if augment_replay:
@@ -262,7 +263,7 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
                 objective, config.lr, workspace,
             )
             steps += 1
-            reservoir_update(memory, y, batch, rng)
+            reservoir_update(memory, batch, rng)
         if recipe.review:
             state = review(state)
         matrix.append_row([evaluate(state, test_sets[j]) for j in range(task_number)])

@@ -238,12 +238,11 @@ class TestReservoirGuarantee:
         rng = np.random.default_rng(99)
         trials = 100_000
         for capacity, offered in ((1, 3), (2, 4), (5, 50)):
-            labels = np.zeros(offered, dtype=np.int64)
             uids = np.arange(offered)
             counts = np.zeros(offered)
             for _ in range(trials):
                 buffer = MemoryBuffer(capacity)
-                reservoir_update(buffer, labels, uids, rng)
+                reservoir_update(buffer, uids, rng)
                 counts[buffer.uids[: len(buffer)]] += 1
             rates = counts / trials
             expected = capacity / offered

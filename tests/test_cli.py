@@ -14,10 +14,12 @@ import pytest
 
 import afslab
 import afslab.runner as runner
-from afslab.cli import emit_report, main, parse_config, run_experiment
+from afslab.cli import TABLES, emit_report, main, parse_config, run_experiment
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.losses import CLS_KINDS, REG_KINDS
+from afslab.metrics import DiagnosticsRecord
 from afslab.runner import ExperimentConfig, Job, parse_method
+from afslab.stream import Dataset, write_idx
 from afslab.trainer import AFS, ER, Recipe
 
 MICRO_CONFIG = """
@@ -235,6 +237,17 @@ class TestRunExperiment:
         assert records["method"] == "ablation:ce+none+norv"
 
 
+def test_diagnostics_are_keyed_once():
+    # the record's fields are the report's columns and the keys a run writes
+    fields = [field.name for field in dataclasses.fields(DiagnosticsRecord)]
+    (table,) = [table for table in TABLES if table.file == "diagnostics.csv"]
+    columns = [c.key or c.header for c in table.columns if c.where == "row"]
+    assert columns == ["task", *fields]
+    job = Job(micro_experiment(), 0, "method")
+    (written,) = runner.run_jobs([job])[job]["diagnostics"].values()
+    assert list(written) == fields
+
+
 class TestEmitReport:
     def test_csv_headers_and_round_trip(self, tmp_path):
         records = run_experiment(micro_experiment(runs=2))
@@ -400,6 +413,24 @@ class TestMainCommand:
         out = tmp_path / "x"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not (out / "INCOMPLETE").exists()
+
+    @pytest.mark.parametrize("method", ["afs", "er", "reference", "offline"])
+    def test_task_without_training_rows_exits_two(self, method, tmp_path, capsys):
+        # training rows of classes 0-7, test rows of 0-9: task 5 is classes 8 and 9
+        rng = np.random.default_rng(0)
+        text = f"dataset = idx\nnum_tasks = 5\nhidden = 8\nmemory = 20\nmethod = {method}\n"
+        for split, num_classes in (("train", 8), ("test", 10)):
+            labels = np.repeat(np.arange(num_classes), 4)
+            images_path, labels_path = (tmp_path / f"{split}-images.idx",
+                                        tmp_path / f"{split}-labels.idx")
+            write_idx(Dataset(rng.random((len(labels), 16)), labels, num_classes),
+                      str(images_path), str(labels_path))
+            text += f"idx_{split}_images = {images_path}\nidx_{split}_labels = {labels_path}\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "task 5 (classes 8, 9) has no training rows" in capsys.readouterr().err
         assert not (out / "INCOMPLETE").exists()
 
     def test_plain_replay_runs_with_image_augment_of_non_square_rows(self, tmp_path):

@@ -81,6 +81,8 @@ class TestDifficultyIntervals:
             (0.60001, ESI),
             (1.0, ESI),
         ],
+        # the ids name the intervals as the paper does: HSI, ASI, ESI
+        ids=lambda value: value.upper() if isinstance(value, str) else None,
     )
     def test_boundaries(self, p, expected):
         assert difficulty_counts([p]) == {HSI: 0, ASI: 0, ESI: 0, expected: 1}

@@ -10,11 +10,6 @@ from afslab.memory import MemoryBuffer, random_retrieve, reservoir_update
 from helpers import ListReservoir
 
 
-def make_samples(n, label=0, start_uid=0):
-    """(labels, uids) of n rows of one label with consecutive uids."""
-    return np.full(n, label, dtype=np.int64), start_uid + np.arange(n)
-
-
 def held_uids(buf):
     return buf.uids[: len(buf)].tolist()
 
@@ -27,10 +22,10 @@ def test_capacity_validated():
 def test_fill_phase_keeps_everything_in_order():
     buf = MemoryBuffer(capacity=5)
     rng = np.random.default_rng(0)
-    reservoir_update(buf, *make_samples(3), rng)
+    reservoir_update(buf, np.arange(3), rng)
     assert held_uids(buf) == [0, 1, 2]
     assert buf.tot == 3
-    reservoir_update(buf, *make_samples(2, start_uid=3), rng)
+    reservoir_update(buf, np.arange(3, 5), rng)
     assert held_uids(buf) == [0, 1, 2, 3, 4]
     assert len(buf) == 5
 
@@ -38,7 +33,7 @@ def test_fill_phase_keeps_everything_in_order():
 def test_overflow_never_exceeds_capacity():
     buf = MemoryBuffer(capacity=4)
     rng = np.random.default_rng(1)
-    reservoir_update(buf, *make_samples(50), rng)
+    reservoir_update(buf, np.arange(50), rng)
     assert len(buf) == 4
     assert buf.tot == 50
 
@@ -51,7 +46,7 @@ def test_uniform_inclusion_small_case():
     for t in range(trials):
         buf = MemoryBuffer(capacity=2)
         rng = np.random.default_rng(t)
-        reservoir_update(buf, *make_samples(4), rng)
+        reservoir_update(buf, np.arange(4), rng)
         hits[held_uids(buf)] += 1
     rates = hits / trials
     assert np.all(np.abs(rates - 0.5) < 0.02), rates
@@ -60,7 +55,7 @@ def test_uniform_inclusion_small_case():
 def test_retrieve_without_replacement():
     buf = MemoryBuffer(capacity=10)
     rng = np.random.default_rng(3)
-    reservoir_update(buf, *make_samples(10), rng)
+    reservoir_update(buf, np.arange(10), rng)
     for _ in range(20):
         got = random_retrieve(buf, 6, rng)
         uids = buf.uids[got].tolist()
@@ -70,12 +65,11 @@ def test_retrieve_without_replacement():
 def test_retrieve_caps_at_buffer_size_and_leaves_buffer_alone():
     buf = MemoryBuffer(capacity=8)
     rng = np.random.default_rng(4)
-    reservoir_update(buf, *make_samples(3), rng)
-    before = (buf.labels.copy(), buf.uids.copy())
+    reservoir_update(buf, np.arange(3), rng)
+    before = buf.uids.copy()
     got = random_retrieve(buf, 100, rng)
     assert sorted(buf.uids[got].tolist()) == [0, 1, 2]
-    for now, then in zip((buf.labels, buf.uids), before):
-        assert np.array_equal(now, then)
+    assert np.array_equal(buf.uids, before)
     assert buf.tot == 3
 
 
@@ -83,7 +77,7 @@ def test_retrieve_empty_and_zero():
     buf = MemoryBuffer(capacity=4)
     rng = np.random.default_rng(5)
     assert len(random_retrieve(buf, 10, rng)) == 0
-    reservoir_update(buf, *make_samples(2), rng)
+    reservoir_update(buf, np.arange(2), rng)
     assert len(random_retrieve(buf, 0, rng)) == 0
     with pytest.raises(InvalidInputError):
         random_retrieve(buf, -1, rng)
@@ -92,7 +86,7 @@ def test_retrieve_empty_and_zero():
 def test_retrieval_is_uniform():
     buf = MemoryBuffer(capacity=5)
     rng = np.random.default_rng(6)
-    reservoir_update(buf, *make_samples(5), rng)
+    reservoir_update(buf, np.arange(5), rng)
     counts = Counter()
     trials = 20000
     for _ in range(trials):
@@ -112,18 +106,14 @@ def test_matches_list_reservoir(capacity, batch_sizes, seed):
     # draws, so the same slots in the same order, for any batching
     lengths = np.cumsum(batch_sizes)
     lengths = lengths[lengths <= 200]
-    data = np.random.default_rng(seed)
-    labels = data.integers(0, 5, size=int(lengths[-1]))
-    uids = data.permutation(1000)[: len(labels)]
+    uids = np.random.default_rng(seed).permutation(1000)[: int(lengths[-1])]
     buf, ref = MemoryBuffer(capacity), ListReservoir(capacity)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for start, stop in zip(np.concatenate([[0], lengths[:-1]]), lengths):
         rows = slice(start, stop)
-        reservoir_update(buf, labels[rows], uids[rows], rng)
-        ref.update(labels[rows], uids[rows], ref_rng)
+        reservoir_update(buf, uids[rows], rng)
+        ref.update(uids[rows], ref_rng)
         assert buf.tot == ref.tot
         assert len(buf) == min(buf.tot, capacity) == len(ref.slots)
-        held = slice(0, len(buf))
-        assert buf.uids[held].tolist() == [uid for _, uid in ref.slots]
-        assert buf.labels[held].tolist() == [label for label, _ in ref.slots]
+        assert buf.uids[: len(buf)].tolist() == ref.slots
     assert rng.random() == ref_rng.random()  # both generators end in step

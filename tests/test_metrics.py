@@ -194,7 +194,7 @@ class TestBiasDiagnostics:
         assert rec.mean_weight_old == 0.0 and rec.mean_weight_new == 0.0
         assert rec.mean_logit_old == 0.0 and rec.mean_logit_new == 0.0
         # p_t = 1/4 for every new-class sample, squarely in the hard interval
-        assert rec.interval_counts == {"HSI": 3, "ASI": 0, "ESI": 0}
+        assert (rec.hsi, rec.asi, rec.esi) == (3, 0, 0)
 
     def test_hand_set_head(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0], [1.0, 1.0]])
@@ -217,9 +217,7 @@ class TestBiasDiagnostics:
             np.zeros(4),  # hard new
         ])
         rec = bias_diagnostics(state, features, np.array([0, 3, 2]), {0, 1}, {2, 3})
-        assert sum(rec.interval_counts.values()) == 2
-        assert rec.interval_counts["ESI"] == 1
-        assert rec.interval_counts["HSI"] == 1
+        assert (rec.hsi, rec.asi, rec.esi) == (1, 0, 1)
 
     def test_interval_counts_match_per_row_scan(self):
         # identity head: each sample's features are its logits, so rows can
@@ -233,19 +231,19 @@ class TestBiasDiagnostics:
                 rows.append(exact_p_logits(p, t))
                 labels.append(t)
         rec = bias_diagnostics(state, np.array(rows), np.array(labels), {0, 1}, {2, 3})
-        expected = {"HSI": 0, "ASI": 0, "ESI": 0}
+        expected = {"hsi": 0, "asi": 0, "esi": 0}
         for z, lab in zip(rows, labels):
             if lab in (2, 3):
                 p_t = softmax_stable(z[None])[0, lab]
                 for bucket, count in difficulty_counts([p_t]).items():
                     expected[bucket] += count
-        assert rec.interval_counts == expected
+        assert {key: getattr(rec, key) for key in expected} == expected
         assert min(expected.values()) > 4
 
     def test_no_new_class_rows_counts_nothing(self):
         state = linear_head_state(np.eye(4), np.zeros(4))
         rec = bias_diagnostics(state, np.ones((1, 4)), np.array([0]), {0, 1}, {2, 3})
-        assert rec.interval_counts == {"HSI": 0, "ASI": 0, "ESI": 0}
+        assert (rec.hsi, rec.asi, rec.esi) == (0, 0, 0)
 
     def test_validation(self):
         state = linear_head_state(np.zeros((4, 2)), np.zeros(4))
@@ -283,7 +281,7 @@ class TestBiasDiagnosticsByIndex:
         old, new = {0, 1, 2}, {3, 4, 5}
         got = bias_diagnostics(state, features, labels, old, new, rows)
         expected = bias_diagnostics(state, features[rows], labels[rows], old, new)
-        assert got.interval_counts == expected.interval_counts
+        assert (got.hsi, got.asi, got.esi) == (expected.hsi, expected.asi, expected.esi)
         for name in ("mean_weight_old", "mean_weight_new", "mean_logit_old", "mean_logit_new"):
             assert_allclose(getattr(got, name), getattr(expected, name), rtol=0, atol=1e-12)
 
@@ -296,7 +294,7 @@ class TestBiasDiagnosticsByIndex:
         rec, peak = traced_peak(
             bias_diagnostics, state, features, labels, set(range(5)), set(range(5, 10)), rows
         )
-        assert sum(rec.interval_counts.values()) == np.isin(labels, range(5, 10)).sum()
+        assert rec.hsi + rec.asi + rec.esi == np.isin(labels, range(5, 10)).sum()
         # a gather of every row would be features.nbytes, 62.7 MB
         assert peak < 16e6 < features.nbytes / 3
 

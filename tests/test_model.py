@@ -78,15 +78,15 @@ class TestForward:
         state = tiny_state()
         trace = forward(state, np.array([[2.0, 1.0]]))
         # pre-relu hidden: [2, 0.5, 1]; all positive so relu passes them
-        assert_allclose(trace.pre_activations[0][0], [2.0, 0.5, 1.0])
-        assert_allclose(trace.activations[0][0], [2.0, 0.5, 1.0])
+        assert_allclose(trace.pre[0][0], [2.0, 0.5, 1.0])
+        assert_allclose(trace.act[0][0], [2.0, 0.5, 1.0])
         assert_allclose(trace.logits[0], [2.6, 2.0])
 
     def test_relu_masks_negatives(self):
         state = tiny_state()
         trace = forward(state, np.array([[-1.0, 0.2]]))
         # hidden pre: [-1, -0.3, -1.2] -> activations all zero
-        assert_allclose(trace.activations[0][0], [0.0, 0.0, 0.0])
+        assert_allclose(trace.act[0][0], [0.0, 0.0, 0.0])
         assert_allclose(trace.logits[0], [0.1, 0.0])
 
     def test_rejects_bad_width(self):
@@ -110,7 +110,7 @@ class TestForward:
             single = forward(state, X[i : i + 1])
             assert_allclose(batched.logits[i], single.logits[0], atol=1e-12)
             assert_allclose(
-                batched.activations[0][i], single.activations[0][0], atol=1e-12
+                batched.act[0][i], single.act[0][0], atol=1e-12
             )
 
 
@@ -172,8 +172,9 @@ class TestScoreRows:
         state = init_network(NetworkSpec((6, 9, 4), seed=3))
         workspace = Workspace()
         trace = forward(state, np.ones((12, 6)), workspace)
+        assert trace is workspace
         assert workspace.rows == 12 and workspace.delta == [] and workspace.mask == []
-        backward(state, trace, np.ones((12, 4)), workspace)
+        backward(state, trace, np.ones((12, 4)))
         assert workspace.backward_rows == 12
         assert [d.shape for d in workspace.delta] == [(12, 9)]
 
@@ -252,8 +253,19 @@ class TestBackward:
         state = tiny_state()
         trace = forward(state, np.array([[1.0, 1.0]]))
         other = init_network(NetworkSpec((2, 5, 2), seed=0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"stale trace: recorded for widths "
+                           r"\(2, 3, 2\), network has \(2, 5, 2\)"):
             backward(other, trace, np.zeros((1, 2)))
+        # rejected before any buffer is refitted to the other widths
+        assert trace.layer_widths == (2, 3, 2) and trace.delta == []
+
+    def test_returns_the_traces_own_gradients(self):
+        state = init_network(NetworkSpec((3, 4, 2), seed=5))
+        trace = forward(state, np.ones((2, 3)))
+        grads = backward(state, trace, np.ones((2, 2)))
+        assert grads is trace.grads
+        assert backward(state, trace, np.zeros((2, 2))) is grads
+        assert all(np.all(g == 0.0) for g in grads.weights + grads.biases)
 
 
 class TestSgdStep:

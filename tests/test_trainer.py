@@ -195,7 +195,7 @@ class TestReviewPass:
         dataset = Dataset(rng.normal(size=(n, dim)), labels, num_classes)
         buf = MemoryBuffer(capacity=n)
         # n rows into n slots: the fill phase, which draws nothing
-        reservoir_update(buf, labels, np.arange(n), rng)
+        reservoir_update(buf, np.arange(n), rng)
         return dataset, buf
 
     def test_zero_rate_and_empty_buffer_are_identity(self):
@@ -209,13 +209,12 @@ class TestReviewPass:
     def test_changes_model_but_not_memory(self):
         state = init_network(NetworkSpec((3, 2), seed=1))
         dataset, buf = self.build_memory(8)
-        before = (buf.labels.copy(), buf.uids.copy())
+        before = buf.uids.copy()
         out = review_pass(
             state, buf, dataset, TrainConfig(rv_lr=0.05, rv_batch=4), np.random.default_rng(2)
         )
         assert not np.array_equal(out.weights[0], state.weights[0])
-        for now, then in zip((buf.labels, buf.uids), before):
-            assert_array_equal(now, then)
+        assert_array_equal(buf.uids, before)
         assert buf.tot == 8
 
     def test_epoch_step_count_via_run(self):
@@ -284,7 +283,7 @@ class TestRunShape:
         assert set(record.diagnostics) == {2}
         rec = record.diagnostics[2]
         task2_samples = sum(len(b) for b in streams[1])
-        assert sum(rec.interval_counts.values()) == task2_samples
+        assert rec.hsi + rec.asi + rec.esi == task2_samples
 
     def test_needs_one_test_set_per_task(self):
         train, streams, tests = small_benchmark(seed=5)
@@ -393,7 +392,7 @@ class TestBatchedStepMatchesPerSample:
         rng = np.random.default_rng(33)
         memory = MemoryBuffer(capacity=12)
         x, y = self.draw(rng, 12)
-        reservoir_update(memory, y, np.arange(12), rng)  # fill phase: no draws
+        reservoir_update(memory, np.arange(12), rng)  # fill phase: no draws
         cfg = TrainConfig(rv_lr=0.2, rv_batch=12)
         state = init_network(NetworkSpec((self.D, 8, self.C), seed=7))
         dataset = Dataset(x, y, self.C)
@@ -467,7 +466,7 @@ class TestLoopsLeaveCallerStateUnchanged:
     def test_review_pass(self):
         memory = MemoryBuffer(capacity=25)
         rows = np.arange(25)
-        reservoir_update(memory, self.train.labels[rows], rows, np.random.default_rng(0))
+        reservoir_update(memory, rows, np.random.default_rng(0))
         got = review_pass(self.state, memory, self.train, TrainConfig(rv_lr=0.1, rv_batch=10),
                           np.random.default_rng(1))
         assert max_param_diff(got, self.before) > 1e-4
@@ -492,13 +491,13 @@ def test_run_stream_diagnostics_read_seen_rows_by_index():
     state = init_network(NetworkSpec((784, 8, 4), seed=0))
     config = TrainConfig(memory=20, retrieve_batch=10, augment="none")
     record, peak = traced_peak(run_stream, state, train, streams, tests, config, ER, 0)
-    assert sum(record.diagnostics[2].interval_counts.values()) == 2000
+    rec = record.diagnostics[2]
+    assert rec.hsi + rec.asi + rec.esi == 2000
     assert peak < train.features.nbytes / 2
 
 
 def assert_memories_equal(a, b):
     assert (a.tot, len(a)) == (b.tot, len(b))
-    assert_array_equal(a.labels, b.labels)
     assert_array_equal(a.uids, b.uids)
 
 
