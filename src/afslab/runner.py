@@ -16,11 +16,13 @@ so a job carries nothing from another.
 
 `run_jobs` takes the jobs of any mix of configs and loads each config's
 data once, in this process, and checks each config against it. Then it
-runs them on forked workers that inherit that data unpickled, one per CPU
-this process may use (`os.sched_getaffinity`), each held to one OpenBLAS
-thread; with one CPU they run here. One BLAS thread sums some products in
-another order, which moves the `mean_weight_*`/`mean_logit_*` diagnostics
-of a 784-pixel image stream by at most 1.3e-15; all else is identical.
+runs them on workers forked by `sidecar.Helpers` that inherit that data
+unpickled, one per CPU this process may use (`os.sched_getaffinity`),
+each held to one OpenBLAS thread; with one CPU they run here. A free
+worker reads the next job index from one shared pipe. One BLAS thread
+sums some products in another order, which moves the
+`mean_weight_*`/`mean_logit_*` diagnostics of a 784-pixel image stream by
+at most 1.3e-15; all else is identical.
 `run_jobs` also decides whether `run_stream` forks its helpers (`sidecar`):
 only on the pool, and only when no job waits for a worker, so that the
 helpers take the CPU time a job's one BLAS thread leaves. A full pool, and
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -45,6 +48,7 @@ from .metrics import (
     average_intransigence,
 )
 from .model import NetworkSpec, init_network
+from .sidecar import Helpers, _portable
 from .stream import (
     Dataset,
     TaskSplit,
@@ -102,13 +106,15 @@ class ExperimentConfig(TrainConfig):
         super().__post_init__()
         if any(width < 1 for width in self.hidden):
             raise InvalidConfigError(f"hidden widths must be positive, got {self.hidden}")
-        for key, value in (("seed", self.seed), ("data_seed", self.data_seed)):
+        for key in ("runs", "num_tasks", "synth_classes", "synth_dim", "synth_per_class"):
+            if getattr(self, key) < 1:
+                raise InvalidConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("seed", "data_seed", "synth_test_per_class", "synth_spread"):
+            value = getattr(self, key)
             if value is not None and value < 0:
                 raise InvalidConfigError(f"{key} must be non-negative, got {value}")
         if self.dataset not in ("synthetic", "idx"):
             raise InvalidConfigError(f"unknown dataset kind {self.dataset!r}")
-        if self.runs < 1:
-            raise InvalidConfigError(f"runs must be positive, got {self.runs}")
         parse_method(self.method)
 
 
@@ -206,7 +212,7 @@ def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
         )
         return {
             "matrix": record.accuracy_matrix.rows,
-            "wall_time": record.wall_time,
+            "wall_time": time.perf_counter() - started,
             "steps": record.steps,
             "review_steps": record.review_steps,
             "diagnostics": {str(task): asdict(d) for task, d in record.diagnostics.items()},
@@ -246,19 +252,6 @@ def assemble(config: ExperimentConfig, run_index: int, results: dict) -> dict:
     return out
 
 
-_WORKER_JOBS: list[tuple[Job, _Inputs, bool]] | None = None  # set only inside pool workers
-
-
-def _start_worker(jobs: list[tuple[Job, _Inputs, bool]]) -> None:
-    global _WORKER_JOBS
-    _pin_blas_to_one_thread()
-    _WORKER_JOBS = jobs
-
-
-def _worker_job(index: int) -> dict:
-    return _run_job(*_WORKER_JOBS[index])
-
-
 # Names of the OpenBLAS set-thread-count function across builds.
 OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                     "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
@@ -290,7 +283,8 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
     forks. On the pool every job finishes, even after one has failed; with
     one worker the jobs run here in order and the first failure stops the
     loop, so no later job starts. Either way the error raised is the first
-    one in the order of `jobs`.
+    one in the order of `jobs`. A worker that dies fails the call, naming
+    the runs whose results it took with it.
     """
     loaded: dict[ExperimentConfig, _Inputs] = {}
     for config in dict.fromkeys(job.config for job in jobs):
@@ -302,34 +296,36 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
     if workers < 2:
         return {job: _run_job(job, loaded[job.config], False) for job in jobs}
     forked = len(jobs) <= workers  # every job has a worker, so helpers get idle CPU time
-    work = [(job, loaded[job.config], forked) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    queue_out, queue_in = os.pipe()  # job indices, 4 bytes each; a free worker reads the next
 
-    # fork: workers inherit `work` unpickled and get only its indices. The
-    # pool forks all of them at the first submit, before its own thread.
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(work,),
-    ) as pool:
-        futures = {}
-        try:
-            # the method passes are the long ones, so they start first
-            for i in sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method"):
-                futures[i] = pool.submit(_worker_job, i)
-        except BrokenProcessPool:
-            pass  # a worker died already; the jobs left out count as lost
+    def work() -> list[tuple[int, object]]:
+        os.close(queue_in)  # else the queue never reaches its end
+        _pin_blas_to_one_thread()
+        done = []
+        while index := os.read(queue_out, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                done.append((i, _run_job(jobs[i], loaded[jobs[i].config], forked)))
+            except Exception as exc:
+                done.append((i, _portable(exc)))
+        return done
 
-    def lost(i: int) -> bool:
-        return i not in futures or isinstance(futures[i].exception(), BrokenProcessPool)
-
-    results = {}
-    for i, job in enumerate(jobs):
-        if lost(i):
-            unfinished = dict.fromkeys(jobs[k].name for k in range(len(jobs)) if lost(k))
-            raise RunFailedError(f"a worker process died; unfinished: {', '.join(unfinished)}")
-        results[job] = futures[i].result()
-    return results
+    results: dict[int, object] = {}
+    with Helpers(True) as helpers:
+        # fork first: written first, more indices than a pipe buffer holds block
+        pending = [helpers.call(work) for _ in range(workers)]
+        os.close(queue_out)
+        # the method passes are the long ones, so they start first
+        order = sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method")
+        with suppress(BrokenPipeError), open(queue_in, "wb") as queue:  # all workers died
+            queue.write(b"".join(i.to_bytes(4, "little") for i in order))
+        for done in pending:
+            with suppress(RunFailedError):  # a dead worker; its results count as missing
+                results.update(done())
+    for i in range(len(jobs)):
+        if i not in results:
+            missing = dict.fromkeys(job.name for k, job in enumerate(jobs) if k not in results)
+            raise RunFailedError(f"a worker process died; no result for {', '.join(missing)}")
+        if isinstance(results[i], BaseException):
+            raise results[i]
+    return {job: results[i] for i, job in enumerate(jobs)}

@@ -1,5 +1,6 @@
-"""Helper processes that take a run's model-free work off its training loop.
+"""Forked children that hand back a value: every process afslab forks.
 
+`runner.run_jobs` forks its pool workers as `Helpers(True).call`s, and
 `run_stream` hands a `Helpers` two kinds of work that never change the
 model: the replay schedule (a generator) and one scoring call per task
 boundary. Whether they fork is the caller's choice (`runner.run_jobs` makes
@@ -41,7 +42,7 @@ def _portable(exc: BaseException) -> BaseException:
 
 
 class Helpers:
-    """The helper children of one run, or this process when not `forked`."""
+    """The children of one pool or one run, or this process when not `forked`."""
 
     def __init__(self, forked: bool) -> None:
         self.forked = forked

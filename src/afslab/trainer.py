@@ -50,7 +50,6 @@ setting but derived from it, so the loops that draw (`run_stream`,
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -169,7 +168,6 @@ class RunRecord:
 
     accuracy_matrix: AccuracyMatrix
     diagnostics: dict[int, DiagnosticsRecord]
-    wall_time: float
     steps: int
     review_steps: int
     final_state: NetworkState
@@ -310,7 +308,6 @@ def run_stream(
     seen = np.empty(0, dtype=np.int64)  # dataset rows of the finished tasks
     seen_classes: set[int] = set()
     scores = []  # per finished task, a call returning its `_score`
-    started = time.perf_counter()
 
     with Helpers(forked) as helpers:
         plan = helpers.stream(
@@ -355,7 +352,6 @@ def run_stream(
     return RunRecord(
         accuracy_matrix=matrix,
         diagnostics=diagnostics,
-        wall_time=time.perf_counter() - started,
         steps=steps,
         review_steps=review_steps,
         final_state=state,

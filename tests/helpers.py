@@ -1,7 +1,6 @@
 """Shared numeric oracles for the test suite."""
 
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -235,7 +234,6 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
     steps = review_steps = 0
     seen = np.empty(0, dtype=np.int64)
     seen_classes = set()
-    started = time.perf_counter()
 
     def review(state):
         nonlocal review_steps
@@ -279,7 +277,6 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
     return RunRecord(
         accuracy_matrix=matrix,
         diagnostics=diagnostics,
-        wall_time=time.perf_counter() - started,
         steps=steps,
         review_steps=review_steps,
         final_state=state,

@@ -49,7 +49,7 @@ REPORTS = ("metrics.csv", "diagnostics.csv", "summary.csv")
 NON_FINITE = [("lr", "nan"), ("alpha", "nan"), ("beta", "nan"), ("sigma", "nan"),
               ("temperature", "nan"), ("synth_spread", "nan"), ("jitter_sigma", "nan"),
               ("lr", "inf")]
-# trainer and loss settings out of range, each with the message that names it
+# settings out of range, each with the message that names it
 OUT_OF_RANGE = [
     ("memory", "0", "memory must be positive, got 0"),
     ("stream_batch", "0", "stream_batch must be at least 1, got 0"),
@@ -64,6 +64,12 @@ OUT_OF_RANGE = [
     ("mu", "2", "mu must lie in [0, 1], got 2.0"),
     ("beta", "-1", "beta must be non-negative, got -1.0"),
     ("temperature", "0", "temperature must be positive, got 0.0"),
+    ("num_tasks", "0", "num_tasks must be positive, got 0"),
+    ("synth_classes", "0", "synth_classes must be positive, got 0"),
+    ("synth_dim", "0", "synth_dim must be positive, got 0"),
+    ("synth_per_class", "0", "synth_per_class must be positive, got 0"),
+    ("synth_test_per_class", "-1", "synth_test_per_class must be non-negative, got -1"),
+    ("synth_spread", "-1", "synth_spread must be non-negative, got -1.0"),
 ]
 
 
@@ -690,6 +696,38 @@ class TestJobPool:
             runner.run_jobs(jobs)
         assert "run 0 (seed 0)" in str(failure.value)
         assert "run 0 (seed 5)" in str(failure.value)
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_more_jobs_than_one_pipe_buffer_holds(self, monkeypatch):
+        # 20,000 indices of 4 bytes overfill a 64 KiB pipe buffer
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: job.run)
+        allow_cpus(monkeypatch, 2)
+        jobs = runner.jobs_for(micro_experiment(runs=10_000))
+        results = runner.run_jobs(jobs)
+        assert list(results) == jobs
+        assert list(results.values()) == [job.run for job in jobs]
+
+    def test_pool_imports_no_process_pool(self):
+        script = textwrap.dedent("""
+            import os, sys
+            from afslab import runner
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            config = runner.ExperimentConfig(
+                memory=20, num_tasks=2, hidden=(8,), synth_classes=4, synth_dim=6,
+                synth_per_class=20, synth_test_per_class=10, runs=2,
+            )
+            assert len(runner.run_jobs(runner.jobs_for(config))) == 4
+            print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+        """)
+        src = os.path.dirname(os.path.dirname(afslab.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["[]"]
 
 
 def blas_threads():

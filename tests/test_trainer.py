@@ -10,6 +10,7 @@ from afslab.errors import InvalidConfigError, InvalidInputError
 from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, distill, teacher_table, weighted_ce
 from afslab.memory import MemoryBuffer, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
+from afslab.runner import ExperimentConfig, jobs_for, run_jobs
 from afslab.stream import (
     Dataset,
     gen_synthetic,
@@ -272,7 +273,16 @@ class TestRunShape:
         )
         assert record.steps == sum(len(st) for st in streams)
         assert record.accuracy_matrix.num_tasks == len(streams)
-        assert record.wall_time > 0
+
+    @pytest.mark.parametrize("method", ["afs", "reference", "offline"])
+    def test_every_pass_is_timed(self, method):
+        config = ExperimentConfig(
+            method=method, memory=20, num_tasks=2, hidden=(8,), synth_classes=4,
+            synth_dim=6, synth_per_class=20, synth_test_per_class=10, offline_epochs=1,
+        )
+        results = run_jobs(jobs_for(config))
+        assert len(results) == (2 if method == "afs" else 1)
+        assert all(result["wall_time"] > 0 for result in results.values())
 
     def test_diagnostics_start_at_second_task(self):
         train, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
