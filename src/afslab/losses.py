@@ -7,9 +7,12 @@ always [n, C] rows, one per sample; a single sample is a one-row batch.
 Two kernels do the work: `weighted_ce`, the cross-entropy -w(p_t) log p_t
 with a weight w(p_t) that is 1, the focal weight or the revised focal
 Gaussian bump, and `distill`, a temperature-softened cross-entropy against
-a per-label teacher table. `make_objective` is the one place they are
-combined, as cls + beta * reg. `record_scores` and `compute_mu` derive a
-per-class anchor for the bump's centre mu from p_t histograms.
+a per-label teacher table. Each checks its logits and labels and calls a
+private kernel that computes on checked input. `make_objective` is the one
+place they are combined, as cls + beta * reg: `Objective.rows` checks the
+logits and labels once and calls both kernels. `record_scores` and
+`compute_mu` derive a per-class anchor for the bump's centre mu from p_t
+histograms.
 
 `LossConfig` is the base of the one layered run config: `trainer.TrainConfig`
 extends it with the stream loop's settings and `runner.ExperimentConfig`
@@ -102,12 +105,8 @@ class LossOutput:
     p_target: np.ndarray | None
 
 
-def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each row of [n, C] logits.
-
-    The row max is subtracted first; non-finite input is rejected, naming
-    the first offending row.
-    """
+def _finite_rows(logits) -> np.ndarray:
+    """`logits` as float64 [n, C] rows, rejecting non-finite values by row."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.size == 0:
         raise InvalidInputError(
@@ -117,8 +116,23 @@ def softmax_stable(logits: np.ndarray) -> np.ndarray:
     if not finite.all():
         row = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise InvalidInputError(f"logits must be finite (row {row})")
+    return z
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row softmax of checked [n, C] logits, the row max subtracted first."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def softmax_stable(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row of [n, C] logits.
+
+    The row max is subtracted first; non-finite input is rejected, naming
+    the first offending row.
+    """
+    return _softmax(_finite_rows(logits))
 
 
 def difficulty_counts(p_t) -> dict[str, int]:
@@ -222,6 +236,44 @@ def _check_labels(labels, shape: tuple[int, int]) -> np.ndarray:
     return y
 
 
+def _weighted_ce(
+    p: np.ndarray, y: np.ndarray, kind: str, alpha: float, gamma: float, mu: float, sigma: float
+) -> LossOutput:
+    """`weighted_ce` on the softmax `p` of checked logits and checked labels
+    `y`; `p` is overwritten with the gradient."""
+    rows = np.arange(len(y))
+    p_t = p[rows, y]
+    p_safe = np.maximum(p_t, P_FLOOR)
+    log_pt = np.log(p_safe)
+    if kind == "ce":
+        # w = 1, w' = 0: g is exactly -1, so the gradient is p - onehot(target)
+        p[rows, y] = p_t - 1.0
+        return LossOutput(value=-log_pt, grad_logits=p, p_target=p_t)
+    if kind == "fl":
+        if gamma < 0:
+            raise InvalidConfigError(f"gamma must be non-negative, got {gamma}")
+        q = 1.0 - p_t
+        weight = alpha * q**gamma
+        if gamma == 0.0:
+            dweight = 0.0  # w' vanishes
+        else:
+            with np.errstate(divide="ignore"):
+                dweight = -alpha * gamma * q ** (gamma - 1.0)
+            if gamma < 1.0:
+                # the q^(gamma-1) blow-up at q = 0 is cancelled by
+                # log(p_t) = 0, so the limit is 0 as well
+                dweight[q == 0.0] = 0.0
+    elif kind == "rfl":
+        weight = rfl_weight(p_t, alpha, mu, sigma)
+        dweight = weight * (-2.0 * (p_t - mu) / sigma)
+    else:
+        raise InvalidConfigError(f"unknown classification loss {kind!r}")
+    g = -(dweight * log_pt * p_t + weight * (p_t / p_safe))
+    grad = np.multiply(-g[:, None], p, out=p)
+    grad[rows, y] = g * (1.0 - p_t)
+    return LossOutput(value=-weight * log_pt, grad_logits=grad, p_target=p_t)
+
+
 def weighted_ce(
     logits: np.ndarray,
     labels,
@@ -243,36 +295,7 @@ def weighted_ce(
     """
     p = softmax_stable(logits)
     y = _check_labels(labels, p.shape)
-    rows = np.arange(len(y))
-    p_t = p[rows, y]
-    p_safe = np.maximum(p_t, P_FLOOR)
-    log_pt = np.log(p_safe)
-    if kind == "ce":
-        weight, dweight = 1.0, 0.0
-    elif kind == "fl":
-        if gamma < 0:
-            raise InvalidConfigError(f"gamma must be non-negative, got {gamma}")
-        q = 1.0 - p_t
-        weight = alpha * q**gamma
-        if gamma == 0.0:
-            dweight = 0.0  # w' vanishes
-        else:
-            with np.errstate(divide="ignore"):
-                dweight = -alpha * gamma * q ** (gamma - 1.0)
-            if gamma < 1.0:
-                # the q^(gamma-1) blow-up at q = 0 is cancelled by
-                # log(p_t) = 0, so the limit is 0 as well
-                dweight[q == 0.0] = 0.0
-    elif kind == "rfl":
-        weight = rfl_weight(p_t, alpha, mu, sigma)
-        dweight = weight * (-2.0 * (p_t - mu) / sigma)
-    else:
-        raise InvalidConfigError(f"unknown classification loss {kind!r}")
-    ratio = 1.0 if kind == "ce" else p_t / p_safe
-    g = -(dweight * log_pt * p_t + weight * ratio)
-    grad = -g[:, None] * p
-    grad[rows, y] = g * (1.0 - p_t)
-    return LossOutput(value=-weight * log_pt, grad_logits=grad, p_target=p_t)
+    return _weighted_ce(p, y, kind, alpha, gamma, mu, sigma)
 
 
 def virtual_teacher(target: int, num_classes: int, epsilon: float) -> np.ndarray:
@@ -301,6 +324,23 @@ def teacher_table(num_classes: int, epsilon: float, temperature: float) -> np.nd
     return softmax_stable(v / temperature)
 
 
+def _distill(
+    scaled: np.ndarray, y: np.ndarray, teacher: np.ndarray, temperature: float
+) -> LossOutput:
+    """`distill` on the logits divided by T, `scaled`, and checked labels `y`."""
+    if teacher.shape != (scaled.shape[1],) * 2:
+        raise InvalidInputError(
+            f"logits of shape {scaled.shape} do not match a teacher table of "
+            f"shape {teacher.shape}"
+        )
+    p_soft = _softmax(scaled)
+    q = teacher[y]
+    value = -temperature**2 * np.sum(q * np.log(np.maximum(p_soft, P_FLOOR)), axis=1)
+    grad = np.subtract(p_soft, q, out=p_soft)
+    grad *= temperature
+    return LossOutput(value=value, grad_logits=grad, p_target=None)
+
+
 def distill(
     logits: np.ndarray, labels, teacher: np.ndarray, temperature: float
 ) -> LossOutput:
@@ -310,18 +350,9 @@ def distill(
     cross-entropy -T^2 * sum_i q_i log p_i and the exact logit gradient is
     T * (p - q); minimized over the logits exactly when p equals q.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    p_soft = softmax_stable(z / temperature)
-    if teacher.shape != (p_soft.shape[1],) * 2:
-        raise InvalidInputError(
-            f"logits of shape {z.shape} do not match a teacher table of "
-            f"shape {teacher.shape}"
-        )
-    q = teacher[_check_labels(labels, p_soft.shape)]
-    value = -temperature**2 * np.sum(q * np.log(np.maximum(p_soft, P_FLOOR)), axis=1)
-    return LossOutput(
-        value=value, grad_logits=temperature * (p_soft - q), p_target=None
-    )
+    scaled = _finite_rows(np.asarray(logits, dtype=np.float64) / temperature)
+    y = _check_labels(labels, scaled.shape)
+    return _distill(scaled, y, teacher, temperature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,19 +369,25 @@ class Objective:
     temperature: float = 1.0
 
     def rows(self, logits: np.ndarray, labels) -> LossOutput:
-        """Per-row values, [n, C] logit gradients and p_t of the combined loss."""
+        """Per-row values, [n, C] logit gradients and p_t of the combined loss.
+
+        The logits and labels are checked once, and both terms come from the
+        kernels of `weighted_ce` and `distill`; beta times the distillation
+        gradient is added to the classification gradient in place.
+        """
         cfg = self.config
-        cls = weighted_ce(
-            logits, labels, self.cls_kind,
-            alpha=cfg.alpha, gamma=cfg.gamma, mu=cfg.mu, sigma=cfg.sigma,
+        z = _finite_rows(logits)
+        y = _check_labels(labels, z.shape)
+        cls = _weighted_ce(
+            _softmax(z), y, self.cls_kind, cfg.alpha, cfg.gamma, cfg.mu, cfg.sigma
         )
         if self.teacher is None:
             return cls
-        reg = distill(logits, labels, self.teacher, self.temperature)
+        reg = _distill(z / self.temperature, y, self.teacher, self.temperature)
+        grad = cls.grad_logits
+        grad += np.multiply(reg.grad_logits, cfg.beta, out=reg.grad_logits)
         return LossOutput(
-            value=cls.value + cfg.beta * reg.value,
-            grad_logits=cls.grad_logits + cfg.beta * reg.grad_logits,
-            p_target=cls.p_target,
+            value=cls.value + cfg.beta * reg.value, grad_logits=grad, p_target=cls.p_target
         )
 
 

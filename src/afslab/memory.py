@@ -43,17 +43,15 @@ def reservoir_update(
     the fill point takes one draw, in offer order, and when two offers of
     the batch land on the same slot the later one wins.
     """
-    tots = buffer.tot + np.arange(len(uids))
-    slots = tots.copy()
-    full = tots >= buffer.capacity
-    if full.any():
-        slots[full] = rng.integers(0, tots[full] + 1)
-    rows = np.flatnonzero(slots < buffer.capacity)
-    if len(rows) > 1:
-        # keep each slot's last offer: unique over the reversed order finds it
-        _, last = np.unique(slots[rows][::-1], return_index=True)
-        rows = rows[len(rows) - 1 - last]
-    buffer.uids[slots[rows]] = uids[rows]
+    tot, capacity = buffer.tot, buffer.capacity
+    free = min(len(uids), max(capacity - tot, 0))
+    buffer.uids[tot : tot + free] = uids[:free]
+    if free < len(uids):
+        # one draw per remaining offer, all in one call: offer tot + i draws from [0, tot + i]
+        slots = rng.integers(0, np.arange(tot + free, tot + len(uids)) + 1)
+        for slot, uid in zip(slots.tolist(), uids[free:].tolist()):
+            if slot < capacity:
+                buffer.uids[slot] = uid  # in offer order, so a later offer wins its slot
     buffer.tot += len(uids)
 
 

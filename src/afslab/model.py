@@ -5,9 +5,10 @@ and flow through stored forward traces, so every update is reproducible and
 testable against finite differences without any autodiff machinery.
 
 A training loop owns one `Workspace`, which is also the trace of its last
-forward pass: `forward` writes every layer's values into its buffers and
-returns it, and `backward` writes the deltas, masks and gradients into the
-same workspace instead of allocating. `Gradients.scale` and `sgd_step` work
+forward pass: `forward` writes each layer's output into one buffer per
+layer (a hidden layer's ReLU over its pre-activation) and returns it, and
+`backward` writes the deltas, masks and gradients into the same workspace
+instead of allocating. `Gradients.scale` and `sgd_step` work
 in place, so a step allocates no activation, gradient or parameter arrays.
 Without a workspace, `forward` writes into a fresh one of its own.
 `sgd_step` always updates the state it is given; callers that must keep a
@@ -86,15 +87,16 @@ class Workspace:
     """Buffers reused by every training step of one loop; the trace of its
     last forward pass.
 
-    Per layer it holds the pre-activations, and per hidden layer the
-    activations, the back-propagated deltas and the ReLU masks, each
+    Per layer it holds one output buffer: a hidden layer's ReLU, written
+    over its pre-activation, or the head's logits. Per hidden layer it also
+    holds the back-propagated deltas and the ReLU masks. Each is
     [rows, width]; a pass of `n` rows uses their leading `[:n]` rows.
-    Forward passes grow the pre-activation and activation buffers to the
-    largest batch they have seen, backward passes the delta and mask
-    buffers, so a workspace used only for forward passes holds no backward
-    buffers. A forward pass also records its `input` and `n`. One
-    `Gradients` receives every backward pass. Logits and gradients read
-    from a workspace are valid only until its next forward or backward pass.
+    Forward passes grow the output buffers to the largest batch they have
+    seen, backward passes the delta and mask buffers, so a workspace used
+    only for forward passes holds no backward buffers. A forward pass also
+    records its `input` and `n`. One `Gradients` receives every backward
+    pass. Logits and gradients read from a workspace are valid only until
+    its next forward or backward pass.
     """
 
     def __init__(self) -> None:
@@ -103,7 +105,6 @@ class Workspace:
         self.backward_rows = 0
         self.input = np.empty((0, 0))
         self.n = 0  # rows of the last forward pass
-        self.pre: list[np.ndarray] = []
         self.act: list[np.ndarray] = []
         self.delta: list[np.ndarray] = []
         self.mask: list[np.ndarray] = []
@@ -112,7 +113,7 @@ class Workspace:
     @property
     def logits(self) -> np.ndarray:
         """[n, C] logits of the last forward pass."""
-        return self.pre[-1][: self.n]
+        return self.act[-1][: self.n]
 
     def _fit(self, state: NetworkState, rows: int, backward: bool = False) -> None:
         """(Re)allocate for the state's widths and at least `rows` rows.
@@ -134,8 +135,7 @@ class Workspace:
             self.mask = [np.empty((rows, w), dtype=bool) for w in hidden]
         if not backward and rows > self.rows:
             self.rows = rows
-            self.pre = [np.empty((rows, w)) for w in widths[1:]]
-            self.act = [np.empty((rows, w)) for w in hidden]
+            self.act = [np.empty((rows, w)) for w in widths[1:]]
 
 
 def init_network(spec: NetworkSpec) -> NetworkState:
@@ -170,10 +170,10 @@ def forward(
     workspace._fit(state, n)
     workspace.input, workspace.n = a, n
     for i, (w, b) in enumerate(zip(state.weights, state.biases)):
-        z = np.matmul(a, w.T, out=workspace.pre[i][:n])
-        z += b
-        if i < len(workspace.act):
-            a = np.maximum(z, 0.0, out=workspace.act[i][:n])
+        a = np.matmul(a, w.T, out=workspace.act[i][:n])
+        a += b
+        if i < len(state.weights) - 1:
+            np.maximum(a, 0.0, out=a)  # ReLU over the pre-activation
     return workspace
 
 
@@ -207,7 +207,8 @@ def backward(state: NetworkState, trace: Workspace, grad_logits: np.ndarray) -> 
         grads.weights[layer] = np.matmul(delta.T, a_in, out=grads.weights[layer])
         grads.biases[layer] = np.sum(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            live = np.greater(trace.pre[layer - 1][:n], 0.0, out=masks[layer - 1])
+            # the ReLU is positive exactly where its pre-activation was
+            live = np.greater(a_in, 0.0, out=masks[layer - 1])
             delta = np.matmul(delta, state.weights[layer], out=deltas[layer - 1])
             delta = np.multiply(delta, live, out=deltas[layer - 1])
     return grads
@@ -244,12 +245,12 @@ def score_rows(
     gathered all at once: SCORE_CHUNK_ROWS at a time they are copied into
     one reused input buffer and go through `forward` in one forward-only
     `Workspace`, and each chunk's logits are copied into the one returned
-    array. Beyond that array the peak is one chunk: its input rows plus a
-    pre-activation and an activation row per hidden layer, i.e. chunk rows
-    x (fan_in + 2 x hidden widths + C) floats, about 4.4 MB at the pinned
-    32 -> 512 -> 10 widths. Each row's logits match an unchunked `forward`
-    to float rounding; with OpenBLAS they were bit for bit equal for chunks
-    of 512 rows or more, so `SCORE_CHUNK_ROWS` is the least of those.
+    array. Beyond that array the peak is one chunk: its input rows plus one
+    output row per layer, i.e. chunk rows x (fan_in + hidden widths + C)
+    floats, about 2.3 MB at the pinned 32 -> 512 -> 10 widths. Each row's
+    logits match an unchunked `forward` to float rounding; with OpenBLAS
+    they were bit for bit equal for chunks of 512 rows or more, so
+    `SCORE_CHUNK_ROWS` is the least of those.
     """
     features = np.asarray(features)
     if features.ndim != 2:

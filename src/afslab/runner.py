@@ -17,12 +17,15 @@ so a job carries nothing from another.
 `run_jobs` takes the jobs of any mix of configs and loads each config's
 data once, in this process, and checks each config against it. Then it
 runs them on workers forked by `sidecar.Helpers` that inherit that data
-unpickled, one per CPU this process may use (`os.sched_getaffinity`),
-each held to one OpenBLAS thread; with one CPU they run here. A free
-worker reads the next job index from one shared pipe. One BLAS thread
-sums some products in another order, which moves the
-`mean_weight_*`/`mean_logit_*` diagnostics of a 784-pixel image stream by
-at most 1.3e-15; all else is identical.
+unpickled, one per CPU this process may use (`os.sched_getaffinity`);
+with one CPU they run here. A free worker reads the next job index from
+one shared pipe. Each worker runs one OpenBLAS thread: `run_jobs` pins
+OpenBLAS to one thread just before the workers fork and restores its own
+count once they are reaped. (OpenBLAS stops its threads in a forked
+child, and a child that set its count itself would start a new thread
+that spins before it sleeps.) One BLAS thread sums some products in
+another order, which moves the `mean_weight_*`/`mean_logit_*` diagnostics
+of a 784-pixel image stream by at most 1.3e-15; all else is identical.
 `run_jobs` also decides whether `run_stream` forks its helpers (`sidecar`):
 only on the pool, and only when no job waits for a worker, so that the
 helpers take the CPU time a job's one BLAS thread leaves. A full pool, and
@@ -36,6 +39,7 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -252,28 +256,36 @@ def assemble(config: ExperimentConfig, run_index: int, results: dict) -> dict:
     return out
 
 
-# Names of the OpenBLAS set-thread-count function across builds.
-OPENBLAS_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
+# Names of the OpenBLAS thread-count functions across builds, "{}" get or set.
+OPENBLAS_THREAD_COUNTS = ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                          "scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
 
 
-def _pin_blas_to_one_thread(maps_path: str = "/proc/self/maps") -> None:
-    """Cap the OpenBLAS libraries named in this process's memory map at one thread."""
+def _pin_blas_to_one_thread(maps_path: str = "/proc/self/maps"):
+    """Cap the OpenBLAS library named in this process's memory map at one thread.
+
+    Returns a call that restores the thread count it had, or None when no
+    OpenBLAS is mapped.
+    """
     import ctypes
 
     try:
         with open(maps_path, encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line}
     except OSError:
-        return
+        return None
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
-        for name in OPENBLAS_SETTERS:
-            fn = getattr(handle, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                fn(1)
-                return
+        for name in OPENBLAS_THREAD_COUNTS:
+            get = getattr(handle, name.format("get"), None)
+            set_ = getattr(handle, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                previous = get()
+                set_(1)
+                return partial(set_, previous)
+    return None
 
 
 def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
@@ -300,7 +312,6 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
 
     def work() -> list[tuple[int, object]]:
         os.close(queue_in)  # else the queue never reaches its end
-        _pin_blas_to_one_thread()
         done = []
         while index := os.read(queue_out, 4):
             i = int.from_bytes(index, "little")
@@ -311,17 +322,22 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
         return done
 
     results: dict[int, object] = {}
-    with Helpers(True) as helpers:
-        # fork first: written first, more indices than a pipe buffer holds block
-        pending = [helpers.call(work) for _ in range(workers)]
-        os.close(queue_out)
-        # the method passes are the long ones, so they start first
-        order = sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method")
-        with suppress(BrokenPipeError), open(queue_in, "wb") as queue:  # all workers died
-            queue.write(b"".join(i.to_bytes(4, "little") for i in order))
-        for done in pending:
-            with suppress(RunFailedError):  # a dead worker; its results count as missing
-                results.update(done())
+    restore_blas = _pin_blas_to_one_thread()  # before the fork (module docstring)
+    try:
+        with Helpers(True) as helpers:
+            # fork first: written first, more indices than a pipe buffer holds block
+            pending = [helpers.call(work) for _ in range(workers)]
+            os.close(queue_out)
+            # the method passes are the long ones, so they start first
+            order = sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method")
+            with suppress(BrokenPipeError), open(queue_in, "wb") as queue:  # all workers died
+                queue.write(b"".join(i.to_bytes(4, "little") for i in order))
+            for done in pending:
+                with suppress(RunFailedError):  # a dead worker; its results count as missing
+                    results.update(done())
+    finally:
+        if restore_blas is not None:
+            restore_blas()
     for i in range(len(jobs)):
         if i not in results:
             missing = dict.fromkeys(job.name for k, job in enumerate(jobs) if k not in results)

@@ -7,7 +7,10 @@ boundary. Whether they fork is the caller's choice (`runner.run_jobs` makes
 it from its job list). Forked, the schedule runs in one child that sends
 its items through a pipe, `CHUNK_STEPS` to a message, and each scoring call
 runs in a child of its own on a copy-on-write snapshot of the state. Not
-forked, both run in this process, in order, so a profiler sees them.
+forked, both run in this process, in order, so a profiler sees them. Only
+the schedule's pipe is grown (`STREAM_PIPE_BYTES`); `call` pipes keep the
+default size, so that many pool workers cannot use up the user's pipe
+pages.
 
 Each child closes the pipes of the other helpers, so a pipe ends as soon as
 its own child does, and leaving the `with` block kills and reaps every
@@ -21,10 +24,14 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+from contextlib import suppress
 
 from .errors import RunFailedError
 
 CHUNK_STEPS = 32  # schedule items per pipe message
+# The schedule's pipe, where the host allows, holds a whole message: about
+# 845 KB for 32 steps of 100 replay rows with [100, 32] jitter.
+STREAM_PIPE_BYTES = 1 << 20
 
 
 def _send(out, kind: str, value) -> None:
@@ -77,7 +84,7 @@ class Helpers:
                 raise
             _send(out, "done", chunk)
 
-        pid = self._fork(send_chunks)
+        pid = self._fork(send_chunks, STREAM_PIPE_BYTES)
         while True:
             kind, chunk = self._receive(pid)
             yield from chunk
@@ -92,8 +99,21 @@ class Helpers:
         pid = self._fork(lambda out: _send(out, "done", fn()))
         return lambda: self._receive(pid)[1]
 
-    def _fork(self, body) -> int:
+    def _fork(self, body, pipe_bytes: int = 0) -> int:
+        """Fork a child that runs `body` on the write end of a new pipe.
+
+        A nonzero `pipe_bytes` asks for a pipe buffer that large; where the
+        host refuses (`pipe-max-size`, the user's pipe pages) or has no
+        `F_SETPIPE_SZ`, the pipe keeps its default size.
+        """
         read_end, write_end = os.pipe()
+        if pipe_bytes:
+            import fcntl  # here, so that a process that forks no stream never loads it
+
+            set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
+            if set_size is not None:
+                with suppress(OSError):
+                    fcntl.fcntl(write_end, set_size, pipe_bytes)
         pid = os.fork()
         if pid == 0:  # child: never returns
             code = 1

@@ -6,7 +6,15 @@ import tracemalloc
 import numpy as np
 
 from afslab.errors import InvalidInputError
-from afslab.losses import BIN_WIDTH, NUM_BINS, MuValue, make_objective
+from afslab.losses import (
+    BIN_WIDTH,
+    NUM_BINS,
+    LossOutput,
+    MuValue,
+    distill,
+    make_objective,
+    weighted_ce,
+)
 from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
@@ -80,13 +88,11 @@ def per_sample_step(state, features, labels, objective, lr):
     return state
 
 
-def allocating_step(state, features, labels, objective, lr):
-    """Reference for trainer.sgd_on_batch: the step before the workspace.
+def reference_forward(state, features):
+    """Reference for model.forward: separate pre-activation and activation arrays.
 
-    A batched forward and backward that allocate every activation, delta
-    and gradient, then a scale and an update that build new arrays, in the
-    same arithmetic order: g * (1/n), then lr * that, then w - that.
-    Returns a new state; `state` is untouched.
+    Returns each layer's input and each layer's pre-activation, the last of
+    which is the logits; the ReLU of a hidden layer is a new array.
     """
     a = np.asarray(features, dtype=np.float64)
     inputs, pre = [], []
@@ -95,7 +101,38 @@ def allocating_step(state, features, labels, objective, lr):
         z = a @ w.T + b
         pre.append(z)
         a = np.maximum(z, 0.0)
-    delta = objective.rows(pre[-1], labels).grad_logits
+    return inputs, pre
+
+
+def summed_rows(objective, logits, labels):
+    """Reference for Objective.rows: `weighted_ce` plus beta times `distill`,
+    each called on its own and summed into new arrays."""
+    cfg = objective.config
+    cls = weighted_ce(
+        logits, labels, objective.cls_kind,
+        alpha=cfg.alpha, gamma=cfg.gamma, mu=cfg.mu, sigma=cfg.sigma,
+    )
+    if objective.teacher is None:
+        return cls
+    reg = distill(logits, labels, objective.teacher, objective.temperature)
+    return LossOutput(
+        value=cls.value + cfg.beta * reg.value,
+        grad_logits=cls.grad_logits + cfg.beta * reg.grad_logits,
+        p_target=cls.p_target,
+    )
+
+
+def allocating_step(state, features, labels, objective, lr):
+    """Reference for trainer.sgd_on_batch: the step before the workspace.
+
+    A batched forward (`reference_forward`), the loss terms called apart
+    (`summed_rows`), and a backward that allocates every delta and
+    gradient and masks by the pre-activation; then a scale and an update
+    that build new arrays, in the same arithmetic order: g * (1/n), then
+    lr * that, then w - that. Returns a new state; `state` is untouched.
+    """
+    inputs, pre = reference_forward(state, features)
+    delta = summed_rows(objective, pre[-1], labels).grad_logits
     weights, biases = [], []
     for layer in range(len(state.weights) - 1, -1, -1):
         weights.append(delta.T @ inputs[layer])

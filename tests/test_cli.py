@@ -775,6 +775,29 @@ class TestPinBlas:
         jobs = [Job(config, 0, "method"), Job(config, 0, "reference"), Job(config, 1, "method")]
         assert runner.run_jobs(jobs) == {job: 1 for job in jobs}
 
+    def test_pool_workers_run_one_os_thread(self, monkeypatch):
+        # a worker that set its own BLAS count would start a BLAS thread
+        if blas_threads() is None:
+            pytest.skip("NumPy is not linked against OpenBLAS")
+        monkeypatch.setattr(
+            runner, "_run_job", lambda job, inputs, forked: len(os.listdir("/proc/self/task"))
+        )
+        allow_cpus(monkeypatch, 2)
+        config = micro_experiment(runs=2)
+        jobs = [Job(config, 0, "method"), Job(config, 0, "reference"), Job(config, 1, "method")]
+        np.ones((256, 256)) @ np.ones((256, 256))  # a product large enough to wake BLAS's threads
+        assert len(os.listdir("/proc/self/task")) == blas_threads()
+        assert runner.run_jobs(jobs) == {job: 1 for job in jobs}
+
+    def test_pool_restores_the_callers_blas_threads(self, monkeypatch):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("NumPy is not linked against OpenBLAS")
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: None)
+        allow_cpus(monkeypatch, 2)
+        runner.run_jobs(runner.jobs_for(micro_experiment(runs=2)))
+        assert blas_threads() == before
+
     def test_silent_without_openblas(self, tmp_path):
         maps = tmp_path / "maps"
         maps.write_text(

@@ -18,7 +18,7 @@ from afslab.model import (
     score_rows,
     sgd_step,
 )
-from helpers import central_difference, traced_peak
+from helpers import central_difference, reference_forward, traced_peak
 
 
 def zero_gradients(state):
@@ -78,7 +78,6 @@ class TestForward:
         state = tiny_state()
         trace = forward(state, np.array([[2.0, 1.0]]))
         # pre-relu hidden: [2, 0.5, 1]; all positive so relu passes them
-        assert_allclose(trace.pre[0][0], [2.0, 0.5, 1.0])
         assert_allclose(trace.act[0][0], [2.0, 0.5, 1.0])
         assert_allclose(trace.logits[0], [2.6, 2.0])
 
@@ -142,6 +141,26 @@ class TestScoreRows:
         assert_allclose(got, expected, rtol=0, atol=1e-12)
         every = score_rows(state, features[:count])
         assert_allclose(every, forward(state, features[:count]).logits, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        count=st.integers(1, 2 * SCORE_CHUNK_ROWS + 7),
+        hidden=st.sampled_from([(), (13,), (13, 9)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logits_are_byte_equal_to_the_reference_forward(self, count, hidden, seed):
+        # one ReLU buffer per layer against separate pre-activation and
+        # activation arrays, chunk by chunk: BLAS may sum a larger batch in
+        # another order, which the test above allows for
+        rng = np.random.default_rng(seed)
+        state = init_network(NetworkSpec((7, *hidden, 5), seed=seed % 97))
+        features = rng.normal(0.0, 2.0, size=(self.POOL, 7))
+        rows = rng.integers(0, self.POOL, size=count)
+        got = score_rows(state, features, rows)
+        for start in range(0, count, SCORE_CHUNK_ROWS):
+            chunk = rows[start : start + SCORE_CHUNK_ROWS]
+            expected = reference_forward(state, features[chunk])[1][-1]
+            assert got[start : start + len(chunk)].tobytes() == expected.tobytes()
 
     def test_rejects_bad_rows_and_features(self):
         state = tiny_state()

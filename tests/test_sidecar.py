@@ -4,6 +4,7 @@ Every test here runs under a hard SIGALRM timeout: a helper left blocked
 on a pipe would otherwise hang the suite instead of failing it.
 """
 
+import fcntl
 import os
 import signal
 import time
@@ -14,7 +15,7 @@ import pytest
 from afslab import trainer
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.model import NetworkSpec, init_network
-from afslab.sidecar import CHUNK_STEPS, Helpers
+from afslab.sidecar import CHUNK_STEPS, STREAM_PIPE_BYTES, Helpers
 from afslab.stream import gen_synthetic, split_tasks, task_streams, task_test_sets
 from afslab.trainer import AFS, TrainConfig, run_stream
 
@@ -95,8 +96,9 @@ class TestNoChildLeftBehind:
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
     def test_when_the_trainer_raises_mid_run(self, forked, monkeypatch):
         # task 2 fails once task 1's scorer is out and while the schedule
-        # is blocked on a full pipe: 20 x 32 floats of jitter per step
-        inputs = small_run(dim=32, per_class=200)
+        # is blocked on a full pipe: 20 x 32 floats of jitter per step, and
+        # task 2's 500 steps are more than a pipe grown to 1 MiB holds
+        inputs = small_run(dim=32, per_class=1000)
         first_task_steps = len(inputs[2][0])
         real_step = trainer.sgd_on_batch
         calls = []
@@ -137,3 +139,20 @@ def test_scorer_holds_no_other_helper_pipe():
         assert schedule_pipe.startswith("pipe:") and schedule_pipe not in scorer_files
     assert_no_children()
 
+
+
+def test_stream_messages_larger_than_a_default_pipe_arrive_in_order():
+    # a message of CHUNK_STEPS items of 8 KB is 256 KB, four default 64 KiB pipes
+    count = 3 * CHUNK_STEPS + 5
+    with open("/proc/sys/fs/pipe-max-size", encoding="utf-8") as fh:
+        grows = int(fh.read()) >= STREAM_PIPE_BYTES
+    with Helpers(True) as helpers:
+        plan = helpers.stream(lambda: ((i, np.full(1024, float(i))) for i in range(count)))
+        got = [next(plan)]
+        (reader,) = helpers._readers.values()
+        if grows:
+            assert fcntl.fcntl(reader.fileno(), fcntl.F_GETPIPE_SZ) == STREAM_PIPE_BYTES
+        got += list(plan)
+    assert [i for i, _ in got] == list(range(count))
+    assert all(np.array_equal(row, np.full(1024, float(i))) for i, row in got)
+    assert_no_children()

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from afslab.errors import InvalidConfigError, InvalidInputError
-from afslab.losses import CLS_KINDS, REG_KINDS, LossConfig, distill, teacher_table, weighted_ce
+from afslab.losses import (
+    CLS_KINDS,
+    P_FLOOR,
+    REG_KINDS,
+    LossConfig,
+    distill,
+    teacher_table,
+    weighted_ce,
+)
 from afslab.memory import MemoryBuffer, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
 from afslab.runner import ExperimentConfig, jobs_for, run_jobs
@@ -36,6 +44,7 @@ from helpers import (
     interleaved_run_stream,
     max_param_diff,
     per_sample_step,
+    reference_forward,
     review_pass,
     traced_peak,
 )
@@ -452,6 +461,54 @@ class TestWorkspaceStepMatchesAllocating:
             assert_states_equal(copied, reference)
         assert workspace.rows == max(self.SIZES)
         assert max_param_diff(stepped, init_network(spec)) > 1e-3  # it trained
+
+
+class TestStepBitIdentity:
+    """`sgd_on_batch` against the reference formulation, byte for byte.
+
+    The reference (`helpers.allocating_step`) keeps a pre-activation array
+    apart from each ReLU and calls `weighted_ce` and `distill` apart,
+    summing beta times the second into a new array; the step writes each
+    ReLU over its pre-activation and folds both terms into one objective
+    pass. Some rows are scaled up and labelled with their least likely
+    class, so their p_t lies below P_FLOOR.
+    """
+
+    C, D = 5, 6
+
+    @pytest.mark.parametrize("reg_kind", REG_KINDS)
+    @pytest.mark.parametrize("cls_kind", CLS_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hidden=st.sampled_from([(), (13,), (13, 9)]),
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        far_rows=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_steps_are_byte_identical(self, cls_kind, reg_kind, hidden, sizes, far_rows, seed):
+        rng = np.random.default_rng(seed)
+        cfg = LossConfig(beta=0.5, temperature=4.0, alpha=1.0)
+        objective = make_objective(cls_kind, reg_kind, cfg, self.C)
+        stepped = init_network(NetworkSpec((self.D, *hidden, self.C), seed=seed % 89))
+        reference, workspace = stepped.copy(), Workspace()
+        for n in sizes:
+            x = rng.normal(0.0, 1.0, size=(n, self.D))
+            y = rng.integers(0, self.C, size=n)
+            far = slice(0, min(far_rows, n))
+            x[far] *= 100.0
+            y[far] = np.argmin(reference_forward(reference, x[far])[1][-1], axis=1)
+            sgd_on_batch(stepped, x, y, objective, 0.05, workspace)
+            reference = allocating_step(reference, x, y, objective, 0.05)
+            for got, expected in zip(stepped.weights + stepped.biases,
+                                     reference.weights + reference.biases):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_rows_below_the_floor_are_covered(self):
+        state = init_network(NetworkSpec((self.D, 13, self.C), seed=0))
+        x = 100.0 * np.random.default_rng(0).normal(size=(40, self.D))
+        logits = reference_forward(state, x)[1][-1]
+        p_t = weighted_ce(logits, np.argmin(logits, axis=1)).p_target
+        assert np.count_nonzero(p_t < P_FLOOR) > len(p_t) / 2
 
 
 class TestLoopsLeaveCallerStateUnchanged:
