@@ -26,10 +26,18 @@ child, and a child that set its count itself would start a new thread
 that spins before it sleeps.) One BLAS thread sums some products in
 another order, which moves the `mean_weight_*`/`mean_logit_*` diagnostics
 of a 784-pixel image stream by at most 1.3e-15; all else is identical.
-`run_jobs` also decides whether `run_stream` forks its helpers (`sidecar`):
-only on the pool, and only when no job waits for a worker, so that the
-helpers take the CPU time a job's one BLAS thread leaves. A full pool, and
-`taskset -c 0`, leave none, so there they run in the job's process.
+`run_jobs` also places the jobs and decides where `run_stream` runs its
+helpers (`sidecar`). Only on the pool, and only when no job waits for a
+worker, do the helpers fork, so that they take CPU time no job uses; a full
+pool, and `taskset -c 0`, leave none, so there they run in the job's
+process. When they fork, each worker places itself as it takes a job: the
+k-th method pass in queue order runs alone on the k-th CPU this process may
+use, and every other pass, and every helper a method pass forks, runs on
+the CPUs no method pass holds. (A recipe's reference pass is a job of its
+own, so a CPU is always left for them.) A run's trainer is its one serial
+chain, so its helpers and its reference pass take no time from it. The
+parent keeps its own CPUs, and a host that refuses a CPU set leaves the
+process unpinned.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from .metrics import (
     average_intransigence,
 )
 from .model import NetworkSpec, init_network
-from .sidecar import Helpers, _portable
+from .sidecar import Helpers, _portable, pin
 from .stream import (
     Dataset,
     TaskSplit,
@@ -189,8 +197,12 @@ def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
         check_augment(config.augment, inputs.train_ds.features.shape[1])
 
 
-def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
-    """One pass of one run; returns the plain values its record needs."""
+def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> dict:
+    """One pass of one run; returns the plain values its record needs.
+
+    A method pass forks its helpers onto `helper_cpus`, or runs them here
+    when None.
+    """
     config, run_index, part = job
     method = parse_method(config.method)
     train_ds, split, tests = inputs
@@ -212,7 +224,8 @@ def _run_job(job: Job, inputs: _Inputs, forked: bool) -> dict:
             per_task = [evaluate(state, ts) for ts in tests]
             return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         record = run_stream(
-            init_network(spec), train_ds, streams, tests, config, method, trainer_seed, forked
+            init_network(spec), train_ds, streams, tests, config, method, trainer_seed,
+            helper_cpus,
         )
         return {
             "matrix": record.accuracy_matrix.rows,
@@ -304,10 +317,20 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
         split = split_tasks(train_ds, config.num_tasks)
         loaded[config] = _Inputs(train_ds, split, task_test_sets(test_ds, split))
         _check_inputs(config, loaded[config])
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    cpus = sorted(os.sched_getaffinity(0))
+    workers = min(len(jobs), len(cpus))
     if workers < 2:
-        return {job: _run_job(job, loaded[job.config], False) for job in jobs}
-    forked = len(jobs) <= workers  # every job has a worker, so helpers get idle CPU time
+        return {job: _run_job(job, loaded[job.config], None) for job in jobs}
+    # the method passes are the long ones, so they start first
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method")
+    places: dict[int, frozenset[int]] = {}  # job index -> the CPUs it runs on
+    helper_cpus = None
+    if len(jobs) <= workers:  # every job has a worker, so helpers get idle CPU time
+        trainers = [i for i in order if jobs[i].part == "method"]
+        helper_cpus = frozenset(cpus[len(trainers):]) or None  # None: no recipe, no helper
+        if helper_cpus:
+            places = dict.fromkeys(range(len(jobs)), helper_cpus)
+            places.update((i, frozenset([cpus[k]])) for k, i in enumerate(trainers))
     queue_out, queue_in = os.pipe()  # job indices, 4 bytes each; a free worker reads the next
 
     def work() -> list[tuple[int, object]]:
@@ -315,8 +338,10 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
         done = []
         while index := os.read(queue_out, 4):
             i = int.from_bytes(index, "little")
+            if places:
+                pin(places[i])
             try:
-                done.append((i, _run_job(jobs[i], loaded[jobs[i].config], forked)))
+                done.append((i, _run_job(jobs[i], loaded[jobs[i].config], helper_cpus)))
             except Exception as exc:
                 done.append((i, _portable(exc)))
         return done
@@ -324,12 +349,11 @@ def run_jobs(jobs: list[Job]) -> dict[Job, dict]:
     results: dict[int, object] = {}
     restore_blas = _pin_blas_to_one_thread()  # before the fork (module docstring)
     try:
-        with Helpers(True) as helpers:
-            # fork first: written first, more indices than a pipe buffer holds block
-            pending = [helpers.call(work) for _ in range(workers)]
+        with Helpers(frozenset(cpus)) as helpers:
+            # fork first: written first, more indices than a pipe buffer holds block;
+            # a worker starts on this process's CPUs and places itself per job
+            pending = [helpers.call(work, pinned=False) for _ in range(workers)]
             os.close(queue_out)
-            # the method passes are the long ones, so they start first
-            order = sorted(range(len(jobs)), key=lambda i: jobs[i].part != "method")
             with suppress(BrokenPipeError), open(queue_in, "wb") as queue:  # all workers died
                 queue.write(b"".join(i.to_bytes(4, "little") for i in order))
             for done in pending:

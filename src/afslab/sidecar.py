@@ -1,16 +1,19 @@
 """Forked children that hand back a value: every process afslab forks.
 
-`runner.run_jobs` forks its pool workers as `Helpers(True).call`s, and
+`runner.run_jobs` forks its pool workers as unpinned `Helpers.call`s, and
 `run_stream` hands a `Helpers` two kinds of work that never change the
 model: the replay schedule (a generator) and one scoring call per task
-boundary. Whether they fork is the caller's choice (`runner.run_jobs` makes
-it from its job list). Forked, the schedule runs in one child that sends
-its items through a pipe, `CHUNK_STEPS` to a message, and each scoring call
-runs in a child of its own on a copy-on-write snapshot of the state. Not
-forked, both run in this process, in order, so a profiler sees them. Only
-the schedule's pipe is grown (`STREAM_PIPE_BYTES`); `call` pipes keep the
-default size, so that many pool workers cannot use up the user's pipe
-pages.
+boundary. `Helpers(cpus)` forks a child for each and pins it to the CPU set
+`cpus` (`os.sched_setaffinity`), unless a call asks to stay on this
+process's CPUs; `Helpers(None)` forks nothing. Which, and where, is the
+caller's choice (`runner.run_jobs` makes it from its job list). Forked, the
+schedule runs in one child that sends its items through a pipe,
+`CHUNK_STEPS` to a message, and each scoring call runs in a child of its
+own on a copy-on-write snapshot of the state. Not forked, both run in this
+process, in order, so a profiler sees them. A child the host will not pin
+(`OSError`) runs where this process runs. Only the schedule's pipe is grown
+(`STREAM_PIPE_BYTES`); `call` pipes keep the default size, so that many
+pool workers cannot use up the user's pipe pages.
 
 Each child closes the pipes of the other helpers, so a pipe ends as soon as
 its own child does, and leaving the `with` block kills and reaps every
@@ -39,6 +42,12 @@ def _send(out, kind: str, value) -> None:
     out.flush()
 
 
+def pin(cpus) -> None:
+    """Run this process on the CPU set `cpus`; where the host refuses, stay unpinned."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _portable(exc: BaseException) -> BaseException:
     """`exc` if it survives a pickle round trip, else a RunFailedError naming it."""
     try:
@@ -49,10 +58,10 @@ def _portable(exc: BaseException) -> BaseException:
 
 
 class Helpers:
-    """The children of one pool or one run, or this process when not `forked`."""
+    """The children of one pool or one run, pinned to `cpus`; this process when None."""
 
-    def __init__(self, forked: bool) -> None:
-        self.forked = forked
+    def __init__(self, cpus: frozenset[int] | None) -> None:
+        self.cpus = cpus
         self._readers: dict[int, object] = {}  # child pid -> read end of its pipe
 
     def __enter__(self) -> Helpers:
@@ -67,7 +76,7 @@ class Helpers:
 
     def stream(self, items):
         """Iterate the generator that `items()` returns, in a child when forked."""
-        if not self.forked:
+        if self.cpus is None:
             yield from items()
             return
 
@@ -91,20 +100,24 @@ class Helpers:
             if kind == "done":
                 return
 
-    def call(self, fn):
-        """A zero-argument function returning `fn()`, which starts now."""
-        if not self.forked:
+    def call(self, fn, pinned: bool = True):
+        """A zero-argument function returning `fn()`, which starts now.
+
+        Forked and not `pinned`, the child stays on this process's CPUs.
+        """
+        if self.cpus is None:
             value = fn()
             return lambda: value
-        pid = self._fork(lambda out: _send(out, "done", fn()))
+        pid = self._fork(lambda out: _send(out, "done", fn()), pinned=pinned)
         return lambda: self._receive(pid)[1]
 
-    def _fork(self, body, pipe_bytes: int = 0) -> int:
+    def _fork(self, body, pipe_bytes: int = 0, pinned: bool = True) -> int:
         """Fork a child that runs `body` on the write end of a new pipe.
 
         A nonzero `pipe_bytes` asks for a pipe buffer that large; where the
         host refuses (`pipe-max-size`, the user's pipe pages) or has no
-        `F_SETPIPE_SZ`, the pipe keeps its default size.
+        `F_SETPIPE_SZ`, the pipe keeps its default size. A `pinned` child
+        moves to `cpus` first.
         """
         read_end, write_end = os.pipe()
         if pipe_bytes:
@@ -121,6 +134,8 @@ class Helpers:
                 os.close(read_end)
                 for reader in self._readers.values():
                     reader.close()
+                if pinned:
+                    pin(self.cpus)
                 with open(write_end, "wb") as out:
                     try:
                         body(out)

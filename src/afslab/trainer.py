@@ -17,10 +17,12 @@ draws (and each task's review order), and the training, which reads those
 rows from the dataset and steps. `run_stream` builds the reservoir empty,
 `config.memory` slots, for each run, and nothing reads it once the run ends.
 At each task boundary the training hands the state of that moment to a
-scorer that runs `evaluate` and the bias diagnostics. With `forked=True`,
-which `runner.run_jobs` passes when every job has a pool worker of its own,
-the schedule and each scorer run in forked helper processes (`sidecar`),
-overlapping the steps; by default they run in this process in the serial
+scorer that runs `evaluate` and the bias diagnostics. Given a CPU set
+`helper_cpus`, which `runner.run_jobs` passes when every job has a pool
+worker of its own, the schedule and each scorer run in forked helper
+processes (`sidecar`) on those CPUs, overlapping the steps; the last task's
+scorer stays on the trainer's CPUs, since from then on the trainer only
+waits for it. By default (None) they run in this process in the serial
 order. Either way every draw and every BLAS call sees the same inputs in the
 same order, so the record is the same.
 
@@ -284,7 +286,7 @@ def run_stream(
     config: TrainConfig,
     recipe: Recipe,
     seed: int,
-    forked: bool = False,
+    helper_cpus: frozenset[int] | None = None,
 ) -> RunRecord:
     """Train one recipe over the task streams (index arrays into `dataset`).
 
@@ -292,8 +294,9 @@ def run_stream(
     `final_state`. The replay schedule, seeded with `seed`, owns the run's
     reservoir: a new, empty `MemoryBuffer` of `config.memory` slots. After
     each task's last step it reviews in the one order the schedule yields
-    for that task; an empty order means no review. `forked` runs the replay
-    schedule and the scoring in helper processes (`sidecar.Helpers`); the
+    for that task; an empty order means no review. A CPU set `helper_cpus`
+    runs the replay schedule and the scoring in helper processes on those
+    CPUs (`sidecar.Helpers`), the last task's scoring on this process's; the
     record is the same either way.
     """
     if len(test_sets) < len(streams):
@@ -309,7 +312,7 @@ def run_stream(
     seen_classes: set[int] = set()
     scores = []  # per finished task, a call returning its `_score`
 
-    with Helpers(forked) as helpers:
+    with Helpers(helper_cpus) as helpers:
         plan = helpers.stream(
             lambda: replay_schedule(memory, dataset, streams, config, recipe, seed)
         )
@@ -336,7 +339,7 @@ def run_stream(
                 scores.append(helpers.call(partial(
                     _score, state, test_sets[:task_number], dataset,
                     seen_classes, new_classes, rows,
-                )))
+                ), pinned=task_number < len(streams)))
                 seen = rows
                 seen_classes |= new_classes
         except AfslabError:

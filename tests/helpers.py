@@ -209,6 +209,20 @@ def augment_image_rows(features, rng):
     return out
 
 
+def image_draws_per_row(rng, k):
+    """Reference for draw_augment(kind="image"): the per-row loop of draws.
+
+    Per row a flip coin, `rng.random() < 0.5`, then the two crop offsets
+    (dy, dx) in one `rng.integers(0, 9, size=2)`.
+    """
+    flips = np.empty(k, dtype=bool)
+    offsets = np.empty((k, 2), dtype=np.int64)
+    for i in range(k):
+        flips[i] = rng.random() < 0.5
+        offsets[i] = rng.integers(0, 9, size=2)
+    return flips, offsets
+
+
 def max_param_diff(a, b):
     """Largest absolute difference over every weight and bias of two states."""
     return max(

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -14,12 +15,17 @@ import pytest
 
 import afslab
 import afslab.runner as runner
+import afslab.trainer as trainer
 from afslab.cli import TABLES, emit_report, main, parse_config, run_experiment
 from afslab.errors import InvalidConfigError, InvalidInputError, RunFailedError
 from afslab.losses import CLS_KINDS, REG_KINDS
 from afslab.metrics import DiagnosticsRecord
+from afslab.model import NetworkSpec, init_network
 from afslab.runner import ExperimentConfig, Job, parse_method
-from afslab.stream import Dataset, write_idx
+from afslab.sidecar import Helpers
+from afslab.stream import (
+    Dataset, gen_synthetic, split_tasks, task_streams, task_test_sets, write_idx,
+)
 from afslab.trainer import AFS, ER, Recipe
 
 MICRO_CONFIG = """
@@ -576,7 +582,7 @@ class TestJobPool:
         # run 1's method pass fails at once and run 0's later: run 0 is named
         run0_trainer_seed = int(np.random.SeedSequence(0).spawn(4)[2].generate_state(1)[0])
 
-        def failing_stream(state, dataset, streams, tests, config, recipe, seed, forked):
+        def failing_stream(state, dataset, streams, tests, config, recipe, seed, helper_cpus):
             if seed == run0_trainer_seed:
                 time.sleep(0.5)
             raise InvalidInputError(f"trainer seed {seed}")
@@ -590,7 +596,7 @@ class TestJobPool:
         # one worker runs the jobs here, in order: none starts after a failure
         started = []
 
-        def failing_job(job, inputs, forked):
+        def failing_job(job, inputs, helper_cpus):
             started.append(job)
             raise RunFailedError(f"{job.name}: failed")
 
@@ -659,7 +665,9 @@ class TestJobPool:
     def test_helpers_fork_only_when_no_job_waits_for_a_worker(
         self, cpus, count, expected, monkeypatch
     ):
-        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: forked)
+        monkeypatch.setattr(
+            runner, "_run_job", lambda job, inputs, helper_cpus: helper_cpus is not None
+        )
         allow_cpus(monkeypatch, cpus)
         jobs = runner.jobs_for(micro_experiment(runs=2))[:count]
         assert runner.run_jobs(jobs) == {job: expected for job in jobs}
@@ -667,7 +675,7 @@ class TestJobPool:
     @pytest.mark.parametrize("runs,expected", [(1, True), (2, False)])
     def test_run_stream_gets_the_fork_decision(self, runs, expected, monkeypatch):
         def failing_stream(*args):
-            raise InvalidInputError(f"forked={args[-1]}")
+            raise InvalidInputError(f"forked={args[-1] is not None}")
 
         monkeypatch.setattr(runner, "run_stream", failing_stream)
         allow_cpus(monkeypatch, 2)
@@ -701,7 +709,7 @@ class TestJobPool:
 
     def test_more_jobs_than_one_pipe_buffer_holds(self, monkeypatch):
         # 20,000 indices of 4 bytes overfill a 64 KiB pipe buffer
-        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: job.run)
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, helper_cpus: job.run)
         allow_cpus(monkeypatch, 2)
         jobs = runner.jobs_for(micro_experiment(runs=10_000))
         results = runner.run_jobs(jobs)
@@ -728,6 +736,92 @@ class TestJobPool:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["[]"]
+
+
+CPUS = sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="placement needs two CPUs")
+class TestPlacement:
+    """Where the pool's workers and a method pass's helpers run, on real CPUs."""
+
+    def test_method_pass_runs_alone_and_its_reference_pass_elsewhere(self, monkeypatch):
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, helper_cpus: (
+            os.sched_getaffinity(0), helper_cpus
+        ))
+        method, reference = runner.jobs_for(micro_experiment(runs=1))
+        results = runner.run_jobs([method, reference])
+        assert results[method] == ({CPUS[0]}, frozenset(CPUS[1:]))
+        assert results[reference] == (set(CPUS[1:]), frozenset(CPUS[1:]))
+
+    def test_nothing_is_pinned_when_a_job_waits_for_a_worker(self, monkeypatch):
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, helper_cpus: (
+            os.sched_getaffinity(0), helper_cpus
+        ))
+        jobs = runner.jobs_for(micro_experiment(runs=len(CPUS)))
+        assert runner.run_jobs(jobs) == {job: (set(CPUS), None) for job in jobs}
+
+    def test_parent_keeps_its_cpus(self):
+        before = os.sched_getaffinity(0)
+        runner.run_jobs(runner.jobs_for(micro_experiment(runs=1)))
+        assert os.sched_getaffinity(0) == before
+
+    def test_refused_pinning_gives_the_same_records(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(errno.EPERM, "not permitted")
+
+        config = micro_experiment(runs=1)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        pooled = run_experiment(config)
+        monkeypatch.undo()
+        allow_cpus(monkeypatch, 1)
+        assert without_wall_time(pooled) == without_wall_time(run_experiment(config))
+
+    def test_helpers_run_on_their_cpus_and_the_last_scorer_with_the_trainer(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "cpus"
+        real_schedule, real_score = trainer.replay_schedule, trainer._score
+
+        def logged(role):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{role} {sorted(os.sched_getaffinity(0))}\n")
+
+        def schedule(*args):
+            logged("schedule")
+            yield from real_schedule(*args)
+
+        def score(state, test_sets, *args):
+            logged(f"score{len(test_sets)}")
+            return real_score(state, test_sets, *args)
+
+        monkeypatch.setattr(trainer, "replay_schedule", schedule)
+        monkeypatch.setattr(trainer, "_score", score)
+        train, test = gen_synthetic(6, 6, 20, 0.5, 0, test_per_class=5)
+        split = split_tasks(train, 3)
+        config = dataclasses.replace(micro_experiment(), memory=30, stream_batch=5)
+        inputs = (
+            init_network(NetworkSpec((6, 8, 6), seed=1)), train,
+            task_streams(train, split, 5, 2), task_test_sets(test, split), config, AFS, 3,
+        )
+        trainer_cpu, helper_cpus = frozenset(CPUS[:1]), frozenset(CPUS[1:])
+        with Helpers(trainer_cpu) as pool:  # a pool worker that holds the first CPU
+            forked = pool.call(lambda: trainer.run_stream(*inputs, helper_cpus))()
+        with pytest.raises(ChildProcessError):  # no helper is left
+            os.waitpid(-1, os.WNOHANG)
+        here = sorted(log.read_text().splitlines())
+        assert here == [
+            f"schedule {sorted(helper_cpus)}", f"score1 {sorted(helper_cpus)}",
+            f"score2 {sorted(helper_cpus)}", f"score3 {sorted(trainer_cpu)}",
+        ]
+        log.unlink()
+        serial = trainer.run_stream(*inputs)
+        assert forked.accuracy_matrix.rows == serial.accuracy_matrix.rows
+        assert forked.diagnostics == serial.diagnostics
+        assert (forked.steps, forked.review_steps) == (serial.steps, serial.review_steps)
+        for x, y in zip(forked.final_state.weights + forked.final_state.biases,
+                        serial.final_state.weights + serial.final_state.biases):
+            assert x.tobytes() == y.tobytes()
 
 
 def blas_threads():
@@ -769,7 +863,7 @@ class TestPinBlas:
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         if blas_threads() is None:
             pytest.skip("NumPy is not linked against OpenBLAS")
-        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: blas_threads())
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, helper_cpus: blas_threads())
         allow_cpus(monkeypatch, 2)
         config = micro_experiment(runs=2)
         jobs = [Job(config, 0, "method"), Job(config, 0, "reference"), Job(config, 1, "method")]
@@ -780,7 +874,7 @@ class TestPinBlas:
         if blas_threads() is None:
             pytest.skip("NumPy is not linked against OpenBLAS")
         monkeypatch.setattr(
-            runner, "_run_job", lambda job, inputs, forked: len(os.listdir("/proc/self/task"))
+            runner, "_run_job", lambda job, inputs, helper_cpus: len(os.listdir("/proc/self/task"))
         )
         allow_cpus(monkeypatch, 2)
         config = micro_experiment(runs=2)
@@ -793,7 +887,7 @@ class TestPinBlas:
         before = blas_threads()
         if before is None:
             pytest.skip("NumPy is not linked against OpenBLAS")
-        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, forked: None)
+        monkeypatch.setattr(runner, "_run_job", lambda job, inputs, helper_cpus: None)
         allow_cpus(monkeypatch, 2)
         runner.run_jobs(runner.jobs_for(micro_experiment(runs=2)))
         assert blas_threads() == before

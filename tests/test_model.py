@@ -162,6 +162,19 @@ class TestScoreRows:
             expected = reference_forward(state, features[chunk])[1][-1]
             assert got[start : start + len(chunk)].tobytes() == expected.tobytes()
 
+    @settings(max_examples=10, deadline=None)
+    @given(count=st.integers(623, 1646), seed=st.integers(0, 2**32 - 1))
+    def test_chunked_logits_agree_with_one_forward_at_the_pinned_widths(self, count, seed):
+        # at the default BLAS thread count one forward over every row may
+        # sum in another order than the chunks: the docstring's tolerance
+        rng = np.random.default_rng(seed)
+        state = init_network(NetworkSpec((32, 512, 10), seed=seed % 97))
+        features = rng.normal(0.0, 1.2, size=(self.POOL, 32))
+        rows = rng.integers(0, self.POOL, size=count)
+        expected = forward(state, features[rows]).logits
+        got = score_rows(state, features, rows)
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+
     def test_rejects_bad_rows_and_features(self):
         state = tiny_state()
         features = np.zeros((4, 2))

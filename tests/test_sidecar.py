@@ -21,6 +21,7 @@ from afslab.trainer import AFS, TrainConfig, run_stream
 
 TIMEOUT_S = 60
 SEED = 3  # the trainer seed of every run here
+CPUS = frozenset(os.sched_getaffinity(0))  # where forked helpers run here
 
 
 @pytest.fixture(autouse=True)
@@ -58,22 +59,22 @@ class TestErrorsCrossTheFork:
         def fail():
             raise InvalidInputError("bad row 3")
 
-        with Helpers(True) as helpers:
+        with Helpers(CPUS) as helpers:
             pending = helpers.call(fail)
             with pytest.raises(InvalidInputError, match=r"^bad row 3$"):
                 pending()
         assert_no_children()
 
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    def test_schedule_error_in_run_stream(self, forked):
+    @pytest.mark.parametrize("helper_cpus", [None, CPUS], ids=["in_process", "forked"])
+    def test_schedule_error_in_run_stream(self, helper_cpus):
         # 8 is no square: the schedule's first image draw raises
         with pytest.raises(InvalidConfigError) as info:
-            run_stream(*small_run(augment="image"), AFS, SEED, forked)
+            run_stream(*small_run(augment="image"), AFS, SEED, helper_cpus)
         assert str(info.value) == "image augmentation needs square features, got 8"
         assert_no_children()
 
     def test_dead_child_raises_run_failed(self):
-        with Helpers(True) as helpers:
+        with Helpers(CPUS) as helpers:
             pending = helpers.call(lambda: os._exit(1))
             with pytest.raises(RunFailedError, match="died with exit code 1"):
                 pending()
@@ -82,19 +83,19 @@ class TestErrorsCrossTheFork:
     def test_dead_scorer_fails_the_run(self, monkeypatch):
         monkeypatch.setattr(trainer, "evaluate", lambda state, test_set: os._exit(1))
         with pytest.raises(RunFailedError, match="helper process .* died"):
-            run_stream(*small_run(), AFS, SEED, forked=True)
+            run_stream(*small_run(), AFS, SEED, helper_cpus=CPUS)
         assert_no_children()
 
 
 class TestNoChildLeftBehind:
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    def test_after_a_run_returns(self, forked):
-        record = run_stream(*small_run(), AFS, SEED, forked)
+    @pytest.mark.parametrize("helper_cpus", [None, CPUS], ids=["in_process", "forked"])
+    def test_after_a_run_returns(self, helper_cpus):
+        record = run_stream(*small_run(), AFS, SEED, helper_cpus)
         assert record.accuracy_matrix.num_tasks == 2
         assert_no_children()
 
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
-    def test_when_the_trainer_raises_mid_run(self, forked, monkeypatch):
+    @pytest.mark.parametrize("helper_cpus", [None, CPUS], ids=["in_process", "forked"])
+    def test_when_the_trainer_raises_mid_run(self, helper_cpus, monkeypatch):
         # task 2 fails once task 1's scorer is out and while the schedule
         # is blocked on a full pipe: 20 x 32 floats of jitter per step, and
         # task 2's 500 steps are more than a pipe grown to 1 MiB holds
@@ -112,7 +113,7 @@ class TestNoChildLeftBehind:
 
         monkeypatch.setattr(trainer, "sgd_on_batch", failing_step)
         with pytest.raises(InvalidInputError, match="step failed"):
-            run_stream(*inputs, AFS, SEED, forked)
+            run_stream(*inputs, AFS, SEED, helper_cpus)
         assert_no_children()
 
 
@@ -130,7 +131,7 @@ def open_files():
 def test_scorer_holds_no_other_helper_pipe():
     # a scorer that kept the schedule's read end open would keep a blocked
     # schedule child from ever seeing its reader go away
-    with Helpers(True) as helpers:
+    with Helpers(CPUS) as helpers:
         plan = helpers.stream(lambda: (np.zeros(1000) for _ in range(10_000)))
         next(plan)
         (reader,) = helpers._readers.values()
@@ -146,7 +147,7 @@ def test_stream_messages_larger_than_a_default_pipe_arrive_in_order():
     count = 3 * CHUNK_STEPS + 5
     with open("/proc/sys/fs/pipe-max-size", encoding="utf-8") as fh:
         grows = int(fh.read()) >= STREAM_PIPE_BYTES
-    with Helpers(True) as helpers:
+    with Helpers(CPUS) as helpers:
         plan = helpers.stream(lambda: ((i, np.full(1024, float(i))) for i in range(count)))
         got = [next(plan)]
         (reader,) = helpers._readers.values()

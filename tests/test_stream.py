@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
+from afslab import stream
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
     Dataset,
     batches,
+    draw_augment,
     gen_synthetic,
     load_idx,
     split_tasks,
@@ -21,7 +23,7 @@ from afslab.stream import (
     write_idx,
 )
 from afslab.trainer import TrainConfig, evaluate, train_offline
-from helpers import augment, augment_image_rows, flip_horizontal, pad_crop
+from helpers import augment, augment_image_rows, flip_horizontal, image_draws_per_row, pad_crop
 
 
 def toy_dataset(n_per_class=6, num_classes=4, dim=3, seed=0):
@@ -331,3 +333,49 @@ class TestAugment:
         rng = np.random.default_rng(3)
         out = augment(rng.random((1, 16)), "image", rng)
         assert out.shape == (1, 16)
+
+
+class TestImageDraws:
+    """`draw_augment("image")` against the per-row loop of draws it replaces."""
+
+    @staticmethod
+    def generators(seed, buffered, bit_generator=np.random.PCG64):
+        """Two generators in one state; `buffered` leaves a 32-bit half in it."""
+        rng = np.random.Generator(bit_generator(seed))
+        rng.choice(50, size=1 if buffered else 2)  # one 32-bit draw per pick
+        ref = np.random.Generator(bit_generator(seed))
+        ref.bit_generator.state = rng.bit_generator.state
+        return rng, ref
+
+    def assert_loop_draws(self, rng, ref, k):
+        flips, offsets = draw_augment("image", (k, 16), rng)
+        expected_flips, expected_offsets = image_draws_per_row(ref, k)
+        assert flips.dtype == expected_flips.dtype and offsets.dtype == expected_offsets.dtype
+        assert_array_equal(flips, expected_flips)
+        assert_array_equal(offsets, expected_offsets)
+        assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
+    @example(k=1, seed=0, buffered=True)
+    @example(k=40, seed=1, buffered=False)
+    def test_one_raw_draw_matches_the_per_row_loop(self, k, seed, buffered):
+        rng, ref = self.generators(seed, buffered)
+        assert rng.bit_generator.state["has_uint32"] == buffered
+        self.assert_loop_draws(rng, ref, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
+    def test_a_rejected_offset_falls_back_to_the_loop(self, k, seed, buffered):
+        rng, ref = self.generators(seed, buffered)
+        before = rng.bit_generator.state
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stream, "_CROP_REJECT", 2**32)  # every offset would be redrawn
+            assert stream._image_draws(rng.bit_generator, k) is None
+            assert rng.bit_generator.state == before
+            self.assert_loop_draws(rng, ref, k)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_other_bit_generators_take_the_loop(self, buffered):
+        rng, ref = self.generators(5, buffered, np.random.MT19937)
+        self.assert_loop_draws(rng, ref, 12)

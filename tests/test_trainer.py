@@ -601,7 +601,9 @@ class TestScheduleMatchesInterleavedLoop:
 
     RECIPES = (AFS, ER, Recipe("fl", "lsr", review=True), Recipe("ce", "vkd", review=False))
 
-    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+    @pytest.mark.parametrize(
+        "helper_cpus", [None, frozenset(os.sched_getaffinity(0))], ids=["in_process", "forked"]
+    )
     @settings(max_examples=20, deadline=None)
     @given(
         kind=st.sampled_from(("none", "vector", "image")),
@@ -614,7 +616,7 @@ class TestScheduleMatchesInterleavedLoop:
         seed=st.integers(0, 2**16),
     )
     def test_record_state_and_memory(
-        self, forked, kind, recipe, rv_lr, retrieve_batch, capacity,
+        self, helper_cpus, kind, recipe, rv_lr, retrieve_batch, capacity,
         stream_batch, num_tasks, seed,
     ):
         # 2 classes per task x 6 rows: 24 or 36 stream rows, below and
@@ -632,7 +634,7 @@ class TestScheduleMatchesInterleavedLoop:
         expected = interleaved_run_stream(
             state, ref_memory, train, streams, tests, config, recipe, seed
         )
-        got = run_stream(state, train, streams, tests, config, recipe, seed, forked)
+        got = run_stream(state, train, streams, tests, config, recipe, seed, helper_cpus)
         assert got.accuracy_matrix.rows == expected.accuracy_matrix.rows
         assert got.diagnostics == expected.diagnostics
         assert (got.steps, got.review_steps) == (expected.steps, expected.review_steps)
