@@ -8,11 +8,12 @@ fields when it is built; `_check_inputs` adds the checks that need the
 loaded data.
 
 A `Job(config, run, part)` is one pass of one run: a recipe run has a
-"method" pass (`run_stream`) and a memory-free "reference" pass
-(`train_reference`), a `reference` or `offline` run has one pass.
+"method" pass and a memory-free "reference" pass, a `reference` or
+`offline` run has one pass. Every pass is one `run_stream`; the reference
+and offline passes run `ER` with no replay (`_run_job`).
 `_run_job` derives all seeds of a run from `config.seed + run`; the reservoir
-(`config.memory` slots) is built empty by `run_stream` for each method pass,
-so a job carries nothing from another.
+(`config.memory` slots) is built empty by `run_stream` for each pass, so a
+job carries nothing from another.
 
 `run_jobs` takes the jobs of any mix of configs and loads each config's
 data once, in this process, and checks each config against it. Then it
@@ -46,7 +47,7 @@ import math
 import os
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -67,18 +68,12 @@ from .stream import (
     check_augment,
     gen_synthetic,
     load_idx,
+    offline_stream,
     split_tasks,
     task_streams,
     task_test_sets,
 )
-from .trainer import (
-    Recipe,
-    TrainConfig,
-    evaluate,
-    run_stream,
-    train_offline,
-    train_reference,
-)
+from .trainer import ER, Recipe, TrainConfig, evaluate, run_stream
 
 BASELINES = ("reference", "offline")  # the memory-free, non-recipe methods
 
@@ -200,8 +195,13 @@ def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
 def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> dict:
     """One pass of one run; returns the plain values its record needs.
 
-    A method pass forks its helpers onto `helper_cpus`, or runs them here
-    when None.
+    Every pass is a `run_stream`. A recipe's method pass forks its helpers
+    onto `helper_cpus`, or runs them here when None. The reference and
+    offline passes run `ER` without replay (`retrieve_batch` 0) and never
+    fork: the reference pass over the task streams, keeping each task's
+    accuracy right after it was learned, and the offline pass over one task
+    of `offline_epochs` shuffles of the whole dataset, scored on every
+    task's test set at the end.
     """
     config, run_index, part = job
     method = parse_method(config.method)
@@ -211,22 +211,27 @@ def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> d
     trainer_seed = int(keys[2].generate_state(1)[0])
     widths = (train_ds.features.shape[1], *config.hidden, train_ds.num_classes)
     spec = NetworkSpec(layer_widths=widths, seed=model_seed)
-    streams = task_streams(train_ds, split, config.stream_batch, keys[1])
+    if method == "offline":
+        streams = [offline_stream(train_ds, config.stream_batch, config.offline_epochs, keys[3])]
+    else:
+        streams = task_streams(train_ds, split, config.stream_batch, keys[1])
+    recipe = method
+    if part == "reference" or method == "offline":
+        recipe, config, helper_cpus = ER, replace(config, retrieve_batch=0), None
 
     # from here on an error is a failed run, not a bad configuration
     try:
         started = time.perf_counter()
-        if part == "reference":
-            reference = train_reference(init_network(spec), train_ds, streams, tests, config)
-            return {"reference": reference, "wall_time": time.perf_counter() - started}
-        if method == "offline":
-            state = train_offline(init_network(spec), train_ds, config, keys[3])
-            per_task = [evaluate(state, ts) for ts in tests]
-            return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         record = run_stream(
-            init_network(spec), train_ds, streams, tests, config, method, trainer_seed,
+            init_network(spec), train_ds, streams, tests, config, recipe, trainer_seed,
             helper_cpus,
         )
+        if part == "reference":
+            reference = [row[-1] for row in record.accuracy_matrix.rows]
+            return {"reference": reference, "wall_time": time.perf_counter() - started}
+        if method == "offline":
+            per_task = [evaluate(record.final_state, ts) for ts in tests]
+            return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         return {
             "matrix": record.accuracy_matrix.rows,
             "wall_time": time.perf_counter() - started,

@@ -106,6 +106,20 @@ def task_streams(
     ]
 
 
+def offline_stream(dataset: Dataset, batch_size: int, epochs: int, seed) -> list[np.ndarray]:
+    """One task of `epochs` shuffles of every row, the offline pass's stream.
+
+    Each shuffle is cut into batches on its own, so every epoch may end in a
+    short batch and no batch spans two epochs.
+    """
+    rng = np.random.default_rng(seed)
+    stream = []
+    for _ in range(epochs):
+        order = rng.permutation(len(dataset))
+        stream += [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    return stream
+
+
 def task_test_sets(
     dataset: Dataset, split: TaskSplit
 ) -> list[tuple[np.ndarray, np.ndarray]]:

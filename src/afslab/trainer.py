@@ -31,12 +31,13 @@ diagnostics over every row seen so far both go through `model.score_rows`,
 which reads rows by index in fixed chunks of `SCORE_CHUNK_ROWS`, so their
 peak is chunk rows x the widest layers plus the `[n, C]` logits.
 
-Every loop here (`run_stream`, `review_rows`, `train_reference`,
-`train_offline`) copies the caller's `NetworkState` once on entry and steps
-that copy in place through one `Workspace`, so the caller's state is never
-changed and a step allocates no parameter or activation arrays.
-`sgd_on_batch`, the one step they share, steps the state it is given in
-place through the workspace it is given.
+`run_stream` is the one training loop: every pass of a run goes through
+it, the memory-free reference and offline passes too (`runner._run_job`).
+It and the review (`review_rows`) copy the caller's `NetworkState` once on
+entry and step that copy in place through one `Workspace`, so the caller's
+state is never changed and a step allocates no parameter or activation
+arrays. `sgd_on_batch`, the one step they share, steps the state it is
+given in place through the workspace it is given.
 
 A `Recipe` says which ingredients a method switches on: the classification
 loss, the regulariser, the review pass and replay augmentation. `AFS` and
@@ -46,7 +47,7 @@ loops' reservoir size, batch sizes, step sizes, replay augmentation and
 offline epochs, and `runner.ExperimentConfig` extends it in turn, so every
 loop here takes the experiment's own config. A run's trainer seed is no
 setting but derived from it, so the loops that draw (`run_stream`,
-`replay_schedule`, `train_offline`) take it as an argument.
+`replay_schedule`) take it as an argument.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ class TrainConfig(LossConfig):
     stepping at `lr`; a recipe that augments replay adds an `augment` copy
     of them ("vector" jitter at `jitter_sigma`, or "image" flip and crop). A
     review pass, at `rv_lr` in batches of `rv_batch`, follows each task's
-    last step; `replay_schedule` decides its order, one per task.
-    `train_offline` runs `offline_epochs` epochs.
+    last step; `replay_schedule` decides its order, one per task. The
+    offline pass streams `offline_epochs` shuffles of the whole dataset
+    (`stream.offline_stream`).
     """
 
     memory: int = 200
@@ -359,53 +361,3 @@ def run_stream(
         review_steps=review_steps,
         final_state=state,
     )
-
-
-def train_reference(
-    state: NetworkState,
-    dataset: Dataset,
-    streams: list[list[np.ndarray]],
-    test_sets: list[tuple[np.ndarray, np.ndarray]],
-    config: TrainConfig,
-) -> list[float]:
-    """Memory-free incremental fine-tuning with cross-entropy.
-
-    Returns each task's accuracy measured right after that task was learned,
-    the per-task reference used by the intransigence metric.
-    """
-    objective = make_objective("ce", "none", config, state.num_classes)
-    state, workspace = state.copy(), Workspace()
-    accuracies = []
-    for task_number, stream in enumerate(streams, start=1):
-        for batch in stream:
-            sgd_on_batch(
-                state, dataset.features[batch], dataset.labels[batch],
-                objective, config.lr, workspace,
-            )
-        accuracies.append(evaluate(state, test_sets[task_number - 1]))
-    return accuracies
-
-
-def train_offline(
-    state: NetworkState,
-    dataset: Dataset,
-    config: TrainConfig,
-    seed,
-) -> NetworkState:
-    """`config.offline_epochs` epochs of iid training on the pooled dataset,
-    shuffled by `seed`; the upper-bound oracle.
-
-    Returns the trained copy of `state`.
-    """
-    rng = np.random.default_rng(seed)
-    objective = make_objective("ce", "none", config, state.num_classes)
-    state, workspace = state.copy(), Workspace()
-    for _ in range(config.offline_epochs):
-        order = rng.permutation(len(dataset))
-        for start in range(0, len(order), config.stream_batch):
-            rows = order[start : start + config.stream_batch]
-            sgd_on_batch(
-                state, dataset.features[rows], dataset.labels[rows],
-                objective, config.lr, workspace,
-            )
-    return state

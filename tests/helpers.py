@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from afslab.losses import (
 from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
-from afslab.stream import apply_augment, draw_augment
-from afslab.trainer import RunRecord, evaluate, review_rows, sgd_on_batch
+from afslab.stream import apply_augment, draw_augment, offline_stream
+from afslab.trainer import ER, RunRecord, evaluate, review_rows, run_stream, sgd_on_batch
 
 
 def central_difference(f, x, h=1e-5):
@@ -333,3 +334,64 @@ def interleaved_run_stream(state, memory, dataset, streams, test_sets, config, r
         final_state=state,
     )
 
+
+def reference_pass(state, dataset, streams, test_sets, config, seed=0):
+    """The memory-free reference pass as `runner._run_job` runs it.
+
+    `ER` with no replay over the task streams; returns the diagonal of the
+    run's accuracy matrix, each task's accuracy right after it was learned.
+    """
+    config = replace(config, retrieve_batch=0)
+    record = run_stream(state, dataset, streams, test_sets, config, ER, seed)
+    return [row[-1] for row in record.accuracy_matrix.rows]
+
+
+def offline_pass(state, dataset, test_sets, config, seed):
+    """The offline pass as `runner._run_job` runs it; returns the trained state.
+
+    `ER` with no replay over one task of `config.offline_epochs` shuffles of
+    the whole dataset drawn from `seed`.
+    """
+    stream = offline_stream(dataset, config.stream_batch, config.offline_epochs, seed)
+    config = replace(config, retrieve_batch=0)
+    return run_stream(state, dataset, [stream], test_sets, config, ER, 0).final_state
+
+
+def train_reference(state, dataset, streams, test_sets, config):
+    """Reference for the reference pass: the loop it replaced.
+
+    Memory-free incremental fine-tuning with cross-entropy. Returns each
+    task's accuracy measured right after that task was learned.
+    """
+    objective = make_objective("ce", "none", config, state.num_classes)
+    state, workspace = state.copy(), Workspace()
+    accuracies = []
+    for task_number, stream in enumerate(streams, start=1):
+        for batch in stream:
+            sgd_on_batch(
+                state, dataset.features[batch], dataset.labels[batch],
+                objective, config.lr, workspace,
+            )
+        accuracies.append(evaluate(state, test_sets[task_number - 1]))
+    return accuracies
+
+
+def train_offline(state, dataset, config, seed):
+    """Reference for the offline pass: the loop it replaced.
+
+    `config.offline_epochs` epochs of iid training on the pooled dataset,
+    each a permutation drawn from one rng seeded with `seed` and cut into
+    `config.stream_batch` rows. Returns the trained copy of `state`.
+    """
+    rng = np.random.default_rng(seed)
+    objective = make_objective("ce", "none", config, state.num_classes)
+    state, workspace = state.copy(), Workspace()
+    for _ in range(config.offline_epochs):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(order), config.stream_batch):
+            rows = order[start : start + config.stream_batch]
+            sgd_on_batch(
+                state, dataset.features[rows], dataset.labels[rows],
+                objective, config.lr, workspace,
+            )
+    return state

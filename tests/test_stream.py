@@ -22,8 +22,15 @@ from afslab.stream import (
     task_test_sets,
     write_idx,
 )
-from afslab.trainer import TrainConfig, evaluate, train_offline
-from helpers import augment, augment_image_rows, flip_horizontal, image_draws_per_row, pad_crop
+from afslab.trainer import TrainConfig, evaluate
+from helpers import (
+    augment,
+    augment_image_rows,
+    flip_horizontal,
+    image_draws_per_row,
+    offline_pass,
+    pad_crop,
+)
 
 
 def toy_dataset(n_per_class=6, num_classes=4, dim=3, seed=0):
@@ -247,7 +254,7 @@ class TestSynthetic:
         train, test = gen_synthetic(4, 16, per_class=50, spread=0.1, seed=7)
         state = init_network(NetworkSpec((16, 4), seed=0))
         cfg = TrainConfig(stream_batch=10, lr=0.5, offline_epochs=5)
-        state = train_offline(state, train, cfg, seed=1)
+        state = offline_pass(state, train, [(test.features, test.labels)], cfg, seed=1)
         acc = evaluate(state, (test.features, test.labels))
         assert acc >= 0.99, acc
 

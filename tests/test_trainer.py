@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -36,17 +36,19 @@ from afslab.trainer import (
     replay_schedule,
     run_stream,
     sgd_on_batch,
-    train_offline,
-    train_reference,
 )
 from helpers import (
     allocating_step,
     interleaved_run_stream,
     max_param_diff,
+    offline_pass,
     per_sample_step,
     reference_forward,
+    reference_pass,
     review_pass,
     traced_peak,
+    train_offline,
+    train_reference,
 )
 
 
@@ -318,7 +320,7 @@ class TestReference:
     def test_lengths_and_range(self):
         train, streams, tests = small_benchmark(seed=12)
         config = TrainConfig(augment="none")
-        ref = train_reference(
+        ref = reference_pass(
             init_network(NetworkSpec((8, 6, 4), seed=2)), train, streams, tests, config
         )
         assert len(ref) == 2
@@ -328,8 +330,8 @@ class TestReference:
         train, streams, tests = small_benchmark(seed=12)
         config = TrainConfig(augment="none")
         spec = NetworkSpec((8, 6, 4), seed=2)
-        a = train_reference(init_network(spec), train, streams, tests, config)
-        b = train_reference(init_network(spec), train, streams, tests, config)
+        a = reference_pass(init_network(spec), train, streams, tests, config)
+        b = reference_pass(init_network(spec), train, streams, tests, config)
         assert a == b
 
 
@@ -341,7 +343,7 @@ class TestOfflineBound:
         config = TrainConfig(memory=20, augment="none", retrieve_batch=20, offline_epochs=5)
         spec = NetworkSpec((8, 16, 4), seed=0)
         er = run_stream(init_network(spec), train, streams, tests, config, ER, 1)
-        offline = train_offline(init_network(spec), train, config, seed=2)
+        offline = offline_pass(init_network(spec), train, tests, config, seed=2)
         offline_acc = float(np.mean([evaluate(offline, ts) for ts in tests]))
         er_acc = float(np.mean(er.accuracy_matrix.rows[-1]))
         assert er_acc < offline_acc
@@ -350,6 +352,55 @@ class TestOfflineBound:
         # the epoch count is a config field, so it is checked before any loop runs
         with pytest.raises(InvalidConfigError, match="offline_epochs must be positive, got 0"):
             TrainConfig(offline_epochs=0)
+
+
+class TestBaselinePassesMatchTheLoopsTheyReplaced:
+    """The reference and offline passes, run by `run_stream`, against the
+    loops in `helpers` that ran them before, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        per_class=st.integers(3, 12),
+        stream_batch=st.integers(2, 7),
+        epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(per_class=5, stream_batch=3, epochs=2, seed=0)  # 20 rows: each epoch ends short
+    def test_passes_match(self, per_class, stream_batch, epochs, seed):
+        train, test = gen_synthetic(4, 5, per_class, 0.8, seed, test_per_class=5)
+        split = split_tasks(train, 2)
+        streams = task_streams(train, split, stream_batch, seed + 1)
+        tests = task_test_sets(test, split)
+        config = TrainConfig(stream_batch=stream_batch, offline_epochs=epochs, lr=0.3)
+        state = init_network(NetworkSpec((5, 6, 4), seed=seed))
+        assert reference_pass(state, train, streams, tests, config) == train_reference(
+            state, train, streams, tests, config
+        )
+        got = offline_pass(state, train, tests, config, seed)
+        want = train_offline(state, train, config, seed)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("method", ["reference", "offline"])
+    def test_jobs_keep_the_seeds_of_the_replaced_loops(self, method):
+        # `_run_job` seeds the model from keys[0], the task streams from
+        # keys[1] and the offline shuffles from keys[3]
+        config = ExperimentConfig(
+            method=method, seed=3, num_tasks=2, hidden=(8,), synth_classes=4, synth_dim=6,
+            synth_per_class=23, synth_test_per_class=100, offline_epochs=2,
+        )
+        (result,) = run_jobs(jobs_for(config)).values()
+        train, test = gen_synthetic(4, 6, 23, config.synth_spread, 3, test_per_class=100)
+        split = split_tasks(train, 2)
+        tests = task_test_sets(test, split)
+        keys = np.random.SeedSequence(3).spawn(4)
+        state = init_network(NetworkSpec((6, 8, 4), seed=int(keys[0].generate_state(1)[0])))
+        if method == "reference":
+            streams = task_streams(train, split, config.stream_batch, keys[1])
+            assert result["reference"] == train_reference(state, train, streams, tests, config)
+        else:
+            trained = train_offline(state, train, config, keys[3])
+            assert result["offline_per_task"] == [evaluate(trained, ts) for ts in tests]
 
 
 def test_sgd_on_batch_rejects_empty():
@@ -540,11 +591,11 @@ class TestLoopsLeaveCallerStateUnchanged:
         assert_states_equal(self.state, self.before)
 
     def test_train_reference(self):
-        train_reference(self.state, self.train, self.streams, self.tests, self.config)
+        reference_pass(self.state, self.train, self.streams, self.tests, self.config)
         assert_states_equal(self.state, self.before)
 
     def test_train_offline(self):
-        got = train_offline(self.state, self.train, self.config, seed=0)
+        got = offline_pass(self.state, self.train, self.tests, self.config, seed=0)
         assert max_param_diff(got, self.before) > 1e-3
         assert_states_equal(self.state, self.before)
 
