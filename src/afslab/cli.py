@@ -131,7 +131,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     results = run_jobs(jobs_for(config))
     runs = [assemble(config, r, results) for r in range(config.runs)]
     summary = []
-    if config.runs >= 2 and runs and runs[0].get("metrics"):
+    if config.runs >= 2:
         final_task = max(m["task"] for m in runs[0]["metrics"])
         for name in ("A_T", "F_T", "I_T"):
             values = [m[name] for run in runs for m in run["metrics"]
@@ -249,14 +249,11 @@ def _cmd_run(args) -> int:
         return 1
     emit_report(records, out_dir, "json")
     emit_report(records, out_dir, "csv")
-    final = records["runs"][-1].get("metrics")
-    if final:
-        # over two runs or more, their mean A_T and its confidence half-width
-        a_t = next((item for item in records["summary"] if item["metric"] == "A_T"), None)
-        value = (f"{a_t['mean']:.4f} +/- {a_t['ci_half_width']:.4f}" if a_t
-                 else f"{final[-1]['A_T']:.4f}")
-        print(f"{records['method']}: runs={config.runs} A_T={value} "
-              f"(final task {final[-1]['task']})")
+    final = records["runs"][-1]["metrics"][-1]
+    # over two runs or more, their mean A_T and its confidence half-width
+    a_t = next((item for item in records["summary"] if item["metric"] == "A_T"), None)
+    value = f"{a_t['mean']:.4f} +/- {a_t['ci_half_width']:.4f}" if a_t else f"{final['A_T']:.4f}"
+    print(f"{records['method']}: runs={config.runs} A_T={value} (final task {final['task']})")
     print(f"reports written to {out_dir}")
     return 0
 

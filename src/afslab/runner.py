@@ -9,8 +9,10 @@ loaded data.
 
 A `Job(config, run, part)` is one pass of one run: a recipe run has a
 "method" pass and a memory-free "reference" pass, a `reference` or
-`offline` run has one pass. Every pass is one `run_stream`; the reference
-and offline passes run `ER` with no replay (`_run_job`).
+`offline` run has one pass. Every pass is one `run_stream`, which trains
+and scores it; the reference and offline passes run `ER` with no replay
+(`_run_job`). Every job's result has the same keys, and `assemble` alone
+reads from them what a run's record keeps.
 `_run_job` derives all seeds of a run from `config.seed + run`; the reservoir
 (`config.memory` slots) is built empty by `run_stream` for each pass, so a
 job carries nothing from another.
@@ -73,7 +75,7 @@ from .stream import (
     task_streams,
     task_test_sets,
 )
-from .trainer import ER, Recipe, TrainConfig, evaluate, run_stream
+from .trainer import ER, Recipe, TrainConfig, run_stream
 
 BASELINES = ("reference", "offline")  # the memory-free, non-recipe methods
 
@@ -193,15 +195,16 @@ def _check_inputs(config: ExperimentConfig, inputs: _Inputs) -> None:
 
 
 def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> dict:
-    """One pass of one run; returns the plain values its record needs.
+    """One pass of one run: its accuracy matrix, wall time, step counts and
+    diagnostics, as plain values.
 
     Every pass is a `run_stream`. A recipe's method pass forks its helpers
     onto `helper_cpus`, or runs them here when None. The reference and
     offline passes run `ER` without replay (`retrieve_batch` 0) and never
-    fork: the reference pass over the task streams, keeping each task's
-    accuracy right after it was learned, and the offline pass over one task
-    of `offline_epochs` shuffles of the whole dataset, scored on every
-    task's test set at the end.
+    fork: the reference pass over the task streams, and the offline pass
+    over `num_tasks` tasks whose last streams `offline_epochs` shuffles of
+    the whole dataset and whose others are empty, so that the last matrix
+    row scores the trained model on every task's test set.
     """
     config, run_index, part = job
     method = parse_method(config.method)
@@ -212,7 +215,8 @@ def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> d
     widths = (train_ds.features.shape[1], *config.hidden, train_ds.num_classes)
     spec = NetworkSpec(layer_widths=widths, seed=model_seed)
     if method == "offline":
-        streams = [offline_stream(train_ds, config.stream_batch, config.offline_epochs, keys[3])]
+        stream = offline_stream(train_ds, config.stream_batch, config.offline_epochs, keys[3])
+        streams = [[] for _ in range(config.num_tasks - 1)] + [stream]
     else:
         streams = task_streams(train_ds, split, config.stream_batch, keys[1])
     recipe = method
@@ -226,12 +230,6 @@ def _run_job(job: Job, inputs: _Inputs, helper_cpus: frozenset[int] | None) -> d
             init_network(spec), train_ds, streams, tests, config, recipe, trainer_seed,
             helper_cpus,
         )
-        if part == "reference":
-            reference = [row[-1] for row in record.accuracy_matrix.rows]
-            return {"reference": reference, "wall_time": time.perf_counter() - started}
-        if method == "offline":
-            per_task = [evaluate(record.final_state, ts) for ts in tests]
-            return {"offline_per_task": per_task, "wall_time": time.perf_counter() - started}
         return {
             "matrix": record.accuracy_matrix.rows,
             "wall_time": time.perf_counter() - started,
@@ -247,9 +245,11 @@ def assemble(config: ExperimentConfig, run_index: int, results: dict) -> dict:
     """The record of one run of `config`, built from the results of its passes."""
     method = parse_method(config.method)
     out: dict = {"run": run_index, "seed": config.seed + run_index}
+    if method != "offline":
+        rows = results[Job(config, run_index, "reference")]["matrix"]
+        reference = [row[-1] for row in rows]  # each task's accuracy right after it was learned
     if isinstance(method, Recipe):
-        out.update(results[Job(config, run_index, "method")])
-        out["reference"] = reference = results[Job(config, run_index, "reference")]["reference"]
+        out.update(results[Job(config, run_index, "method")], reference=reference)
         matrix = AccuracyMatrix(out["matrix"])
         out["metrics"] = [
             {
@@ -261,14 +261,16 @@ def assemble(config: ExperimentConfig, run_index: int, results: dict) -> dict:
             for t in range(1, matrix.num_tasks + 1)
         ]
     elif method == "reference":
-        out.update(results[Job(config, run_index, "reference")], diagnostics={})
+        wall_time = results[Job(config, run_index, "reference")]["wall_time"]
+        out.update(reference=reference, wall_time=wall_time, diagnostics={})
         out["metrics"] = [
             {"task": t, "A_T": acc, "F_T": math.nan, "I_T": math.nan}
-            for t, acc in enumerate(out["reference"], start=1)
+            for t, acc in enumerate(reference, start=1)
         ]
     else:  # offline
-        out.update(results[Job(config, run_index, "method")], diagnostics={})
-        per_task = out["offline_per_task"]
+        result = results[Job(config, run_index, "method")]
+        per_task = result["matrix"][-1]  # the trained model on every task's test set
+        out.update(offline_per_task=per_task, wall_time=result["wall_time"], diagnostics={})
         out["metrics"] = [{"task": len(per_task), "A_T": float(np.mean(per_task)),
                            "F_T": math.nan, "I_T": math.nan}]
     return out

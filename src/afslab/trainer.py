@@ -32,12 +32,12 @@ which reads rows by index in fixed chunks of `SCORE_CHUNK_ROWS`, so their
 peak is chunk rows x the widest layers plus the `[n, C]` logits.
 
 `run_stream` is the one training loop: every pass of a run goes through
-it, the memory-free reference and offline passes too (`runner._run_job`).
-It and the review (`review_rows`) copy the caller's `NetworkState` once on
-entry and step that copy in place through one `Workspace`, so the caller's
-state is never changed and a step allocates no parameter or activation
-arrays. `sgd_on_batch`, the one step they share, steps the state it is
-given in place through the workspace it is given.
+it, the memory-free reference and offline passes too (`runner._run_job`),
+and it takes every step of a pass, the review's included. It copies the
+caller's `NetworkState` once on entry and steps that copy in place through
+one `Workspace`, so the caller's state is never changed and a step
+allocates no parameter or activation arrays. `sgd_on_batch`, the one step,
+steps the state it is given in place through the workspace it is given.
 
 A `Recipe` says which ingredients a method switches on: the classification
 loss, the regulariser, the review pass and replay augmentation. `AFS` and
@@ -52,7 +52,6 @@ setting but derived from it, so the loops that draw (`run_stream`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -129,11 +128,12 @@ class TrainConfig(LossConfig):
     Each step takes `stream_batch` incoming rows and retrieves up to
     `retrieve_batch` replay rows from a reservoir of `memory` slots,
     stepping at `lr`; a recipe that augments replay adds an `augment` copy
-    of them ("vector" jitter at `jitter_sigma`, or "image" flip and crop). A
-    review pass, at `rv_lr` in batches of `rv_batch`, follows each task's
-    last step; `replay_schedule` decides its order, one per task. The
-    offline pass streams `offline_epochs` shuffles of the whole dataset
-    (`stream.offline_stream`).
+    of them ("vector" jitter at `jitter_sigma`, or "image" flip and crop).
+    After each task's last step a review takes steps of `rv_batch` memory
+    rows at `rv_lr` on the classification loss alone; `replay_schedule`
+    decides its order, one per task. The offline pass streams
+    `offline_epochs` shuffles of the whole dataset (`stream.offline_stream`)
+    as the last of its tasks.
     """
 
     memory: int = 200
@@ -208,29 +208,6 @@ def evaluate(state: NetworkState, test_set: tuple[np.ndarray, np.ndarray]) -> fl
     return float(np.mean(predictions == labels))
 
 
-def review_rows(
-    state: NetworkState,
-    features: np.ndarray,
-    labels: np.ndarray,
-    order: np.ndarray,
-    config: TrainConfig,
-    cls_kind: str = "rfl",
-) -> NetworkState:
-    """The review epoch over `features[order]`, `config.rv_batch` rows to a
-    step at `config.rv_lr`.
-
-    Returns a stepped copy of `state`, or `state` itself for an empty order.
-    """
-    if len(order) == 0:
-        return state
-    objective = make_objective(cls_kind, "none", config, state.num_classes)
-    state, workspace = state.copy(), Workspace()
-    for start in range(0, len(order), config.rv_batch):
-        rows = order[start : start + config.rv_batch]
-        sgd_on_batch(state, features[rows], labels[rows], objective, config.rv_lr, workspace)
-    return state
-
-
 def replay_schedule(
     memory: MemoryBuffer,
     dataset: Dataset,
@@ -296,7 +273,11 @@ def run_stream(
     `final_state`. The replay schedule, seeded with `seed`, owns the run's
     reservoir: a new, empty `MemoryBuffer` of `config.memory` slots. After
     each task's last step it reviews in the one order the schedule yields
-    for that task; an empty order means no review. A CPU set `helper_cpus`
+    for that task, `config.rv_batch` rows to a step at `config.rv_lr` on
+    the classification loss alone, through the same state and workspace as
+    the stream steps; an empty order means no review. A task with an empty
+    stream takes no stream step and is scored all the same. Each task's
+    scorer sees the reviewed state. A CPU set `helper_cpus`
     runs the replay schedule and the scoring in helper processes on those
     CPUs (`sidecar.Helpers`), the last task's scoring on this process's; the
     record is the same either way.
@@ -306,6 +287,7 @@ def run_stream(
     memory = MemoryBuffer(config.memory)
     state, workspace = state.copy(), Workspace()
     objective = make_objective(recipe.cls, recipe.reg, config, state.num_classes)
+    review = make_objective(recipe.cls, "none", config, state.num_classes)
     matrix = AccuracyMatrix()
     diagnostics: dict[int, DiagnosticsRecord] = {}
     steps = 0
@@ -331,11 +313,14 @@ def run_stream(
                         y = np.concatenate([y, y[len(batch):]])
                     sgd_on_batch(state, x, y, objective, config.lr, workspace)
                     steps += 1
-                order = next(plan)  # the task's review; empty leaves `state` as it is
-                review_steps += math.ceil(len(order) / config.rv_batch)
-                state = review_rows(
-                    state, dataset.features, dataset.labels, order, config, recipe.cls
-                )
+                order = next(plan)  # the task's review; empty takes no step
+                for start in range(0, len(order), config.rv_batch):
+                    rows = order[start : start + config.rv_batch]
+                    sgd_on_batch(
+                        state, dataset.features[rows], dataset.labels[rows],
+                        review, config.rv_lr, workspace,
+                    )
+                    review_steps += 1
                 rows = np.concatenate([seen, *stream])
                 new_classes = set(np.unique(dataset.labels[rows[len(seen):]]).tolist())
                 scores.append(helpers.call(partial(

@@ -20,7 +20,7 @@ from afslab.memory import random_retrieve, reservoir_update
 from afslab.metrics import AccuracyMatrix, bias_diagnostics
 from afslab.model import Gradients, NetworkState, Workspace, backward, forward, sgd_step
 from afslab.stream import apply_augment, draw_augment, offline_stream
-from afslab.trainer import ER, RunRecord, evaluate, review_rows, run_stream, sgd_on_batch
+from afslab.trainer import ER, RunRecord, TrainConfig, evaluate, run_stream, sgd_on_batch
 
 
 def central_difference(f, x, h=1e-5):
@@ -253,6 +253,30 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak - before
 
 
+def review_rows(
+    state: NetworkState,
+    features: np.ndarray,
+    labels: np.ndarray,
+    order: np.ndarray,
+    config: TrainConfig,
+    cls_kind: str = "rfl",
+) -> NetworkState:
+    """Reference for the review in trainer.run_stream: the function it replaced.
+
+    The review epoch over `features[order]`, `config.rv_batch` rows to a
+    step at `config.rv_lr`, on a copy of `state` through a `Workspace` of
+    its own. Returns the stepped copy, or `state` itself for an empty order.
+    """
+    if len(order) == 0:
+        return state
+    objective = make_objective(cls_kind, "none", config, state.num_classes)
+    state, workspace = state.copy(), Workspace()
+    for start in range(0, len(order), config.rv_batch):
+        rows = order[start : start + config.rv_batch]
+        sgd_on_batch(state, features[rows], labels[rows], objective, config.rv_lr, workspace)
+    return state
+
+
 def review_pass(state, memory, dataset, config, rng, cls_kind="rfl"):
     """Reference for the review in trainer.run_stream: one pass over `memory`.
 
@@ -349,12 +373,14 @@ def reference_pass(state, dataset, streams, test_sets, config, seed=0):
 def offline_pass(state, dataset, test_sets, config, seed):
     """The offline pass as `runner._run_job` runs it; returns the trained state.
 
-    `ER` with no replay over one task of `config.offline_epochs` shuffles of
-    the whole dataset drawn from `seed`.
+    `ER` with no replay over one task per test set: the last streams
+    `config.offline_epochs` shuffles of the whole dataset drawn from `seed`,
+    and the others are empty.
     """
     stream = offline_stream(dataset, config.stream_batch, config.offline_epochs, seed)
+    streams = [[] for _ in range(len(test_sets) - 1)] + [stream]
     config = replace(config, retrieve_batch=0)
-    return run_stream(state, dataset, [stream], test_sets, config, ER, 0).final_state
+    return run_stream(state, dataset, streams, test_sets, config, ER, 0).final_state
 
 
 def train_reference(state, dataset, streams, test_sets, config):

@@ -1,4 +1,6 @@
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from afslab.losses import (
     teacher_table,
     weighted_ce,
 )
+from afslab import trainer
 from afslab.memory import MemoryBuffer, reservoir_update
 from afslab.model import NetworkSpec, NetworkState, Workspace, init_network
 from afslab.runner import ExperimentConfig, jobs_for, run_jobs
@@ -295,6 +298,47 @@ class TestRunShape:
         assert len(results) == (2 if method == "afs" else 1)
         assert all(result["wall_time"] > 0 for result in results.values())
 
+    def test_every_pass_returns_the_same_keys(self):
+        config = ExperimentConfig(
+            memory=20, num_tasks=2, hidden=(8,), synth_classes=4, synth_dim=6,
+            synth_per_class=20, synth_test_per_class=10, offline_epochs=1,
+        )
+        offline = replace(config, method="offline")
+        results = run_jobs(jobs_for(config) + jobs_for(offline))
+        assert [job.part for job in results] == ["method", "reference", "method"]
+        keys = {"matrix", "wall_time", "steps", "review_steps", "diagnostics"}
+        assert all(set(result) == keys for result in results.values())
+
+    def test_review_steps_through_the_runs_one_workspace(self, monkeypatch):
+        built = []
+
+        class CountingWorkspace(Workspace):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(trainer, "Workspace", CountingWorkspace)
+        train, streams, tests = small_benchmark(seed=5)
+        config = TrainConfig(memory=25, augment="none")
+        record = run_stream(
+            init_network(NetworkSpec((8, 6, 4), seed=0)), train, streams, tests, config, AFS, 0,
+        )
+        assert record.review_steps == 2 * math.ceil(25 / config.rv_batch)
+        assert len(built) == 1
+
+    def test_empty_leading_tasks_take_no_step(self):
+        # the offline pass's shape: every row streamed in the last of three tasks
+        train, streams, tests = small_benchmark(seed=5, num_classes=6, num_tasks=3)
+        state = init_network(NetworkSpec((8, 6, 6), seed=0))
+        config = TrainConfig(memory=25, augment="none")
+        last = [batch for stream in streams for batch in stream]
+        record = run_stream(state, train, [[], [], last], tests, config, ER, 0)
+        assert (record.steps, record.review_steps) == (len(last), 0)
+        rows = record.accuracy_matrix.rows
+        assert rows[:2] == [[evaluate(state, ts) for ts in tests[:k]] for k in (1, 2)]
+        assert rows[-1] == [evaluate(record.final_state, ts) for ts in tests]
+        assert max_param_diff(record.final_state, state) > 1e-3
+
     def test_diagnostics_start_at_second_task(self):
         train, streams, tests = small_benchmark(seed=6, num_tasks=2, per_class=30)
         config = TrainConfig(memory=25, augment="none")
@@ -397,10 +441,11 @@ class TestBaselinePassesMatchTheLoopsTheyReplaced:
         state = init_network(NetworkSpec((6, 8, 4), seed=int(keys[0].generate_state(1)[0])))
         if method == "reference":
             streams = task_streams(train, split, config.stream_batch, keys[1])
-            assert result["reference"] == train_reference(state, train, streams, tests, config)
+            diagonal = [row[-1] for row in result["matrix"]]
+            assert diagonal == train_reference(state, train, streams, tests, config)
         else:
             trained = train_offline(state, train, config, keys[3])
-            assert result["offline_per_task"] == [evaluate(trained, ts) for ts in tests]
+            assert result["matrix"][-1] == [evaluate(trained, ts) for ts in tests]
 
 
 def test_sgd_on_batch_rejects_empty():
