@@ -7,9 +7,10 @@ boundary. `Helpers(cpus)` forks a child for each and pins it to the CPU set
 `cpus` (`os.sched_setaffinity`), unless a call asks to stay on this
 process's CPUs; `Helpers(None)` forks nothing. Which, and where, is the
 caller's choice (`runner.run_jobs` makes it from its job list). Forked, the
-schedule runs in one child that sends its items through a pipe,
-`CHUNK_STEPS` to a message, and each scoring call runs in a child of its
-own on a copy-on-write snapshot of the state. Not forked, both run in this
+schedule runs in one child that sends its items through a pipe, the
+first on its own, so that the trainer can start at once, and the rest
+`CHUNK_STEPS` to a message; each scoring call runs in a child of its own
+on a copy-on-write snapshot of the state. Not forked, both run in this
 process, in order, so a profiler sees them. A child the host will not pin
 (`OSError`) runs where this process runs. Only the schedule's pipe is grown
 (`STREAM_PIPE_BYTES`); `call` pipes keep the default size, so that many
@@ -31,7 +32,7 @@ from contextlib import suppress
 
 from .errors import RunFailedError
 
-CHUNK_STEPS = 32  # schedule items per pipe message
+CHUNK_STEPS = 32  # schedule items per pipe message after the first
 # The schedule's pipe, where the host allows, holds a whole message: about
 # 845 KB for 32 steps of 100 replay rows with [100, 32] jitter.
 STREAM_PIPE_BYTES = 1 << 20
@@ -81,13 +82,13 @@ class Helpers:
             return
 
         def send_chunks(out) -> None:
-            chunk = []
+            chunk, first = [], True
             try:
                 for item in items():
                     chunk.append(item)
-                    if len(chunk) == CHUNK_STEPS:
+                    if first or len(chunk) == CHUNK_STEPS:
                         _send(out, "more", chunk)
-                        chunk = []
+                        chunk, first = [], False
             except BaseException:
                 _send(out, "more", chunk)  # the items before the error come first
                 raise

@@ -267,15 +267,13 @@ def draw_augment(
     rng: np.random.Generator,
     jitter_sigma: float = 0.1,
 ):
-    """Every random number `augment` needs for rows of the given [k, dim] shape.
+    """Every random number `apply_augment` needs for rows of shape [k, dim].
 
     "none" draws nothing and returns None. "vector" returns the [k, dim]
     jitter in one draw; a Generator fills it in the same order as one draw
     per row. "image" draws, row by row, a flip coin (`rng.random() < 0.5`)
     and then two crop offsets (`rng.integers(0, 9, size=2)` for dy, dx), and
-    returns the [k] flips and the [k, 2] offsets. On a PCG64 generator
-    `_image_draws` makes all of them from one raw draw; elsewhere, and on
-    the rare draw it cannot reproduce, the per-row loop below runs.
+    returns the [k] flips and the [k, 2] offsets.
     """
     k, dim = shape
     check_augment(kind, dim)
@@ -283,49 +281,12 @@ def draw_augment(
         return None
     if kind == "vector":
         return rng.normal(0.0, jitter_sigma, size=shape)
-    if k and type(rng.bit_generator) is np.random.PCG64:
-        draws = _image_draws(rng.bit_generator, k)
-        if draws is not None:
-            return draws
     flips = np.empty(k, dtype=bool)
     offsets = np.empty((k, 2), dtype=np.int64)
     for i in range(k):
         # the draw order per row (flip coin, then crop offsets) fixes seeded runs
         flips[i] = rng.random() < 0.5
         offsets[i] = rng.integers(0, 2 * IMAGE_PAD + 1, size=2)
-    return flips, offsets
-
-
-# A crop offset is Lemire's bounded draw from one 32-bit word w: offset
-# (9 w) >> 32, redrawn when the low 32 bits of 9 w fall below this.
-_CROP_REJECT = (2**32 - 1 - 2 * IMAGE_PAD) % (2 * IMAGE_PAD + 1)
-
-
-def _image_draws(bit_generator: np.random.PCG64, k: int):
-    """The k rows' flips and offsets of the per-row loop, from 2k raw words.
-
-    Per row, `random()` takes one 64-bit word w (`(w >> 11) * 2**-53`), and
-    `integers(0, 9, size=2)` two 32-bit words: PCG64 hands out a 64-bit
-    word low half first and keeps the high half for the next 32-bit draw,
-    which a half left over from an earlier draw (`has_uint32`) serves
-    first. The generator ends as the loop leaves it. Returns None, with the
-    generator as it was, when some offset would have been redrawn.
-    """
-    saved = bit_generator.state
-    words = bit_generator.random_raw(2 * k)
-    flips = words[0::2] < 2**63  # (w >> 11) * 2**-53 < 0.5
-    halves = np.empty(2 * k + 1, dtype="<u4")  # the left-over half, then each word's two
-    halves[0] = saved["uinteger"]
-    halves[1:] = words[1::2].astype("<u8").view("<u4")
-    start = 1 - saved["has_uint32"]
-    scaled = halves[start : start + 2 * k].astype(np.uint64) * (2 * IMAGE_PAD + 1)
-    if (scaled & 0xFFFFFFFF).min() < _CROP_REJECT:
-        bit_generator.state = saved
-        return None
-    state = bit_generator.state
-    state["uinteger"] = int(halves[-1])  # the loop's last high half, served or not
-    bit_generator.state = state
-    offsets = (scaled >> 32).astype(np.int64).reshape(k, 2)
     return flips, offsets
 
 

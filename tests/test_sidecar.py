@@ -141,6 +141,28 @@ def test_scorer_holds_no_other_helper_pipe():
     assert_no_children()
 
 
+def test_the_first_item_does_not_wait_for_the_second():
+    # the trainer's first step needs only the schedule's first item; a
+    # generator that makes no second one until that item has arrived would
+    # hang a stream that sent it only with a full chunk
+    gate_out, gate_in = os.pipe()
+
+    def items():
+        yield 0
+        os.read(gate_out, 1)
+        yield from range(1, CHUNK_STEPS + 2)
+
+    try:
+        with Helpers(CPUS) as helpers:
+            plan = helpers.stream(items)
+            assert next(plan) == 0
+            os.write(gate_in, b"1")
+            assert list(plan) == list(range(1, CHUNK_STEPS + 2))
+    finally:
+        os.close(gate_out)
+        os.close(gate_in)
+    assert_no_children()
+
 
 def test_stream_messages_larger_than_a_default_pipe_arrive_in_order():
     # a message of CHUNK_STEPS items of 8 KB is 256 KB, four default 64 KiB pipes

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal, assert_equal
 
-from afslab import stream
 from afslab.errors import FormatError, InvalidConfigError, InvalidInputError
 from afslab.model import NetworkSpec, init_network
 from afslab.stream import (
@@ -343,7 +342,11 @@ class TestAugment:
 
 
 class TestImageDraws:
-    """`draw_augment("image")` against the per-row loop of draws it replaces."""
+    """`draw_augment("image")` against the per-row loop of draws, `image_draws_per_row`.
+
+    The same flips, offsets and dtypes, and the generator left in the same
+    state, from PCG64 with and without a buffered 32-bit half and from MT19937.
+    """
 
     @staticmethod
     def generators(seed, buffered, bit_generator=np.random.PCG64):
@@ -366,21 +369,10 @@ class TestImageDraws:
     @given(k=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
     @example(k=1, seed=0, buffered=True)
     @example(k=40, seed=1, buffered=False)
-    def test_one_raw_draw_matches_the_per_row_loop(self, k, seed, buffered):
+    def test_draws_match_the_per_row_loop(self, k, seed, buffered):
         rng, ref = self.generators(seed, buffered)
         assert rng.bit_generator.state["has_uint32"] == buffered
         self.assert_loop_draws(rng, ref, k)
-
-    @settings(max_examples=30, deadline=None)
-    @given(k=st.integers(1, 40), seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
-    def test_a_rejected_offset_falls_back_to_the_loop(self, k, seed, buffered):
-        rng, ref = self.generators(seed, buffered)
-        before = rng.bit_generator.state
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stream, "_CROP_REJECT", 2**32)  # every offset would be redrawn
-            assert stream._image_draws(rng.bit_generator, k) is None
-            assert rng.bit_generator.state == before
-            self.assert_loop_draws(rng, ref, k)
 
     @pytest.mark.parametrize("buffered", [False, True])
     def test_other_bit_generators_take_the_loop(self, buffered):
